@@ -164,25 +164,47 @@ def main() -> int:
             print("not traced (absent in this tree): " + ", ".join(child["missing"]))
         print(f"spans written to {os.path.relpath(child['trace_file'], ROOT)}")
     else:
-        tail_s, tail_pct = tail(latencies)
+        # Express every time at the reference host speed: scale it by
+        # CAL_REF_S over the calibration kernel's time measured next to it
+        # (the mean of the runs just before and after an op; the run right
+        # after set-up for set-up).  Raw times are printed and recorded too.
+        adjusted, setups = [], []
+        for c in children:
+            ref, cal = c["cal_ref_s"], c["calibrations"]
+            setups.append(c["setup_s"] * ref / cal[0])
+            adjusted += [x * 2.0 * ref / (cal[j] + cal[j + 1])
+                         for x, j in zip(c["latencies"], c["cal_index"])]
+        tail_s, tail_pct = tail(adjusted)
         metrics = {
-            "setup_s": {"value": statistics.median(c["setup_s"] for c in children),
-                        "unit": "s"},
-            "ops_per_s": {"value": attempted / sum(c["wall"] for c in children),
-                          "unit": "1/s"},
-            "op_p50_s": {"value": statistics.median(latencies), "unit": "s"},
+            "setup_s": {"value": statistics.median(setups), "unit": "s"},
+            "ops_per_s": {"value": attempted / sum(adjusted), "unit": "1/s"},
+            "op_p50_s": {"value": statistics.median(adjusted), "unit": "s"},
             "op_tail_s": {"value": tail_s, "unit": "s"},
             "peak_rss_mb": {"value": statistics.median(c["maxrss_kb"] for c in children)
                             / 1024.0, "unit": "MiB"},
         }
+        cals = [x for c in children for x in c["calibrations"]]
+        raw = {"setup_s": statistics.median(c["setup_s"] for c in children),
+               "ops_per_s": attempted / sum(latencies),
+               "op_p50_s": statistics.median(latencies),
+               "op_tail_s": tail(latencies)[0]}
+        print(f"host speed: calibration kernel median {statistics.median(cals):.4f} s "
+              f"(range {min(cals):.4f}-{max(cals):.4f}, reference "
+              f"{children[0]['cal_ref_s']} s)")
+        print("metric        at reference speed   raw")
         for name, m in metrics.items():
-            print(f"  {name:12s} {m['value']:.6g} {m['unit']}")
+            print(f"  {name:12s} {m['value']:.6g} {m['unit']:5s}"
+                  + (f"   {raw[name]:.6g}" if name in raw else ""))
         print(f"  op_tail_s is p{tail_pct:.2f} of {attempted} samples; setup_s per "
-              f"child: {', '.join('%.3f' % c['setup_s'] for c in children)}")
+              f"child: {', '.join('%.3f' % x for x in setups)}")
         print(f"  fail_ratio   {failed / attempted:.6g} ({failed}/{attempted})")
         record["tail_percentile"] = tail_pct
+        record["raw_metrics"] = raw
+        record["adjusted_latencies"] = adjusted
         record["children"] = [{k: c[k] for k in ("setup_s", "wall", "maxrss_kb",
-                                                 "next_op")} for c in children]
+                                                 "next_op", "calibrations",
+                                                 "cal_index")}
+                              for c in children]
     record["metrics"] = metrics
     results = os.path.join(ROOT, ".bench_work", "results")
     os.makedirs(results, exist_ok=True)

@@ -76,11 +76,21 @@ class VerifyLarge:
     """
 
     inputs = ("rp3", "sd(s3)", "sd(sd(klein))", "sd(sd(rp2-6))")
-    # rp3, the largest input, fills 4 of 7 slots: the median then falls
-    # inside the rp3 cluster, well clear of the smaller inputs, whose
-    # costs lie close together.
-    slots = ("rp3", "sd(s3)", "rp3", "sd(sd(klein))", "rp3", "sd(sd(rp2-6))", "rp3")
+    # rp3, the largest input, fills 6 of 9 slots: the pooled median then
+    # lies near the first quartile of the rp3 cluster, and the tail near
+    # its middle, however a run's last cycle is cut.  With rp3 in a bare
+    # majority of slots, the median would sit at the edge between the rp3
+    # cluster and the smaller inputs and jump from run to run.
+    slots = ("rp3", "sd(s3)", "rp3", "rp3", "sd(sd(klein))", "rp3", "rp3",
+             "sd(sd(rp2-6))", "rp3")
     warmup_input = "sd(sd(rp2-6))"
+    # Each op builds a fresh complex whose homology caches refer back to
+    # it, so its arrays are freed only by a full cyclic collection.  Left
+    # to the collector's own schedule, an op's leftovers stay alive into
+    # some later ops and not others, which moves their latency and the
+    # child's peak RSS at random.  A `swlab classes` process never carries
+    # them over, so the benchmark starts each op from a collected heap.
+    collect_between_ops = True
 
     def __init__(self, seed: int, workdir: str, spoil: bool):
         self.workdir = workdir
@@ -117,7 +127,9 @@ class VerifyLarge:
     def execute(self, k: int):
         n = len(self.slots)
         spec = self.slots[k % n]
-        return self._run(self.files[spec][(k // n) % RELABELINGS])
+        # Successive ops step through the relabelings, so that every run
+        # uses all of them about equally.
+        return self._run(self.files[spec][(k // n + k) % RELABELINGS])
 
     def check(self, k: int, out) -> tuple[bool, str]:
         rc, err = out
