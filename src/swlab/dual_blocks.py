@@ -57,7 +57,7 @@ class BlockCochain:
 class BlockComplex:
     """Dual blocks of an ambient closed pseudomanifold, one per simplex."""
 
-    __slots__ = ("ambient", "n", "_generators", "_boundaries")
+    __slots__ = ("ambient", "n", "_generators")
 
     def __init__(self, ambient: SimplicialComplex):
         report = ambient.is_closed_pseudomanifold()
@@ -66,7 +66,6 @@ class BlockComplex:
         self.ambient = ambient
         self.n = ambient.dim
         self._generators: dict[int, tuple[DualBlock, ...]] = {}
-        self._boundaries: dict[int, BitMatrix] = {}
 
     def generators(self, i: int) -> tuple[DualBlock, ...]:
         """Degree-i blocks, indexed like ambient.skeleton(n - i)."""
@@ -81,22 +80,12 @@ class BlockComplex:
     def block_boundary(self, i: int) -> BitMatrix:
         """Boundary from degree-i blocks to degree-(i-1) blocks.
 
-        Built from codimension-one incidence; equals the transpose of the
-        ambient boundary_matrix(n - i + 1), which tests assert independently.
+        D(sigma^p) bounds onto D(tau^{p+1}) exactly when sigma is a facet of
+        tau, so this is the transpose of the ambient boundary_matrix(n - i + 1).
         """
         if not 1 <= i <= self.n:
             raise DegreeOutOfRange(f"block boundary degree {i} outside 1..{self.n}")
-        if i not in self._boundaries:
-            p = self.n - i  # ambient dimension of degree-i blocks
-            rows = {s: k for k, s in enumerate(self.ambient.skeleton(p + 1))}
-            entries = []
-            for j, s in enumerate(self.ambient.skeleton(p)):
-                for t in self.ambient.cofacets(s):
-                    entries.append((rows[t], j))
-            self._boundaries[i] = BitMatrix.from_entries(
-                self.ambient.n_simplices(p + 1), self.ambient.n_simplices(p), entries
-            )
-        return self._boundaries[i]
+        return self.ambient.boundary_matrix(self.n - i + 1).transpose()
 
     def all_ones(self, i: int) -> BlockCochain:
         m = len(self.generators(i))

@@ -1,169 +1,136 @@
-"""Dense linear algebra over GF(2) with bit-packed storage.
+"""Linear algebra over GF(2) on python-int bit sets.
 
-Matrices pack each row into 64-bit words (column ``j`` lives at word ``j >> 6``,
-bit ``j & 63``) so elimination runs as vectorized XOR over numpy arrays.
-Vectors at the API boundary are plain python ints used as bit sets: bit ``i``
-of an int is coordinate ``i``.  That keeps chain/cochain arithmetic (XOR,
-popcount, pairing) one-liners and matches how the rest of the package stores
-mod-2 data.
+A vector is a non-negative python int: bit ``i`` is coordinate ``i``.  A
+matrix is the list of its columns as such ints, so bit ``i`` of column ``j``
+is entry ``(i, j)``.  That keeps chain/cochain arithmetic (XOR, popcount,
+pairing) one-liners and matches how the rest of the package stores mod-2
+data.
 
-Pivoting is deterministic: columns are scanned left to right and the first
-available row is used, so every echelon form, rank, solution, and kernel basis
-is reproducible bit for bit.
+All elimination is one loop, `EchelonBasis._clear_pivots`: the lowest set
+bit of a vector is cleared with the stored vector pivoted there, until that
+bit is not a pivot.  Inserting the columns of a matrix this way is the
+lowest-pivot column reduction of persistent homology (PHAT; Bauer, Kerber,
+Reininghaus & Wagner, J. Symb. Comput. 2017).  Kernels and solutions use the
+same loop on columns tagged with their own index above the row bits, which
+records the reduction R = D V: a column whose row part reduces to zero
+carries a kernel vector in its tag bits.
+
+Columns are reduced in index order, so every basis, rank, solution and kernel
+basis is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DimensionMismatch
 
 __all__ = [
     "BitMatrix",
     "EchelonBasis",
-    "pack_int",
-    "unpack_int",
     "rank",
     "solve",
     "null_space",
 ]
 
-_U64 = np.uint64
 
-
-def _nwords(nbits: int) -> int:
-    return max(1, (nbits + 63) >> 6)
-
-
-def pack_int(x: int, nbits: int) -> np.ndarray:
-    """Pack a python-int bit vector into little-endian uint64 words."""
+def _check_vector(x: int, nbits: int) -> None:
     if x < 0:
         raise ValueError("bit vectors are non-negative ints")
-    if nbits >= 0 and x >> nbits:
+    if x >> nbits:
         raise DimensionMismatch(f"vector has bits beyond length {nbits}")
-    nw = _nwords(nbits)
-    raw = x.to_bytes(nw * 8, "little")
-    return np.frombuffer(raw, dtype=_U64).copy()
-
-def unpack_int(words: np.ndarray) -> int:
-    return int.from_bytes(np.ascontiguousarray(words, dtype=_U64).tobytes(), "little")
-
-
-def _parity(words: np.ndarray) -> np.ndarray:
-    """Elementwise parity of uint64 values."""
-    v = words.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> _U64(s)
-    return (v & _U64(1)).astype(np.uint8)
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 @dataclass
 class EchelonBasis:
-    """Row-echelon basis of a subspace of GF(2)^ncols.
+    """Basis of a subspace of GF(2)^ncols, keyed by pivot.
 
-    ``rows[k]`` has lowest set bit ``pivots[k]`` and pivots are strictly
-    increasing, so reducing a vector against the rows in order terminates with
-    the canonical residue.  This is the reduction transcript reused for
-    repeated membership queries.
+    ``by_pivot[p]`` has lowest set bit ``p``.  Pivots are distinct, so the
+    lowest bit of every nonzero vector in the span is a pivot, and the
+    residue left by clearing pivot bits is canonical.  Bits at ``ncols`` and
+    above are tags: they ride along with the reduction and never pivot.
+    This is the reduction transcript reused for repeated membership queries.
     """
 
     ncols: int
-    rows: list[int] = field(default_factory=list)
-    pivots: list[int] = field(default_factory=list)
+    by_pivot: dict[int, int] = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.by_pivot)
 
-    def reduce(self, v: int) -> int:
-        for p, row in zip(self.pivots, self.rows):
-            if (v >> p) & 1:
-                v ^= row
-        return v
+    def _clear_pivots(self, v: int) -> tuple[int, int]:
+        """Clear v's pivot bits from the bottom up.
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-
-class _Accumulator:
-    """Incremental echelon basis keyed by pivot (lowest set bit)."""
-
-    def __init__(self):
-        self.by_pivot: dict[int, int] = {}
-
-    def insert(self, v: int) -> int:
-        """Reduce v against the basis; insert the residue if nonzero.
-
-        Returns the residue (0 means v was dependent)."""
+        Returns (v, p) at the first bit p below ncols that is not a pivot, or
+        (v, -1) once no bit below ncols is left."""
+        by_pivot, ncols = self.by_pivot, self.ncols
         while v:
             p = (v & -v).bit_length() - 1
-            row = self.by_pivot.get(p)
+            if p >= ncols:
+                break
+            row = by_pivot.get(p)
             if row is None:
-                self.by_pivot[p] = v
-                return v
+                return v, p
             v ^= row
-        return 0
+        return v, -1
+
+    def insert(self, v: int) -> int:
+        """Reduce v and keep the residue if it has a bit below ncols.
+
+        Returns the residue: 0, or tag bits only, means v was dependent."""
+        v, p = self._clear_pivots(v)
+        if p >= 0:
+            self.by_pivot[p] = v
+        return v
+
+    def reduce(self, v: int) -> int:
+        """The canonical residue: v plus the span vector that clears every
+        pivot bit of v."""
+        kept = 0
+        v, p = self._clear_pivots(v)
+        while p >= 0:
+            kept |= 1 << p
+            v, p = self._clear_pivots(v ^ (1 << p))
+        return kept | v
+
+    def contains(self, v: int) -> bool:
+        return self._clear_pivots(v)[0] == 0
 
 
 class BitMatrix:
     """Immutable-by-convention GF(2) matrix. Build once, then query."""
 
-    __slots__ = ("rows", "cols", "_data", "_row_ints", "_transpose", "_row_space", "_rref")
+    __slots__ = ("rows", "cols", "columns", "_transpose", "_column_space")
 
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None):
+    def __init__(self, rows: int, cols: int, columns: list[int] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
+        if columns is None:
+            columns = [0] * cols
+        elif len(columns) != cols or any(c < 0 or c >> rows for c in columns):
+            raise DimensionMismatch(f"columns do not fit a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
-        nw = _nwords(cols)
-        if data is None:
-            data = np.zeros((rows, nw), dtype=_U64)
-        else:
-            data = np.ascontiguousarray(data, dtype=_U64)
-            if data.shape != (rows, nw):
-                raise DimensionMismatch(f"packed data shape {data.shape} != {(rows, nw)}")
-        self._data = data
-        self._row_ints: list[int] | None = None
+        self.columns = columns
         self._transpose: BitMatrix | None = None
-        self._row_space: EchelonBasis | None = None
-        self._rref: tuple[np.ndarray, list[int]] | None = None
+        self._column_space: EchelonBasis | None = None
 
     # ---------------------------------------------------------------- build
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> BitMatrix:
         """Build from an iterable of (i, j) positions of the 1 entries."""
-        m = cls(rows, cols)
-        ii, jj = [], []
+        columns = [0] * cols
         for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            ii.append(i)
-            jj.append(j)
-        if ii:
-            ii = np.asarray(ii)
-            jj = np.asarray(jj)
-            np.bitwise_or.at(m._data, (ii, jj >> 6), _U64(1) << (jj & 63).astype(_U64))
-        return m
-
-    @classmethod
-    def from_row_ints(cls, row_ints, cols: int) -> BitMatrix:
-        row_ints = list(row_ints)
-        m = cls(len(row_ints), cols)
-        for i, x in enumerate(row_ints):
-            m._data[i] = pack_int(x, cols)
-        return m
+            columns[j] |= 1 << i
+        return cls(rows, cols, columns)
 
     @classmethod
     def identity(cls, n: int) -> BitMatrix:
-        return cls.from_entries(n, n, ((i, i) for i in range(n)))
+        return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BitMatrix:
@@ -174,28 +141,14 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return int((self._data[i, j >> 6] >> _U64(j & 63)) & _U64(1))
-
-    def row_int(self, i: int) -> int:
-        return unpack_int(self._data[i])
-
-    def row_ints(self) -> list[int]:
-        if self._row_ints is None:
-            self._row_ints = [unpack_int(self._data[i]) for i in range(self.rows)]
-        return self._row_ints
-
-    def column_int(self, j: int) -> int:
-        w, b = j >> 6, _U64(j & 63)
-        bits = (self._data[:, w] >> b) & _U64(1)
-        return _bits_to_int(bits)
+        return (self.columns[j] >> i) & 1
 
     @property
     def nnz(self) -> int:
-        # popcount via uint8 view; fine for the sizes we handle
-        return int(np.unpackbits(self._data.view(np.uint8)).sum())
+        return sum(c.bit_count() for c in self.columns)
 
     def is_zero(self) -> bool:
-        return not self._data.any()
+        return not any(self.columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
@@ -203,7 +156,7 @@ class BitMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and np.array_equal(self._data, other._data)
+            and self.columns == other.columns
         )
 
     def __hash__(self):  # identity-based: matrices are build-once objects
@@ -216,162 +169,84 @@ class BitMatrix:
 
     def transpose(self) -> BitMatrix:
         if self._transpose is None:
-            bits = np.unpackbits(self._data.view(np.uint8), axis=1, bitorder="little")
-            bits = bits[:, : self.cols].T  # (cols, rows)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            nw = _nwords(self.rows)
-            out = np.zeros((self.cols, nw * 8), dtype=np.uint8)
-            out[:, : packed.shape[1]] = packed
-            t = BitMatrix(self.cols, self.rows, out.view(_U64))
+            rows = [0] * self.rows
+            for j, c in enumerate(self.columns):
+                bit = 1 << j
+                while c:
+                    low = c & -c
+                    rows[low.bit_length() - 1] |= bit
+                    c ^= low
+            t = BitMatrix(self.cols, self.rows, rows)
             t._transpose = self
             self._transpose = t
         return self._transpose
 
     def matvec(self, x: int) -> int:
         """Matrix-vector product over GF(2); x is a length-cols bit int."""
-        xw = pack_int(x, self.cols)
-        if self.rows == 0:
-            return 0
-        acc = np.bitwise_xor.reduce(self._data & xw[None, :], axis=1)
-        return _bits_to_int(_parity(acc))
+        _check_vector(x, self.cols)
+        acc = 0
+        # chains are often dense (all-ones), where scanning x's digits
+        # beats peeling its set bits one by one
+        for c, bit in zip(self.columns, reversed(f"{x:b}")):
+            if bit == "1":
+                acc ^= c
+        return acc
 
     def matvec_t(self, y: int) -> int:
         """Transpose product: y is a length-rows bit int."""
-        return self.transpose().matvec(y)
+        _check_vector(y, self.rows)
+        flags = "".join("1" if (c & y).bit_count() & 1 else "0"
+                        for c in reversed(self.columns))
+        return int(flags, 2) if flags else 0
 
     def matmul(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        orows = other.row_ints()
-        out = []
-        for i in range(self.rows):
-            x = self.row_int(i)
-            acc = 0
-            while x:
-                j = (x & -x).bit_length() - 1
-                acc ^= orows[j]
-                x &= x - 1
-            out.append(acc)
-        return BitMatrix.from_row_ints(out, other.cols)
+        return BitMatrix(self.rows, other.cols, [self.matvec(c) for c in other.columns])
 
     # ------------------------------------------------------------ elimination
 
-    def _forward_echelon(self) -> tuple[np.ndarray, list[int]]:
-        a = self._data.copy()
-        m = self.rows
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == m:
-                break
-            w, b = c >> 6, _U64(c & 63)
-            nz = np.nonzero((a[r:, w] >> b) & _U64(1))[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                a[[r, p]] = a[[p, r]]
-            rest = r + nz[1:]
-            if rest.size:
-                a[rest] ^= a[r]
-            pivots.append(c)
-            r += 1
-        return a[: len(pivots)], pivots
+    def column_space(self) -> EchelonBasis:
+        """Basis of the column space (lowest-pivot column reduction, cached)."""
+        if self._column_space is None:
+            basis = EchelonBasis(self.rows)
+            for c in self.columns:
+                basis.insert(c)
+            self._column_space = basis
+        return self._column_space
 
     def row_space(self) -> EchelonBasis:
-        """Echelon basis of the row space (forward elimination, cached)."""
-        if self._row_space is None:
-            ech, pivots = self._forward_echelon()
-            rows = [unpack_int(ech[k]) for k in range(len(pivots))]
-            self._row_space = EchelonBasis(self.cols, rows, pivots)
-        return self._row_space
-
-    def column_space(self) -> EchelonBasis:
-        return self.transpose().row_space()
+        return self.transpose().column_space()
 
     def rank(self) -> int:
-        return self.row_space().rank
+        return self.column_space().rank
 
-    def _reduced_echelon(self) -> tuple[np.ndarray, list[int]]:
-        if self._rref is None:
-            ech, pivots = self._forward_echelon()
-            for k in range(len(pivots) - 1, -1, -1):
-                c = pivots[k]
-                w, b = c >> 6, _U64(c & 63)
-                above = np.nonzero((ech[:k, w] >> b) & _U64(1))[0]
-                if above.size:
-                    ech[above] ^= ech[k]
-            self._rref = (ech, pivots)
-        return self._rref
+    def _tagged_reduction(self) -> tuple[EchelonBasis, list[int]]:
+        """Reduce the columns with column j tagged by bit rows + j.
+
+        Returns the tagged basis and, for each column whose row part reduces
+        to zero, the kernel vector read from its tag bits."""
+        basis = EchelonBasis(self.rows)
+        kernel = []
+        low = (1 << self.rows) - 1
+        for j, c in enumerate(self.columns):
+            r = basis.insert(c | 1 << (self.rows + j))
+            if not r & low:
+                kernel.append(r >> self.rows)
+        return basis, kernel
 
     def solve(self, b: int) -> int | None:
-        """One solution x of Mx = b, or None if inconsistent.
-
-        Deterministic: free variables are 0 and pivots sit at the lowest
-        possible column indices, so the result is the canonical pivot solution.
-        """
-        if b < 0 or (b >> self.rows):
-            raise DimensionMismatch("rhs has bits beyond the row count")
-        # eliminate on [M | b] with pivot search restricted to M's columns
-        aug_cols = self.cols + 1
-        nw = _nwords(aug_cols)
-        a = np.zeros((self.rows, nw), dtype=_U64)
-        a[:, : self._data.shape[1]] = self._data
-        bw, bb = self.cols >> 6, _U64(self.cols & 63)
-        for i in range(self.rows):
-            if (b >> i) & 1:
-                a[i, bw] |= _U64(1) << bb
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            w, bbit = c >> 6, _U64(c & 63)
-            nz = np.nonzero((a[r:, w] >> bbit) & _U64(1))[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                a[[r, p]] = a[[p, r]]
-            rest = r + nz[1:]
-            if rest.size:
-                a[rest] ^= a[r]
-            pivots.append(c)
-            r += 1
-        # rows past the pivot block are zero in M-part; a 1 in the b column
-        # there means b is outside the column space
-        if r < self.rows:
-            tail = (a[r:, bw] >> bb) & _U64(1)
-            if tail.any():
-                return None
-        # back-substitute so each pivot row exposes its own b bit
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            w, bbit = c >> 6, _U64(c & 63)
-            above = np.nonzero((a[:k, w] >> bbit) & _U64(1))[0]
-            if above.size:
-                a[above] ^= a[k]
-        x = 0
-        for k, c in enumerate(pivots):
-            if (a[k, bw] >> bb) & _U64(1):
-                x |= 1 << c
-        return x
+        """One solution x of Mx = b, or None if inconsistent."""
+        _check_vector(b, self.rows)
+        r, p = self._tagged_reduction()[0]._clear_pivots(b)
+        return None if p >= 0 else r >> self.rows
 
     def null_space(self) -> list[int]:
-        """Deterministic kernel basis (one vector per free column, ascending)."""
-        ech, pivots = self._reduced_echelon()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            x = 1 << f
-            w, b = f >> 6, _U64(f & 63)
-            for k, c in enumerate(pivots):
-                if (ech[k, w] >> b) & _U64(1):
-                    x |= 1 << c
-            basis.append(x)
-        return basis
+        """Kernel basis, one vector per column that depends on earlier ones.
+
+        The vector for column j has j as its highest bit, so the cols - rank
+        vectors are independent."""
+        return self._tagged_reduction()[1]
 
 
 def rank(matrix: BitMatrix) -> int:

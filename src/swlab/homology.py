@@ -1,15 +1,18 @@
 """Mod-2 homology and cohomology summaries with cached reduction transcripts.
 
-One elimination per boundary matrix; the echelon bases are kept so that
-many class-membership queries (is this cycle a boundary? are these two cycles
+Each image basis is one lowest-pivot column reduction: of the boundary
+columns for homology, and of the coboundary columns (the rows of the
+boundary matrix) for cohomology.  The bases are kept so that many
+class-membership queries (is this cycle a boundary? are these two cycles
 homologous? same for cocycles) reduce against the transcript instead of
-re-eliminating.
+re-eliminating.  Only cycle and cocycle bases pay for the tagged reduction
+that records kernel vectors.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotACocycle, NotACycle
-from .gf2 import EchelonBasis, _Accumulator
+from .gf2 import EchelonBasis
 from .simplicial import Chain, SimplicialComplex
 
 __all__ = ["HomologySummary", "mod2_homology", "same_class"]
@@ -155,10 +158,8 @@ class HomologySummary:
         if d < 0 or d > self.complex.dim:
             return []
         if d not in self._cohom_basis:
-            acc = _Accumulator()
             img = self.coboundary_image_basis(d)
-            for row in img.rows:
-                acc.insert(row)
+            acc = EchelonBasis(img.ncols, dict(img.by_pivot))
             reps = [z for z in self.cocycle_basis(d) if acc.insert(z)]
             if len(reps) != self.betti(d):
                 raise AssertionError("cohomology basis size disagrees with betti number")

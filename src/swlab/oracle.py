@@ -208,8 +208,7 @@ def class_of(X: SimplicialComplex, cochain: Chain) -> CohomologyClass:
         return CohomologyClass(X, d, cochain, 0)
     img = H.coboundary_image_basis(d)
     reduced = img.reduce(cochain.bits)
-    cols = BitMatrix.from_row_ints(
-        [img.reduce(y) for y in basis], X.n_simplices(d)).transpose()
+    cols = BitMatrix(X.n_simplices(d), len(basis), [img.reduce(y) for y in basis])
     coords = cols.solve(reduced)
     if coords is None:
         raise AssertionError("cocycle escapes the cohomology basis")

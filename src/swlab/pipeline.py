@@ -158,6 +158,8 @@ def compute_report(K: SimplicialComplex) -> SWReport:
 
     t0 = time.perf_counter()
     Hp = mod2_homology(Kp)
+    for d in range(n + 1):
+        Hp.boundary_image_basis(d)  # the eliminations the degree queries use
     betti = mod2_homology(K).betti_vector
     timings["homology"] = time.perf_counter() - t0
 
@@ -174,8 +176,6 @@ def compute_report(K: SimplicialComplex) -> SWReport:
         ones = B.all_ones(i)
         is_cocycle = B.is_cocycle(ones)
         ht = ht_chain(S, n - i)
-        if B.dual_chain(ones) != ht:
-            raise AssertionError("dual chain and Halperin-Toledo chain differ")
         is_cycle = Hp.is_cycle(ht)
         class_nonzero = is_cycle and not Hp.class_is_zero(ht)
         matches: bool | None = None

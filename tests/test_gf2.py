@@ -1,31 +1,21 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from swlab.gf2 import (
-    BitMatrix,
-    EchelonBasis,
-    null_space,
-    pack_int,
-    rank,
-    solve,
-    unpack_int,
-)
+import swlab
+from swlab.errors import DimensionMismatch
+from swlab.gf2 import BitMatrix, EchelonBasis, null_space, rank, solve
 
 
 def random_matrix(rng, rows, cols, density=0.4):
     mask = rng.random((rows, cols)) < density
     entries = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
     return BitMatrix.from_entries(rows, cols, entries)
-
-
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        nbits = int(rng.integers(1, 300))
-        x = int(rng.integers(0, 2 ** 62)) % (1 << nbits)
-        assert unpack_int(pack_int(x, nbits)) == x
 
 
 def test_from_entries_and_get():
@@ -49,6 +39,37 @@ def random_bits(rng, nbits):
     return int.from_bytes(rng.bytes((nbits + 7) // 8), "little") % (1 << nbits)
 
 
+def random_shapes(rng, count, largest=30):
+    """Small shapes, including empty ones, for property checks."""
+    return [(0, 5), (5, 0), (1, 1)] + [
+        (int(rng.integers(1, largest)), int(rng.integers(1, largest)))
+        for _ in range(count)]
+
+
+def dense(a):
+    """The matrix as a 0/1 numpy array, read entry by entry."""
+    return np.array([[a.get(i, j) for j in range(a.cols)]
+                     for i in range(a.rows)], dtype=np.int64).reshape(a.rows, a.cols)
+
+
+def dense_rank(m):
+    """Reference GF(2) rank: Gaussian elimination on a dense 0/1 array."""
+    m = m.copy() % 2
+    r = 0
+    for c in range(m.shape[1]):
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        m[[r, p]] = m[[p, r]]
+        below = r + 1 + np.nonzero(m[r + 1:, c])[0]
+        m[below] ^= m[r]
+        r += 1
+        if r == m.shape[0]:
+            break
+    return r
+
+
 def test_transpose_involution_and_matvec_t():
     rng = np.random.default_rng(2)
     a = random_matrix(rng, 13, 31)
@@ -62,12 +83,10 @@ def test_matvec_matches_dense_arithmetic():
     rng = np.random.default_rng(3)
     rows, cols = 9, 14
     a = random_matrix(rng, rows, cols)
-    dense = np.array([[a.get(i, j) for j in range(cols)]
-                      for i in range(rows)], dtype=np.int64)
     for _ in range(25):
         x = random_bits(rng, cols)
         xv = np.array([(x >> j) & 1 for j in range(cols)], dtype=np.int64)
-        want = (dense @ xv) % 2
+        want = (dense(a) @ xv) % 2
         got = a.matvec(x)
         assert [(got >> i) & 1 for i in range(rows)] == list(want)
 
@@ -114,31 +133,75 @@ def test_solve_detects_inconsistency():
 
 def test_null_space_annihilates():
     rng = np.random.default_rng(7)
-    a = random_matrix(rng, 14, 22)
-    basis = a.null_space()
-    assert len(basis) == 22 - a.rank()
-    for v in basis:
-        assert a.matvec(v) == 0
-    assert null_space(a) == basis
+    for rows, cols in [(14, 22)] + random_shapes(rng, 20):
+        a = random_matrix(rng, rows, cols)
+        basis = a.null_space()
+        assert len(basis) == cols - dense_rank(dense(a))
+        for v in basis:
+            assert a.matvec(v) == 0
+        assert null_space(a) == basis
 
 
 def test_null_space_basis_independent():
     rng = np.random.default_rng(8)
-    a = random_matrix(rng, 14, 22)
-    seen = []
-    for v in a.null_space():
-        row = BitMatrix.from_row_ints(seen + [v], 22)
-        assert row.rank() == len(seen) + 1
-        seen.append(v)
+    for rows, cols in [(14, 22)] + random_shapes(rng, 20):
+        basis = random_matrix(rng, rows, cols).null_space()
+        assert BitMatrix(cols, len(basis), basis).rank() == len(basis)
+
+
+def test_reduce_is_independent_of_insertion_order():
+    rng = np.random.default_rng(14)
+    for rows, cols in random_shapes(rng, 10):
+        vectors = random_matrix(rng, rows, cols).columns
+        bases = []
+        for _ in range(4):
+            basis = EchelonBasis(rows)
+            for k in rng.permutation(cols):
+                basis.insert(vectors[k])
+            bases.append(basis)
+        assert len({b.rank for b in bases}) == 1
+        for _ in range(10):
+            v = random_bits(rng, rows)
+            assert len({b.reduce(v) for b in bases}) == 1
+
+
+def test_solve_is_none_exactly_outside_column_space():
+    rng = np.random.default_rng(15)
+    for rows, cols in random_shapes(rng, 20, largest=12):
+        a = random_matrix(rng, rows, cols, density=0.3)
+        m = dense(a)
+        for _ in range(10):
+            b = random_bits(rng, rows)
+            bv = np.array([(b >> i) & 1 for i in range(rows)], dtype=np.int64)
+            inside = dense_rank(np.hstack([m, bv.reshape(rows, 1)])) == dense_rank(m)
+            x = a.solve(b)
+            assert (x is not None) == inside
+            if x is not None:
+                assert a.matvec(x) == b
+
+
+def test_matvec_rejects_long_vectors():
+    a = random_matrix(np.random.default_rng(16), 5, 7)
+    with pytest.raises(DimensionMismatch):
+        a.matvec(1 << 7)
+    with pytest.raises(DimensionMismatch):
+        a.matvec_t(1 << 5)
+    with pytest.raises(DimensionMismatch):
+        a.solve(1 << 5)
+    with pytest.raises(ValueError):
+        a.matvec(-1)
+    a.matvec((1 << 7) - 1)
+    a.matvec_t((1 << 5) - 1)
 
 
 def test_row_space_membership():
     rng = np.random.default_rng(9)
     a = random_matrix(rng, 12, 18)
     space = a.row_space()
+    rows = a.transpose().columns
     for i in range(12):
-        assert space.contains(a.row_int(i))
-    combo = a.row_int(0) ^ a.row_int(5) ^ a.row_int(11)
+        assert space.contains(rows[i])
+    combo = rows[0] ^ rows[5] ^ rows[11]
     assert space.contains(combo)
 
 
@@ -175,3 +238,13 @@ def test_word_boundary_shapes(rows, cols):
     x = random_bits(rng, cols)
     assert a.transpose().transpose() == a
     assert a.transpose().matvec_t(x) == a.matvec(x)
+
+
+def test_package_import_does_not_load_numpy():
+    # GF(2) work runs on python ints; numpy is for the metric probes only
+    src = os.path.dirname(os.path.dirname(swlab.__file__))
+    code = "import sys, swlab, swlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -127,9 +127,9 @@ def test_top_cocycle_basis_is_unit_vectors():
 def test_image_bases_contain_only_trivial_classes():
     X = build_complex(TORUS_FACETS)
     H = mod2_homology(X)
-    for bits in H.boundary_image_basis(1).rows:
+    for bits in H.boundary_image_basis(1).by_pivot.values():
         assert H.class_is_zero(Chain(X, 1, bits))
-    for bits in H.coboundary_image_basis(1).rows:
+    for bits in H.coboundary_image_basis(1).by_pivot.values():
         assert H.cocycle_class_is_zero(Chain(X, 1, bits))
 
 

@@ -55,6 +55,20 @@ def test_report_rows_match_patterns(entries, reports):
         assert report.all_matched
 
 
+@pytest.mark.parametrize("name,depth", [("s3", 1), ("klein", 2), ("rp2-6", 2)])
+def test_report_invariant_under_subdivision(name, depth):
+    """sd(s3), sd(sd(klein)), sd(sd(rp2-6)) keep the corpus invariants."""
+    entry = corpus(name)
+    X = entry.complex()
+    for _ in range(depth):
+        X = build_complex(barycentric_subdivide(X).derived.facets)
+    report = compute_report(X)
+    assert report.betti == entry.betti
+    assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
+    assert all(row.matches_oracle is True for row in report.rows)
+    assert report.pairing_ok
+
+
 def test_report_euler_characteristic(entries, reports):
     for name, report in reports.items():
         f = entries[name].complex().f_vector
