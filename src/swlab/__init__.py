@@ -1,6 +1,6 @@
 """Mod-2 characteristic cochains of triangulated manifolds.
 
-The package computes the dual-block cochains whose classes are the mod-2
+The package computes the dual-cell cochains whose classes are the mod-2
 characteristic classes of a closed triangulated manifold, checks them
 against an independent cup/cap-product oracle, and probes their smooth
 counterparts by geodesic integration on model metrics.

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 from .errors import (
@@ -35,22 +34,6 @@ _INPUT_ERRORS = (ParseError, EmptyInput, MalformedFacet, NotPseudomanifold,
                  UnknownCorpusEntry, OutOfDomain, OSError)
 
 SCHEMA_VERSION = 1
-
-
-def _apply_thread_limit() -> bool:
-    """Validate SWLAB_THREADS and pass it to the BLAS thread knobs."""
-    raw = os.environ.get("SWLAB_THREADS")
-    if raw is None:
-        return True
-    try:
-        count = int(raw)
-    except ValueError:
-        return False
-    if count < 1:
-        return False
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(count))
-    return True
 
 
 def _parse_grid(raw: str | None):
@@ -208,7 +191,7 @@ def _cmd_corpus(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swlab",
-        description="mod-2 characteristic cochains: dual-block pipeline, "
+        description="mod-2 characteristic cochains: dual-cell pipeline, "
                     "cup/cap oracle, and Riemannian probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,9 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if not _apply_thread_limit():
-        print("SWLAB_THREADS must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

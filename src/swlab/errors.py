@@ -14,7 +14,6 @@ __all__ = [
     "SimplexNotInComplex",
     "NotPseudomanifold",
     "NotAFlagCell",
-    "DegreeOutOfRange",
     "DimensionMismatch",
     "NotACycle",
     "NotACocycle",
@@ -66,10 +65,6 @@ class NotPseudomanifold(SWLabError):
 
 class NotAFlagCell(SWLabError):
     """Flag is not of the consecutive top-dimensional form required."""
-
-
-class DegreeOutOfRange(SWLabError):
-    """Block cochain degree outside 0..n."""
 
 
 class DimensionMismatch(SWLabError):

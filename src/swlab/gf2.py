@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
 
-__all__ = [
-    "BitMatrix",
-    "EchelonBasis",
-    "rank",
-    "solve",
-    "null_space",
-]
+__all__ = ["BitMatrix", "EchelonBasis"]
 
 
 def _check_vector(x: int, nbits: int) -> None:
@@ -248,14 +242,3 @@ class BitMatrix:
         vectors are independent."""
         return self._tagged_reduction()[1]
 
-
-def rank(matrix: BitMatrix) -> int:
-    return matrix.rank()
-
-
-def solve(matrix: BitMatrix, b: int) -> int | None:
-    return matrix.solve(b)
-
-
-def null_space(matrix: BitMatrix) -> list[int]:
-    return matrix.null_space()

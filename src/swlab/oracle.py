@@ -2,7 +2,7 @@
 
 Cup, cap, and cup-i products at the cochain level, Steenrod squares, the
 fundamental cycle, Wu classes, and Stiefel-Whitney classes via the Wu
-formula w = Sq(v).  Everything here is independent of the dual-block
+formula w = Sq(v).  Everything here is independent of the dual-cell
 machinery so the two routes can be compared against each other.
 
 A d-cochain is stored as a Chain on the d-skeleton: over GF(2) with the

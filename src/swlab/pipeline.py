@@ -2,20 +2,23 @@
 the Stiefel-Whitney classes.
 
 For a closed pseudomanifold K the pipeline builds the barycentric
-subdivision K', the dual block complex over K', and for every degree i the
-all-ones block i-cochain.  Its Poincare-dual chain is the sum of all
-(n-i)-simplices of K' (the Halperin-Toledo chain).  The class of that chain
-is compared in H_{n-i}(K') against the Wu-formula oracle computed
-independently on K and pushed through the subdivision chain map.  Agreement
-in every degree is the theorem under test; disagreement raises
-OracleConflict with the full report attached.
+subdivision K' and, for every degree i, the all-ones cochain on the dual
+i-cells of K'.  A dual i-cell of K' is dual to an (n-i)-simplex of K', so
+under Poincare duality that cochain has the same bits as the sum of all
+(n-i)-simplices of K' (the Halperin-Toledo chain), and the pipeline works on
+that chain directly.  The dual coboundary is the simplicial boundary on the
+same bits, so the cochain is a cocycle exactly when the chain is a cycle,
+and one boundary product per degree decides both.  The class of the chain is
+compared in H_{n-i}(K') against the Wu-formula oracle computed independently
+on K and pushed through the subdivision chain map.  Agreement in every degree
+is the theorem under test; disagreement raises OracleConflict with the full
+report attached.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .dual_blocks import BlockComplex, build_block_complex
 from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
@@ -32,13 +35,14 @@ def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
     """The sum of all i-simplices of the derived complex.
 
     This is the Halperin-Toledo chain: the Poincare dual of the all-ones
-    block (n-i)-cochain.  Whether it is a cycle is for the caller to check;
-    the report records the verification rather than assuming it.
+    cochain on the dual (n-i)-cells.  Whether it is a cycle is for the
+    caller to check; the report records the verification rather than
+    assuming it.
     """
     base = subdivision.base
     if not base.is_closed_pseudomanifold().passed:
         raise NotPseudomanifold(
-            "dual blocks need a closed pseudomanifold base",
+            "dual cells need a closed pseudomanifold base",
             report=base.is_closed_pseudomanifold())
     return Chain.all_ones(subdivision.derived, i)
 
@@ -68,7 +72,7 @@ class SWReport:
     """Full pipeline result for one complex.
 
     `rows[i]` is the degree-i record; `k_level_cocycle[i]` reports whether
-    the all-ones cochain is already a cocycle on the dual blocks of K
+    the all-ones cochain is already a cocycle on the dual cells of K
     itself (generally it is not; the subdivision is what makes it one);
     `pairing_ok` certifies the fixed-point-free partner involution on flag
     dual cells in every degree >= 1.  `timings` holds wall-clock phase
@@ -105,15 +109,14 @@ def _pairing_involution_ok(S: SubdividedComplex) -> bool:
     """Flag dual cells decompose into partner orbits of size exactly two."""
     for i in range(1, S.base.dim + 1):
         for ids in flag_dual_cells(S, i).values():
-            members = set(ids)
+            partner = {}
             for id_tuple in ids:
-                flag = S.flag_of(id_tuple)
-                partner = flag_partner(S, flag)
-                partner_ids = tuple(sorted(
-                    S.vertex_id[s] for s in partner.chain))
-                if partner_ids == id_tuple or partner_ids not in members:
-                    return False
-                if flag_partner(S, partner) != flag:
+                mate = flag_partner(S, S.flag_of(id_tuple))
+                partner[id_tuple] = tuple(sorted(
+                    S.vertex_id[s] for s in mate.chain))
+            # no fixed point; the partner lies in this cell and maps back
+            for id_tuple, other in partner.items():
+                if other == id_tuple or partner.get(other) != id_tuple:
                     return False
     return True
 
@@ -126,17 +129,14 @@ def w0_row(K: SimplicialComplex) -> dict:
     homology.
     """
     S = barycentric_subdivide(K)
-    B = build_block_complex(S.derived)
     n = K.dim
-    ones = B.all_ones(0)
-    pd = B.dual_chain(ones)
+    pd = ht_chain(S, n)
     pushed = Chain(S.derived, n,
                    S.chain_map(n).matvec(fundamental_cycle(K).bits))
-    Hp = mod2_homology(S.derived)
     return {
-        "all_ones_is_cocycle": B.is_cocycle(ones),
+        "all_ones_is_cocycle": pd.boundary().is_zero(),
         "pd_equals_subdivided_fundamental_cycle": pd == pushed,
-        "pd_class_is_fundamental": Hp.same_class(pd, Chain.all_ones(S.derived, n)),
+        "pd_class_is_fundamental": mod2_homology(S.derived).same_class(pd, pushed),
     }
 
 
@@ -152,8 +152,6 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     t0 = time.perf_counter()
     S = barycentric_subdivide(K)
     Kp = S.derived
-    B = build_block_complex(Kp)
-    BK = build_block_complex(K)
     timings["subdivide"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -173,24 +171,25 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     rows = []
     conflicts = []
     for i in range(n + 1):
-        ones = B.all_ones(i)
-        is_cocycle = B.is_cocycle(ones)
         ht = ht_chain(S, n - i)
-        is_cycle = Hp.is_cycle(ht)
-        class_nonzero = is_cycle and not Hp.class_is_zero(ht)
+        closed = ht.boundary().is_zero()
+        img = Hp.boundary_image_basis(n - i)
+        class_nonzero = closed and not img.contains(ht.bits)
         matches: bool | None = None
-        if is_cocycle and is_cycle:
+        if closed:
             pd_wi = cap(K, order, wu.w[i].cocycle, gamma)
             pushed = Chain(Kp, n - i, S.chain_map(n - i).matvec(pd_wi.bits))
-            matches = Hp.same_class(ht, pushed)
+            Hp.check_cycle(pushed, which="pushed Wu cycle")
+            matches = img.contains(ht.bits ^ pushed.bits)
             if not matches:
                 conflicts.append(i)
-        rows.append(DegreeRow(i, is_cocycle, is_cycle, class_nonzero, matches))
+        rows.append(DegreeRow(i, closed, closed, class_nonzero, matches))
     timings["degrees"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     pairing_ok = _pairing_involution_ok(S)
-    k_level = tuple(BK.is_cocycle(BK.all_ones(i)) for i in range(n + 1))
+    k_level = tuple(Chain.all_ones(K, n - i).boundary().is_zero()
+                    for i in range(n + 1))
     timings["pairing"] = time.perf_counter() - t0
 
     report = SWReport(

@@ -195,18 +195,6 @@ def test_cli_verification_failure_exit(tmp_path, capsys):
     assert "verification failed" in err
 
 
-def test_cli_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("SWLAB_THREADS", "zero")
-    assert cli.main(["corpus", "list"]) == 2
-    assert "SWLAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SWLAB_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    assert cli.main(["corpus", "list"]) == 0
-    capsys.readouterr()
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 def test_cli_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

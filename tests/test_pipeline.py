@@ -6,11 +6,22 @@ import numpy as np
 import pytest
 
 from swlab.corpus import corpus
-from swlab.errors import NotPseudomanifold, OracleConflict, PairingDegenerate
-from swlab.oracle import class_of, wu_classes
-from swlab.pipeline import SWReport, compute_report, ht_chain, w0_row
+from swlab.errors import (
+    NotACycle,
+    NotPseudomanifold,
+    OracleConflict,
+    PairingDegenerate,
+)
+from swlab.oracle import cap, class_of, wu_classes
+from swlab.pipeline import (
+    SWReport,
+    _pairing_involution_ok,
+    compute_report,
+    ht_chain,
+    w0_row,
+)
 from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import barycentric_subdivide
+from swlab.subdivision import barycentric_subdivide, flag_dual_cells
 
 
 def test_ht_chain_is_all_ones_on_derived():
@@ -67,6 +78,50 @@ def test_report_invariant_under_subdivision(name, depth):
     assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
     assert all(row.matches_oracle is True for row in report.rows)
     assert report.pairing_ok
+
+
+def test_all_ones_cocycle_on_derived_but_not_on_base():
+    # the subdivision is what makes the all-ones cochain close up: the
+    # all-ones 1-chain (its Poincare dual on a surface) is a cycle on sd(s2)
+    # but not on s2, where every vertex has odd degree
+    base = corpus("s2").complex()
+    derived = barycentric_subdivide(base).derived
+    assert Chain.all_ones(derived, 1).boundary().is_zero()
+    assert not Chain.all_ones(base, 1).boundary().is_zero()
+
+
+def _cells_of(S):
+    """Every flag dual cell of S, as lists of flags, over all degrees >= 1."""
+    return [[S.flag_of(t) for t in ids]
+            for i in range(1, S.base.dim + 1)
+            for ids in flag_dual_cells(S, i).values()]
+
+
+def _fixed_point(cells):
+    return {flag: flag for cell in cells for flag in cell}
+
+
+def _cyclic_shift(cells):
+    # a 3-cycle or longer inside one cell: partners stay in the cell but
+    # the map is not an involution there
+    assert any(len(cell) > 2 for cell in cells)
+    return {flag: cell[(k + 1) % len(cell)]
+            for cell in cells for k, flag in enumerate(cell)}
+
+
+def _other_cell(cells):
+    return {flag: cells[(c + 1) % len(cells)][0]
+            for c, cell in enumerate(cells) for flag in cell}
+
+
+@pytest.mark.parametrize("broken", [_fixed_point, _cyclic_shift, _other_cell])
+def test_broken_partner_map_fails_pairing(monkeypatch, broken):
+    S = barycentric_subdivide(corpus("s2").complex())
+    assert _pairing_involution_ok(S)
+    table = broken(_cells_of(S))
+    monkeypatch.setattr("swlab.pipeline.flag_partner",
+                        lambda subdivision, flag: table[flag])
+    assert not _pairing_involution_ok(S)
 
 
 def test_report_euler_characteristic(entries, reports):
@@ -163,3 +218,17 @@ def test_wrong_oracle_triggers_conflict(monkeypatch):
     # the dual-cell side is untouched: cochain and cycle checks still pass
     assert report.rows[1].all_ones_is_cocycle
     assert report.rows[1].ht_chain_is_cycle
+
+
+def test_oracle_chain_that_is_not_a_cycle_is_rejected(monkeypatch):
+    """A pushed oracle chain with a boundary must raise NotACycle, not be
+    compared as if it had a class."""
+    X = corpus("rp2-6").complex()
+
+    def one_simplex(K, order, cocycle, gamma):
+        pd = cap(K, order, cocycle, gamma)
+        return Chain(K, pd.dimension, 1 if pd.dimension >= 1 else pd.bits)
+
+    monkeypatch.setattr("swlab.pipeline.cap", one_simplex)
+    with pytest.raises(NotACycle):
+        compute_report(X)
