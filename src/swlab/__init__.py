@@ -15,7 +15,7 @@ from .fileio import (
     serialize_complex,
     write_complex_file,
 )
-from .homology import HomologySummary, mod2_homology, same_class
+from .homology import HomologySummary, mod2_homology
 from .oracle import (
     CohomologyClass,
     VertexOrder,
@@ -38,7 +38,6 @@ from .subdivision import (
     barycentric_subdivide,
     flag_dual_cells,
     flag_partner,
-    subdivision_chain_map,
 )
 
 __version__ = "0.1.0"
@@ -75,10 +74,8 @@ __all__ = [
     "parse_complex_file",
     "parse_complex_text",
     "poincare_dual_of_cocycle",
-    "same_class",
     "serialize_complex",
     "steenrod_sq",
-    "subdivision_chain_map",
     "write_complex_file",
     "wu_classes",
 ]

@@ -15,7 +15,7 @@ from .errors import DimensionMismatch, NotACocycle, NotACycle
 from .gf2 import EchelonBasis
 from .simplicial import Chain, SimplicialComplex
 
-__all__ = ["HomologySummary", "mod2_homology", "same_class"]
+__all__ = ["HomologySummary", "mod2_homology"]
 
 
 class HomologySummary:
@@ -174,10 +174,3 @@ def mod2_homology(complex: SimplicialComplex) -> HomologySummary:
         summary = HomologySummary(complex)
         complex._extra["homology"] = summary
     return summary
-
-
-def same_class(complex: SimplicialComplex, d: int, z1: Chain, z2: Chain) -> bool:
-    """Are two d-cycles homologous? Raises NotACycle naming the offender."""
-    if z1.dimension != d or z2.dimension != d:
-        raise DimensionMismatch(f"expected {d}-chains")
-    return mod2_homology(complex).same_class(z1, z2)

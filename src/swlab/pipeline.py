@@ -23,12 +23,7 @@ from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
 from .simplicial import Chain, SimplicialComplex
-from .subdivision import (
-    SubdividedComplex,
-    barycentric_subdivide,
-    flag_dual_cells,
-    flag_partner,
-)
+from .subdivision import SubdividedComplex, barycentric_subdivide, flag_dual_cells
 
 
 def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
@@ -109,11 +104,7 @@ def _pairing_involution_ok(S: SubdividedComplex) -> bool:
     """Flag dual cells decompose into partner orbits of size exactly two."""
     for i in range(1, S.base.dim + 1):
         for ids in flag_dual_cells(S, i).values():
-            partner = {}
-            for id_tuple in ids:
-                mate = flag_partner(S, S.flag_of(id_tuple))
-                partner[id_tuple] = tuple(sorted(
-                    S.vertex_id[s] for s in mate.chain))
+            partner = {id_tuple: S.partner(id_tuple) for id_tuple in ids}
             # no fixed point; the partner lies in this cell and maps back
             for id_tuple, other in partner.items():
                 if other == id_tuple or partner.get(other) != id_tuple:

@@ -92,12 +92,14 @@ class SimplicialComplex:
         self._cofaces: dict[Simplex, tuple[Simplex, ...]] | None = None
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
+        # a facet is a face of no simplex one dimension up; walking the
+        # skeletons upward keeps the (len, s) order
         facets = []
-        for d in range(len(skeletons) - 1, -1, -1):
-            for s in skeletons[d]:
-                if not self.cofacets(s):
-                    facets.append(s)
-        self._facets = tuple(sorted(facets, key=lambda s: (len(s), s)))
+        for d, sk in enumerate(skeletons):
+            up = skeletons[d + 1] if d + 1 < len(skeletons) else ()
+            faces = {t[:k] + t[k + 1 :] for t in up for k in range(len(t))}
+            facets.extend(s for s in sk if s not in faces)
+        self._facets = tuple(facets)
 
     # ---------------------------------------------------------------- build
 

@@ -4,8 +4,9 @@ A derived vertex is a base simplex (its barycenter); a derived k-simplex is a
 flag: a chain of k+1 base simplices each a proper face of the previous one.
 Derived vertex ids are assigned by decreasing base dimension (ties broken
 lexicographically), so the id tuple of a flag is automatically increasing and
-canonical.  The flag behind every derived simplex is stored at build time;
-dual-cell queries are dictionary lookups.
+canonical.  The flag behind every derived simplex is stored at build time,
+and the chain maps, the flag dual cells and the partner involution are all
+read from that one table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
+from .errors import (
+    DimensionOutOfRange,
+    NotAFlagCell,
+    NotPseudomanifold,
+    SimplexNotInComplex,
+)
 from .gf2 import BitMatrix
 from .simplicial import Simplex, SimplicialComplex
 
@@ -21,7 +27,6 @@ __all__ = [
     "FlagSimplex",
     "SubdividedComplex",
     "barycentric_subdivide",
-    "subdivision_chain_map",
     "flag_dual_cells",
     "flag_partner",
 ]
@@ -63,12 +68,11 @@ class FlagSimplex:
 class SubdividedComplex:
     """Base complex, its barycentric subdivision, and the flag bookkeeping."""
 
-    __slots__ = ("base", "derived", "barycenter_of", "vertex_id", "_flags", "_chain_maps")
+    __slots__ = ("base", "derived", "vertex_id", "_flags", "_chain_maps", "_ridge_tops")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
         order = sorted(base.simplices(), key=lambda s: (-len(s), s))
-        self.barycenter_of: tuple[Simplex, ...] = tuple(order)
         self.vertex_id: dict[Simplex, int] = {s: i for i, s in enumerate(order)}
         flags: dict[tuple[int, ...], tuple[Simplex, ...]] = {}
         vid = self.vertex_id
@@ -89,6 +93,7 @@ class SubdividedComplex:
         skeletons = tuple(tuple(sorted(by_dim[d])) for d in range(len(by_dim)))
         self.derived = SimplicialComplex(skeletons)
         self._chain_maps: dict[int, BitMatrix] = {}
+        self._ridge_tops: dict[int, tuple[int, ...]] | None = None
 
     def flag_of(self, derived_simplex) -> FlagSimplex:
         t = tuple(derived_simplex)
@@ -97,37 +102,44 @@ class SubdividedComplex:
             raise NotAFlagCell(f"{t} is not a derived simplex")
         return FlagSimplex(chain)
 
-    def derived_index_of_flag(self, flag: FlagSimplex) -> int:
-        ids = tuple(self.vertex_id[s] for s in flag.chain)
-        return self.derived.index(ids)
-
     def chain_map(self, d: int) -> BitMatrix:
         """Mod-2 subdivision chain map C_d(base) -> C_d(derived).
 
-        Column sigma carries the (d+1)! full flags inside sigma (dimensions
-        d, d-1, ..., 0 starting at sigma).
+        Column sigma carries the (d+1)! full flags inside sigma: the derived
+        d-simplices whose flag starts at the d-simplex sigma.
         """
         if not 0 <= d <= self.base.dim:
             raise DimensionOutOfRange(f"dimension {d} outside 0..{self.base.dim}")
         if d not in self._chain_maps:
-            vid = self.vertex_id
-            didx = self.derived._index[d]
+            col = self.base._index[d]
             entries = []
-
-            def descend(ids: tuple[int, ...], last: Simplex, j: int):
-                if len(last) == 1:
-                    entries.append((didx[ids], j))
-                    return
-                for k in range(len(last)):
-                    face = last[:k] + last[k + 1 :]
-                    descend(ids + (vid[face],), face, j)
-
-            for j, s in enumerate(self.base.skeleton(d)):
-                descend((vid[s],), s, j)
+            for i, t in enumerate(self.derived.skeleton(d)):
+                top = self._flags[t][0]
+                if len(top) == d + 1:
+                    entries.append((i, col[top]))
             self._chain_maps[d] = BitMatrix.from_entries(
                 self.derived.n_simplices(d), self.base.n_simplices(d), entries
             )
         return self._chain_maps[d]
+
+    def partner(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The partner of a flag dual cell, as derived vertex ids.
+
+        ``ids`` is a derived simplex whose flag runs through dimensions n,
+        n-1, ..., n-i with i >= 1.  Its top id is swapped for the other facet
+        around the ridge ``ids[1]``; facets carry the smallest ids, so the
+        result is still sorted.  Raises NotPseudomanifold unless the base is
+        a closed pseudomanifold.
+        """
+        if self._ridge_tops is None:
+            _require_closed_base(self)
+            vid = self.vertex_id
+            self._ridge_tops = {
+                vid[r]: tuple(vid[t] for t in self.base.cofacets(r))
+                for r in self.base.skeleton(self.base.dim - 1)
+            }
+        a, b = self._ridge_tops[ids[1]]
+        return (b if ids[0] == a else a,) + ids[1:]
 
     def __repr__(self):
         return f"SubdividedComplex(base f={self.base.f_vector}, derived f={self.derived.f_vector})"
@@ -135,10 +147,6 @@ class SubdividedComplex:
 
 def barycentric_subdivide(complex: SimplicialComplex) -> SubdividedComplex:
     return SubdividedComplex(complex)
-
-
-def subdivision_chain_map(subdivision: SubdividedComplex, d: int) -> BitMatrix:
-    return subdivision.chain_map(d)
 
 
 def _require_closed_base(subdivision: SubdividedComplex):
@@ -157,13 +165,12 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     n = subdivision.base.dim
     if not 0 <= i <= n:
         raise DimensionOutOfRange(f"cell degree {i} outside 0..{n}")
-    want = tuple(range(n, n - i - 1, -1))
     groups: dict[Simplex, list[tuple[int, ...]]] = {
         s: [] for s in subdivision.base.skeleton(n - i)
     }
     for t in subdivision.derived.skeleton(i):
         chain = subdivision._flags[t]
-        if tuple(len(s) - 1 for s in chain) == want:
+        if len(chain[0]) == n + 1 and len(chain[-1]) == n - i + 1:
             groups[chain[-1]].append(t)
     return groups
 
@@ -173,17 +180,15 @@ def flag_partner(subdivision: SubdividedComplex, cell: FlagSimplex) -> FlagSimpl
 
     Defined for cells of degree >= 1 whose flag starts at a top-dimensional
     simplex with consecutive dimensions; a fixed-point-free involution on
-    closed pseudomanifolds.
+    closed pseudomanifolds.  Any other base raises NotPseudomanifold for
+    every cell, even one whose ridge lies in exactly two facets.
     """
     n = subdivision.base.dim
     dims = cell.dims()
     if cell.degree < 1 or dims != tuple(range(n, n - cell.degree - 1, -1)):
         raise NotAFlagCell(f"flag dimensions {dims} are not consecutive from {n}")
-    ridge = cell.chain[1]
-    tops = [t for t in subdivision.base.cofacets(ridge) if len(t) == n + 1]
-    if len(tops) != 2:
-        raise NotPseudomanifold(
-            f"ridge {ridge} lies in {len(tops)} top simplices, need exactly 2"
-        )
-    other = tops[0] if tops[1] == cell.top else tops[1]
-    return FlagSimplex((other,) + cell.chain[1:])
+    missing = [s for s in cell.chain if s not in subdivision.vertex_id]
+    if missing:
+        raise SimplexNotInComplex(f"{missing[0]} not in complex")
+    ids = tuple(subdivision.vertex_id[s] for s in cell.chain)
+    return subdivision.flag_of(subdivision.partner(ids))

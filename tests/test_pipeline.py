@@ -21,7 +21,11 @@ from swlab.pipeline import (
     w0_row,
 )
 from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import barycentric_subdivide, flag_dual_cells
+from swlab.subdivision import (
+    SubdividedComplex,
+    barycentric_subdivide,
+    flag_dual_cells,
+)
 
 
 def test_ht_chain_is_all_ones_on_derived():
@@ -91,27 +95,26 @@ def test_all_ones_cocycle_on_derived_but_not_on_base():
 
 
 def _cells_of(S):
-    """Every flag dual cell of S, as lists of flags, over all degrees >= 1."""
-    return [[S.flag_of(t) for t in ids]
-            for i in range(1, S.base.dim + 1)
+    """Every flag dual cell of S, as lists of id tuples, over all degrees >= 1."""
+    return [ids for i in range(1, S.base.dim + 1)
             for ids in flag_dual_cells(S, i).values()]
 
 
 def _fixed_point(cells):
-    return {flag: flag for cell in cells for flag in cell}
+    return {t: t for cell in cells for t in cell}
 
 
 def _cyclic_shift(cells):
     # a 3-cycle or longer inside one cell: partners stay in the cell but
     # the map is not an involution there
     assert any(len(cell) > 2 for cell in cells)
-    return {flag: cell[(k + 1) % len(cell)]
-            for cell in cells for k, flag in enumerate(cell)}
+    return {t: cell[(k + 1) % len(cell)]
+            for cell in cells for k, t in enumerate(cell)}
 
 
 def _other_cell(cells):
-    return {flag: cells[(c + 1) % len(cells)][0]
-            for c, cell in enumerate(cells) for flag in cell}
+    return {t: cells[(c + 1) % len(cells)][0]
+            for c, cell in enumerate(cells) for t in cell}
 
 
 @pytest.mark.parametrize("broken", [_fixed_point, _cyclic_shift, _other_cell])
@@ -119,8 +122,8 @@ def test_broken_partner_map_fails_pairing(monkeypatch, broken):
     S = barycentric_subdivide(corpus("s2").complex())
     assert _pairing_involution_ok(S)
     table = broken(_cells_of(S))
-    monkeypatch.setattr("swlab.pipeline.flag_partner",
-                        lambda subdivision, flag: table[flag])
+    monkeypatch.setattr(SubdividedComplex, "partner",
+                        lambda subdivision, ids: table[ids])
     assert not _pairing_involution_ok(S)
 
 

@@ -50,6 +50,9 @@ def test_facets_are_maximal_only():
     # a triangle with a dangling edge: the edge is maximal, its faces not
     X = build_complex([(0, 1, 2), (2, 3)])
     assert set(X.facets) == {(0, 1, 2), (2, 3)}
+    # an isolated vertex is a facet too; facets come in (len, s) order
+    X = build_complex([(0, 1, 2), (2, 3), (4,)])
+    assert X.facets == ((4,), (2, 3), (0, 1, 2))
 
 
 def test_skeleton_and_counts():

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from swlab.errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
+from swlab.corpus import corpus
+from swlab.errors import (
+    DimensionOutOfRange,
+    NotAFlagCell,
+    NotPseudomanifold,
+    SimplexNotInComplex,
+)
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
     FlagSimplex,
     barycentric_subdivide,
     flag_dual_cells,
     flag_partner,
-    subdivision_chain_map,
 )
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -42,7 +47,7 @@ def test_flag_roundtrip():
     S = sub_sphere()
     for t in S.derived.skeleton(1):
         flag = S.flag_of(t)
-        assert S.derived_index_of_flag(flag) == S.derived.index(t)
+        assert tuple(S.vertex_id[s] for s in flag.chain) == t
         assert flag.bottom == flag.chain[-1]
         assert flag.top == flag.chain[0]
     with pytest.raises(NotAFlagCell):
@@ -55,13 +60,23 @@ def test_flag_simplex_rejects_non_flags():
 
 
 def test_chain_map_commutes_with_boundary():
-    S = sub_sphere()
-    for d in (1, 2):
-        lam_d = subdivision_chain_map(S, d)
-        lam_prev = subdivision_chain_map(S, d - 1)
-        del_base = S.base.boundary_matrix(d)
-        del_derived = S.derived.boundary_matrix(d)
-        assert del_derived.matmul(lam_d) == lam_prev.matmul(del_base)
+    for S in (sub_sphere(), barycentric_subdivide(corpus("s3").complex())):
+        for d in range(1, S.base.dim + 1):
+            lam_d = S.chain_map(d)
+            lam_prev = S.chain_map(d - 1)
+            del_base = S.base.boundary_matrix(d)
+            del_derived = S.derived.boundary_matrix(d)
+            assert del_derived.matmul(lam_d) == lam_prev.matmul(del_base)
+
+
+@pytest.mark.parametrize("name", ["s2", "s3", "klein"])
+def test_chain_map_columns_hold_full_flags(name):
+    # a d-simplex has (d+1)! full flags, one per ordering of its vertices
+    S = barycentric_subdivide(corpus(name).complex())
+    for d in range(S.base.dim + 1):
+        lam = S.chain_map(d)
+        assert lam.cols == S.base.n_simplices(d)
+        assert {c.bit_count() for c in lam.columns} == {math.factorial(d + 1)}
 
 
 def test_chain_map_of_fundamental_cycle_is_cycle():
@@ -115,6 +130,19 @@ def test_flag_partner_rejects_degree_zero_and_skew_flags():
     skew = S.flag_of((S.vertex_id[(0, 1)], S.vertex_id[(0,)]))
     with pytest.raises(NotAFlagCell):
         flag_partner(S, skew)
+    with pytest.raises(SimplexNotInComplex):
+        flag_partner(S, FlagSimplex(((0, 1, 9), (0, 1))))
+
+
+def test_flag_partner_requires_closed_base():
+    # an open disk of two triangles glued along (0, 1): every flag raises,
+    # the one around the boundary edge (0, 2) as well as the one around the
+    # interior edge (0, 1), which has two facets
+    S = barycentric_subdivide(build_complex([(0, 1, 2), (0, 1, 3)]))
+    for ridge in ((0, 2), (0, 1)):
+        flag = S.flag_of((S.vertex_id[(0, 1, 2)], S.vertex_id[ridge]))
+        with pytest.raises(NotPseudomanifold):
+            flag_partner(S, flag)
 
 
 def test_flag_dual_cells_requires_closed_base():
