@@ -129,7 +129,8 @@ class SubdividedComplex:
         n-1, ..., n-i with i >= 1.  Its top id is swapped for the other facet
         around the ridge ``ids[1]``; facets carry the smallest ids, so the
         result is still sorted.  Raises NotPseudomanifold unless the base is
-        a closed pseudomanifold.
+        a closed pseudomanifold, and NotAFlagCell unless ``ids`` is a derived
+        simplex that starts with a facet and a ridge of it.
         """
         if self._ridge_tops is None:
             _require_closed_base(self)
@@ -138,7 +139,10 @@ class SubdividedComplex:
                 vid[r]: tuple(vid[t] for t in self.base.cofacets(r))
                 for r in self.base.skeleton(self.base.dim - 1)
             }
-        a, b = self._ridge_tops[ids[1]]
+        tops = self._ridge_tops.get(ids[1]) if len(ids) > 1 else None
+        if tops is None or ids[0] not in tops or ids not in self._flags:
+            raise NotAFlagCell(f"{ids} does not start with a facet and its ridge")
+        a, b = tops
         return (b if ids[0] == a else a,) + ids[1:]
 
     def __repr__(self):

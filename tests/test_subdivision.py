@@ -134,6 +134,22 @@ def test_flag_partner_rejects_degree_zero_and_skew_flags():
         flag_partner(S, FlagSimplex(((0, 1, 9), (0, 1))))
 
 
+def test_partner_rejects_ids_that_are_not_facet_ridge_flags():
+    S = sub_sphere()
+    vid = S.vertex_id
+    bad = [
+        (vid[(0, 1, 2)],),                                   # no ridge
+        (vid[(0, 1)], vid[(0,)]),                            # ridge is a vertex
+        (vid[(0, 2, 3)], vid[(0, 1)]),                       # facet misses ridge
+        (vid[(0, 1, 2)], vid[(0, 1)], vid[(2,)]),            # not a flag
+    ]
+    for ids in bad:
+        with pytest.raises(NotAFlagCell):
+            S.partner(ids)
+    ids = (vid[(0, 1, 2)], vid[(0, 1)], vid[(0,)])
+    assert S.partner(ids) == (vid[(0, 1, 3)],) + ids[1:]
+
+
 def test_flag_partner_requires_closed_base():
     # an open disk of two triangles glued along (0, 1): every flag raises,
     # the one around the boundary edge (0, 2) as well as the one around the
