@@ -3,14 +3,17 @@
 The probes shoot dense batches of unit-speed geodesics out of a point and
 integrate over the resulting spheres and disks.  Angular derivatives are
 spectral (the ray families are periodic), radial quadrature uses Simpson
-shells, and every probe carries a self-estimated numerical error from a
-lower-order comparison so a too-coarse grid is detected instead of
-silently trusted.
+shells, and every probe carries a self-estimated numerical error so a
+too-coarse grid or step is detected instead of silently trusted.  The
+error has three parts: quadrature (a lower-order comparison on the same
+rays), integration (the step-doubling difference against a companion
+shoot at twice the RK4 step) and drift (the g-speed drift of the rays).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,6 +76,93 @@ def _start_batch(chart, center, dirs):
     return x0, v0
 
 
+# RK4 steps over the probe radius when the caller passes no step.  The
+# probes need the sphere or disk value, not a fine trajectory: at eps/32 the
+# step-doubling difference stays far below the quadrature error on every
+# model.
+PROBE_STEPS = 32
+
+
+def _shoot_pair(chart, x0, v0, eps: float, h: float, record: bool = False):
+    """Shoot the rays to length eps at the RK4 step h and at 2h.
+
+    eps/h is rounded to a positive even step count so that the companion
+    takes exactly half as many steps (step doubling).  Returns the (x, v)
+    pair of each shoot, fine first, and the fine step count."""
+    if not h > 0:
+        raise OutOfDomain(f"RK4 step must be positive, got {h}")
+    steps = 2 * max(1, round(eps / (2.0 * h)))
+    fine = geodesic_shoot_many(chart, x0, v0, eps, eps / steps,
+                               record=record)
+    coarse = geodesic_shoot_many(chart, x0, v0, eps, 2.0 * eps / steps,
+                                 record=record)
+    return fine, coarse, steps
+
+
+def _error_budget(name: str, eps: float, max_error: float | None,
+                  quadrature: float, integration: float, drift: float):
+    """Sum the error parts; raise GridTooCoarse naming the dominant part
+    when the sum exceeds max_error.  Returns (error, parts).
+
+    `integration` is the full step-doubling difference, not divided by 15,
+    so it bounds the RK4 error of the fine shoot conservatively."""
+    parts = {"quadrature": quadrature, "integration": integration,
+             "drift": drift}
+    error = quadrature + integration + drift
+    if max_error is not None and error > max_error:
+        worst = max(parts, key=parts.get)
+        advice = ("refine the grid" if worst == "quadrature"
+                  else "shorten the step")
+        raise GridTooCoarse(
+            f"{name}: estimated error {error:.3e} exceeds "
+            f"{max_error:.3e} at eps={eps}; the {worst} part "
+            f"({parts[worst]:.3e}) dominates: {advice}")
+    return error, parts
+
+
+def _circle_length(chart, x: np.ndarray):
+    """Length of the closed curve through the ray ends x (nrays, 2), with
+    spectral tangents, and its quadrature error against central
+    differences."""
+    value = float(np.mean(g_norms(chart, x, _fft_derivative(x, axis=0)))) \
+        * 2.0 * math.pi
+    dtheta = 2.0 * math.pi / len(x)
+    tangents_fd = (np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0)) \
+        / (2.0 * dtheta)
+    value_fd = float(np.mean(g_norms(chart, x, tangents_fd))) * 2.0 * math.pi
+    return value, abs(value - value_fd)
+
+
+def _sphere_area(chart, x: np.ndarray, lat: np.ndarray, nlon: int):
+    """Area of the surface through the ray ends x on the (lat, lon) grid,
+    and its quadrature error against the plain midpoint rule."""
+    nlat = len(lat)
+    dlat = math.pi / nlat
+    sphere = x.reshape(nlat, nlon, 3)
+    d_lon = _fft_derivative(sphere, axis=1)
+    # Pad two rows past each pole; the direction field satisfies
+    # dir(-t, phi) = dir(t, phi + pi) exactly, so reflected rows are
+    # half-period rolls of existing ones.
+    top = np.roll(sphere[1::-1], nlon // 2, axis=1)
+    bottom = np.roll(sphere[:nlat - 3:-1], nlon // 2, axis=1)
+    padded = np.concatenate([top, sphere, bottom], axis=0)
+    d_lat = (-padded[4:] + 8.0 * padded[3:-1]
+             - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * dlat)
+
+    g = chart.metric(x).reshape(nlat, nlon, 3, 3)
+    ee = np.einsum("abij,abi,abj->ab", g, d_lat, d_lat)
+    ff = np.einsum("abij,abi,abj->ab", g, d_lat, d_lon)
+    gg = np.einsum("abij,abi,abj->ab", g, d_lon, d_lon)
+    dens = np.sqrt(np.clip(ee * gg - ff * ff, 0.0, None))
+
+    dlon = 2.0 * math.pi / nlon
+    weights = np.cos(lat - 0.5 * dlat) - np.cos(lat + 0.5 * dlat)
+    rho = dens / np.sin(lat)[:, None]
+    value = float(np.sum(rho * weights[:, None]) * dlon)
+    value_mid = float(np.sum(dens) * dlat * dlon)
+    return value, abs(value - value_mid)
+
+
 def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
                       grid=None, h: float | None = None,
                       chart_kind: str = "generic",
@@ -81,7 +171,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
 
     In dimension 2 this is the circumference of the geodesic circle, in
     dimension 3 the area of the geodesic sphere; `ratio` divides by
-    2*pi*eps respectively 4*pi*eps^2.  Raises GridTooCoarse when the
+    2*pi*eps respectively 4*pi*eps^2.  The rays are shot at the RK4 step
+    h (default eps / PROBE_STEPS) and once more at 2h; `params` holds the
+    step count and the parts of `error`.  Raises GridTooCoarse when the
     self-estimated error exceeds `max_error`.
     """
     chart = model.chart(chart_kind)
@@ -93,36 +185,21 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
                 f"pass one explicitly for the {chart_kind} chart")
         center = model.center
     if h is None:
-        h = eps / 256.0
+        h = eps / PROBE_STEPS
 
     if chart.dim == 2:
-        nrays = int(grid) if grid is not None else 512
-        theta = 2.0 * math.pi * np.arange(nrays) / nrays
+        grid = int(grid) if grid is not None else 512
+        theta = 2.0 * math.pi * np.arange(grid) / grid
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        x0, v0 = _start_batch(chart, center, dirs)
-        x, v = geodesic_shoot_many(chart, x0, v0, eps, h)
-        drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
-
-        tangents = _fft_derivative(x, axis=0)
-        speeds = g_norms(chart, x, tangents)
-        value = float(np.mean(speeds)) * 2.0 * math.pi
-
-        dtheta = 2.0 * math.pi / nrays
-        tangents_fd = (np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0)) \
-            / (2.0 * dtheta)
-        value_fd = float(np.mean(g_norms(chart, x, tangents_fd))) \
-            * 2.0 * math.pi
-        error = abs(value - value_fd) + drift * abs(value)
+        measure = partial(_circle_length, chart)
         flat = sphere_volume(1) * eps
-        params = {"model": model.name, "chart": chart.name, "eps": eps,
-                  "grid": nrays, "h": h, "drift": drift}
     elif chart.dim == 3:
         nlat, nlon = grid if grid is not None else (48, 96)
+        grid = (nlat, nlon)
         if nlon % 2:
             raise OutOfDomain("longitude count must be even for the "
                               "pole-reflection stencil")
-        dlat = math.pi / nlat
-        lat = (np.arange(nlat) + 0.5) * dlat
+        lat = (np.arange(nlat) + 0.5) * (math.pi / nlat)
         lon = 2.0 * math.pi * np.arange(nlon) / nlon
         st, ct = np.sin(lat), np.cos(lat)
         cp, sp = np.cos(lon), np.sin(lon)
@@ -130,94 +207,51 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
                          st[:, None] * sp[None, :],
                          np.broadcast_to(ct[:, None], (nlat, nlon))],
                         axis=-1).reshape(-1, 3)
-        x0, v0 = _start_batch(chart, center, dirs)
-        x, v = geodesic_shoot_many(chart, x0, v0, eps, h)
-        drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
-        sphere = x.reshape(nlat, nlon, 3)
-
-        d_lon = _fft_derivative(sphere, axis=1)
-        # Pad two rows past each pole; the direction field satisfies
-        # dir(-t, phi) = dir(t, phi + pi) exactly, so reflected rows are
-        # half-period rolls of existing ones.
-        top = np.roll(sphere[1::-1], nlon // 2, axis=1)
-        bottom = np.roll(sphere[:nlat - 3:-1], nlon // 2, axis=1)
-        padded = np.concatenate([top, sphere, bottom], axis=0)
-        d_lat = (-padded[4:] + 8.0 * padded[3:-1]
-                 - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * dlat)
-
-        g = chart.metric(x).reshape(nlat, nlon, 3, 3)
-        ee = np.einsum("abij,abi,abj->ab", g, d_lat, d_lat)
-        ff = np.einsum("abij,abi,abj->ab", g, d_lat, d_lon)
-        gg = np.einsum("abij,abi,abj->ab", g, d_lon, d_lon)
-        dens = np.sqrt(np.clip(ee * gg - ff * ff, 0.0, None))
-
-        dlon = 2.0 * math.pi / nlon
-        weights = np.cos(lat - 0.5 * dlat) - np.cos(lat + 0.5 * dlat)
-        rho = dens / st[:, None]
-        value = float(np.sum(rho * weights[:, None]) * dlon)
-        value_mid = float(np.sum(dens) * dlat * dlon)
-        error = abs(value - value_mid) + drift * abs(value)
+        measure = partial(_sphere_area, chart, lat=lat, nlon=nlon)
         flat = sphere_volume(2) * eps ** 2
-        params = {"model": model.name, "chart": chart.name, "eps": eps,
-                  "grid": (nlat, nlon), "h": h, "drift": drift}
     else:
         raise OutOfDomain(
             f"{model.name}: sphere probes need dimension 2 or 3")
 
-    if max_error is not None and error > max_error:
-        raise GridTooCoarse(
-            f"{model.name}: estimated error {error:.3e} exceeds "
-            f"{max_error:.3e} at eps={eps}; refine the grid")
+    x0, v0 = _start_batch(chart, center, dirs)
+    (x, v), (x2, _), steps = _shoot_pair(chart, x0, v0, eps, h)
+    drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
+    value, quadrature = measure(x)
+    error, parts = _error_budget(model.name, eps, max_error, quadrature,
+                                 abs(value - measure(x2)[0]),
+                                 drift * abs(value))
+    params = {"model": model.name, "chart": chart.name, "eps": eps,
+              "grid": grid, "h": h, "steps": steps, "drift": drift,
+              "error_parts": parts}
     return ProbeResult(value, value / flat, error, params)
 
 
 def _simpson(values: np.ndarray, dx: float) -> float:
+    """Composite Simpson over equal intervals.  An odd interval count ends
+    with the 3/8 rule over the last three; one interval is a trapezoid."""
     n = len(values) - 1
-    if n < 2 or n % 2:
-        raise ValueError("Simpson rule needs an even interval count")
+    if n == 1:
+        return float(dx / 2.0 * (values[0] + values[1]))
+    tail = 0.0
+    if n % 2:
+        tail = 3.0 * dx / 8.0 * (values[-4] + 3.0 * values[-3]
+                                 + 3.0 * values[-2] + values[-1])
+        values = values[:-3]
+        if len(values) == 1:
+            return float(tail)
     return float(dx / 3.0 * (values[0] + values[-1]
                              + 4.0 * values[1:-1:2].sum()
-                             + 2.0 * values[2:-1:2].sum()))
+                             + 2.0 * values[2:-1:2].sum()) + tail)
 
 
-def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
-                      grid=None, h: float | None = None,
-                      chart_kind: str = "generic",
-                      max_error: float | None = None) -> GaussBonnetResult:
-    """Interior curvature plus boundary turning of a geodesic disk.
-
-    `interior` integrates the Gauss curvature over the disk in geodesic
-    polar shells, `boundary` integrates the geodesic curvature of the
-    boundary circle; their sum is 2*pi for any metric, and `cochain_value`
-    is the resulting Euler evaluation reduced mod 2.
-    """
-    chart = model.chart(chart_kind)
-    if chart.dim != 2:
-        raise OutOfDomain(f"{model.name}: disk probe needs dimension 2")
-    _check_radius(model, eps)
-    if center is None:
-        if chart_kind != "generic":
-            raise OutOfDomain(
-                f"{model.name}: default center is a generic-chart point; "
-                f"pass one explicitly for the {chart_kind} chart")
-        center = model.center
-    if h is None:
-        h = eps / 256.0
-    nrays = int(grid) if grid is not None else 512
-
-    theta = 2.0 * math.pi * np.arange(nrays) / nrays
-    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    x0, v0 = _start_batch(chart, center, dirs)
-    traj_x, traj_v = geodesic_shoot_many(chart, x0, v0, eps, h, record=True)
-    steps = traj_x.shape[0] - 1
-    drift = float(np.max(np.abs(
-        g_norms(chart, traj_x[-1], traj_v[-1]) - 1.0)))
+def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
+    """Interior curvature and boundary turning of the disk swept by the
+    recorded rays (steps+1, nrays, 2), and the quadrature error of both."""
+    steps, nrays = traj_x.shape[0] - 1, traj_x.shape[1]
 
     # Interior: f(s) = integral of K * |d_theta exp(s v)| over theta,
     # integrated over shells s in [0, eps] with Simpson.
     stride = steps // 64 if steps % 64 == 0 else 1
-    if (steps // stride) % 2:
-        stride = 1
     shells = list(range(stride, steps + 1, stride))
     pos = traj_x[shells]                      # (nsh, nrays, 2)
     jac = _fft_derivative(pos, axis=1)
@@ -257,15 +291,54 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
         np.einsum("nij,ni,nj->n", g_bnd, cov_fd, normal_in)
         / g_norms(chart, curve, tang_fd))) * 2.0 * math.pi
 
+    return interior, boundary, \
+        abs(interior - interior_tz) + abs(boundary - boundary_fd)
+
+
+def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
+                      grid=None, h: float | None = None,
+                      chart_kind: str = "generic",
+                      max_error: float | None = None) -> GaussBonnetResult:
+    """Interior curvature plus boundary turning of a geodesic disk.
+
+    `interior` integrates the Gauss curvature over the disk in geodesic
+    polar shells, `boundary` integrates the geodesic curvature of the
+    boundary circle; their sum is 2*pi for any metric, and `cochain_value`
+    is the resulting Euler evaluation reduced mod 2.  The rays are shot
+    at the RK4 step h (default eps / PROBE_STEPS) and once more at 2h;
+    `params` holds the step count and the parts of `error`.
+    """
+    chart = model.chart(chart_kind)
+    if chart.dim != 2:
+        raise OutOfDomain(f"{model.name}: disk probe needs dimension 2")
+    _check_radius(model, eps)
+    if center is None:
+        if chart_kind != "generic":
+            raise OutOfDomain(
+                f"{model.name}: default center is a generic-chart point; "
+                f"pass one explicitly for the {chart_kind} chart")
+        center = model.center
+    if h is None:
+        h = eps / PROBE_STEPS
+    nrays = int(grid) if grid is not None else 512
+
+    theta = 2.0 * math.pi * np.arange(nrays) / nrays
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    x0, v0 = _start_batch(chart, center, dirs)
+    (traj_x, traj_v), companion, steps = _shoot_pair(chart, x0, v0, eps, h,
+                                                     record=True)
+    drift = float(np.max(np.abs(
+        g_norms(chart, traj_x[-1], traj_v[-1]) - 1.0)))
+    interior, boundary, quadrature = _disk_total(chart, traj_x, traj_v, eps)
+    interior2, boundary2, _ = _disk_total(chart, *companion, eps)
     total = interior + boundary
-    error = (abs(interior - interior_tz) + abs(boundary - boundary_fd)
-             + drift * (abs(interior) + abs(boundary)))
-    if max_error is not None and error > max_error:
-        raise GridTooCoarse(
-            f"{model.name}: estimated error {error:.3e} exceeds "
-            f"{max_error:.3e} at eps={eps}; refine the grid")
+    error, parts = _error_budget(
+        model.name, eps, max_error, quadrature,
+        abs(total - interior2 - boundary2),
+        drift * (abs(interior) + abs(boundary)))
     params = {"model": model.name, "chart": chart.name, "eps": eps,
-              "grid": nrays, "h": h, "drift": drift}
+              "grid": nrays, "h": h, "steps": steps, "drift": drift,
+              "error_parts": parts}
     return GaussBonnetResult(interior, boundary, total,
                              round(total / (2.0 * math.pi)) % 2,
                              error, params)

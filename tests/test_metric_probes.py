@@ -14,7 +14,8 @@ from swlab.metric import (
     sphere_area_probe,
     w3_limit,
 )
-from swlab.metric.probes import _fft_derivative
+from swlab.metric import calculus
+from swlab.metric.probes import PROBE_STEPS, _fft_derivative, _simpson
 
 MODELS_2D = ("flat-2", "round-s2", "hyperbolic-2")
 MODELS_3D = ("flat-3", "round-s3", "warped-3")
@@ -116,13 +117,19 @@ def test_probe_radius_guard():
         sphere_area_probe(get_model("round-s2"), 2.0)  # beyond injectivity
     with pytest.raises(OutOfDomain):
         sphere_area_probe(get_model("round-s2"), -0.1)
+    with pytest.raises(OutOfDomain):
+        gauss_bonnet_disk(get_model("round-s2"), 0.5, h=0.0)
 
 
 def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(GridTooCoarse, match="quadrature .* refine the grid"):
         sphere_area_probe(get_model("round-s2"), 0.5, max_error=1e-15)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(GridTooCoarse, match="quadrature .* refine the grid"):
         gauss_bonnet_disk(get_model("round-s2"), 0.5, max_error=1e-15)
+    with pytest.raises(GridTooCoarse,
+                       match="integration .* shorten the step"):
+        sphere_area_probe(get_model("round-s2"), 0.5, h=0.5,
+                          max_error=1e-15)
 
 
 def test_w3_limit_input_validation():
@@ -158,3 +165,68 @@ def test_error_estimate_halves_when_grid_doubles():
     coarse3 = sphere_area_probe(get_model("round-s3"), 0.2, grid=(16, 32))
     fine3 = sphere_area_probe(get_model("round-s3"), 0.2, grid=(32, 64))
     assert coarse3.error > 2.0 * fine3.error
+
+
+@pytest.mark.parametrize("name", ("round-s2", "hyperbolic-2"))
+def test_error_covers_coarse_step(name):
+    # two RK4 steps over the radius: the integration error dominates, and
+    # the reported error must still cover the distance to the closed form
+    model = get_model(name)
+    res = sphere_area_probe(model, 0.5, h=0.5)
+    actual = abs(res.value - model.analytic["sphere_area"](0.5))
+    assert res.error >= actual
+    assert res.params["steps"] == 2
+    assert res.params["error_parts"]["integration"] >= actual
+
+
+@pytest.mark.parametrize("eps", (0.25, 0.5))
+def test_disk_error_covers_coarse_step(eps):
+    res = gauss_bonnet_disk(get_model("round-s2"), eps, h=eps / 2.0)
+    assert res.error >= abs(res.total - 2.0 * math.pi)
+    assert res.params["steps"] == 2
+
+
+@pytest.mark.parametrize("probe", (sphere_area_probe, gauss_bonnet_disk))
+def test_integration_part_is_fourth_order(probe):
+    # RK4 step doubling: halving h shrinks the difference about 16-fold
+    model = get_model("round-s2")
+    coarse, fine = (probe(model, 0.5, grid=64, h=0.5 / k).params
+                    ["error_parts"]["integration"] for k in (8, 16))
+    assert 12.0 < coarse / fine < 20.0
+
+
+def test_default_probe_step_count(monkeypatch):
+    # a default probe shoots PROBE_STEPS RK4 steps plus a companion at
+    # half as many, four right-hand sides per step; a silent return to a
+    # finer default step fails here rather than on a timing gate
+    calls = []
+    rhs = calculus._geodesic_rhs
+
+    def counting_rhs(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(calculus, "_geodesic_rhs", counting_rhs)
+    assert PROBE_STEPS == 32
+    for probe, name, eps, grid in (
+            (sphere_area_probe, "round-s2", 0.5, None),
+            (gauss_bonnet_disk, "round-s2", 0.5, None),
+            (sphere_area_probe, "round-s3", 0.2, (8, 16))):
+        res = probe(get_model(name), eps, grid=grid)
+        assert len(calls) == 4 * (32 + 16)
+        calls.clear()
+        assert res.params["steps"] == 32
+        parts = res.params["error_parts"]
+        assert set(parts) == {"quadrature", "integration", "drift"}
+        assert min(parts.values()) >= 0.0
+        assert sum(parts.values()) == pytest.approx(res.error, rel=1e-12)
+
+
+def test_simpson_any_interval_count():
+    # exact for cubics from two intervals on (the 3/8 tail closes odd
+    # counts); one interval is the trapezoid, exact for lines
+    for n in range(2, 9):
+        x = np.linspace(0.0, 1.0, n + 1)
+        assert _simpson(x ** 3 - x, 1.0 / n) == pytest.approx(-0.25,
+                                                              abs=1e-14)
+    assert _simpson(np.array([1.0, 3.0]), 0.5) == pytest.approx(1.0)
