@@ -260,9 +260,5 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
 
 
-def run_cli() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -5,8 +5,8 @@ flag: a chain of k+1 base simplices each a proper face of the previous one.
 Derived vertex ids are assigned by decreasing base dimension (ties broken
 lexicographically), so the id tuple of a flag is automatically increasing and
 canonical.  The flag behind every derived simplex is stored at build time,
-and the chain maps, the flag dual cells and the partner involution are all
-read from that one table.
+and the derived complex (built on first access), the chain maps, the flag
+dual cells, the partner involution and the all-ones chains all read it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     SimplexNotInComplex,
 )
 from .gf2 import BitMatrix
-from .simplicial import Simplex, SimplicialComplex
+from .simplicial import Chain, Simplex, SimplicialComplex
 
 __all__ = [
     "FlagSimplex",
@@ -68,7 +68,7 @@ class FlagSimplex:
 class SubdividedComplex:
     """Base complex, its barycentric subdivision, and the flag bookkeeping."""
 
-    __slots__ = ("base", "derived", "vertex_id", "_flags", "_chain_maps", "_ridge_tops")
+    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps", "_ridge_tops")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
@@ -87,13 +87,38 @@ class SubdividedComplex:
         for s in order:
             extend((vid[s],), (s,))
         self._flags = flags
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for t in flags:
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        skeletons = tuple(tuple(sorted(by_dim[d])) for d in range(len(by_dim)))
-        self.derived = SimplicialComplex(skeletons)
+        self._derived: SimplicialComplex | None = None
         self._chain_maps: dict[int, BitMatrix] = {}
         self._ridge_tops: dict[int, tuple[int, ...]] | None = None
+
+    @property
+    def derived(self) -> SimplicialComplex:
+        """The derived complex, built on first access from the flag id tuples."""
+        if self._derived is None:
+            by_dim: dict[int, list[tuple[int, ...]]] = {}
+            for t in self._flags:
+                by_dim.setdefault(len(t) - 1, []).append(t)
+            skeletons = tuple(tuple(sorted(by_dim[d])) for d in range(len(by_dim)))
+            self._derived = SimplicialComplex(skeletons)
+        return self._derived
+
+    def all_ones_chains(self) -> list[tuple[bool, Chain]]:
+        """Per degree d: whether the all-ones d-chain of the derived complex is
+        a cycle (for d >= 1: every (d-1)-simplex has an even number of
+        d-cofaces), and its image on the base under the last-vertex map, which
+        sends a flag to the span of its members' largest vertices (they never
+        increase along the flag), or to zero when two of them coincide."""
+        odd_faces = [set() for _ in range(self.base.dim + 1)]
+        odd_images = [set() for _ in range(self.base.dim + 1)]
+        for ids, flag in self._flags.items():
+            d = len(ids) - 1
+            odd_faces[d].symmetric_difference_update(
+                ids[:k] + ids[k + 1 :] for k in range(d + 1) if d)
+            last = tuple(s[-1] for s in reversed(flag))
+            if len(set(last)) == d + 1:
+                odd_images[d].symmetric_difference_update((last,))
+        return [(not faces, Chain(self.base, d, sum(1 << self.base.index(s) for s in images)))
+                for d, (faces, images) in enumerate(zip(odd_faces, odd_images))]
 
     def flag_of(self, derived_simplex) -> FlagSimplex:
         t = tuple(derived_simplex)
@@ -163,7 +188,7 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     """Derived i-simplices whose flags run through dimensions n, n-1, ..., n-i.
 
     Returns {base (n-i)-simplex: [derived id tuples]} with keys in skeleton
-    order and cells in derived skeleton order.
+    order and cells in derived skeleton order, which is sorted id order.
     """
     _require_closed_base(subdivision)
     n = subdivision.base.dim
@@ -172,10 +197,10 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     groups: dict[Simplex, list[tuple[int, ...]]] = {
         s: [] for s in subdivision.base.skeleton(n - i)
     }
-    for t in subdivision.derived.skeleton(i):
-        chain = subdivision._flags[t]
-        if len(chain[0]) == n + 1 and len(chain[-1]) == n - i + 1:
-            groups[chain[-1]].append(t)
+    flags = subdivision._flags
+    for t in sorted(t for t, chain in flags.items() if len(t) == i + 1
+                    and len(chain[0]) == n + 1 and len(chain[-1]) == n - i + 1):
+        groups[flags[t][-1]].append(t)
     return groups
 
 

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swlab
 from swlab.corpus import corpus
 from swlab.errors import (
     NotACycle,
@@ -12,13 +19,14 @@ from swlab.errors import (
     OracleConflict,
     PairingDegenerate,
 )
+from swlab.fileio import write_complex_file
+from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
 from swlab.pipeline import (
     SWReport,
     _pairing_involution_ok,
     compute_report,
     ht_chain,
-    w0_row,
 )
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
@@ -41,16 +49,6 @@ def test_ht_chain_rejects_open_base():
     S = barycentric_subdivide(disk)
     with pytest.raises(NotPseudomanifold):
         ht_chain(S, 1)
-
-
-def test_w0_row_all_entries(entries):
-    for name, entry in entries.items():
-        row = w0_row(entry.complex())
-        assert row == {
-            "all_ones_is_cocycle": True,
-            "pd_equals_subdivided_fundamental_cycle": True,
-            "pd_class_is_fundamental": True,
-        }, name
 
 
 def test_report_rows_match_patterns(entries, reports):
@@ -224,7 +222,7 @@ def test_wrong_oracle_triggers_conflict(monkeypatch):
 
 
 def test_oracle_chain_that_is_not_a_cycle_is_rejected(monkeypatch):
-    """A pushed oracle chain with a boundary must raise NotACycle, not be
+    """An oracle chain PD(w_i) with a boundary must raise NotACycle, not be
     compared as if it had a class."""
     X = corpus("rp2-6").complex()
 
@@ -235,3 +233,130 @@ def test_oracle_chain_that_is_not_a_cycle_is_rejected(monkeypatch):
     monkeypatch.setattr("swlab.pipeline.cap", one_simplex)
     with pytest.raises(NotACycle):
         compute_report(X)
+
+
+def test_report_classes_match_derived_homology(entries, reports):
+    """The old route: classes of the all-ones chains reduced in H(K') give
+    the same verdicts as the report's last-vertex route through H(K)."""
+    for name, entry in entries.items():
+        S = barycentric_subdivide(entry.complex())
+        Hp = mod2_homology(S.derived)
+        n = S.base.dim
+        for i, row in enumerate(reports[name].rows):
+            ht = Chain.all_ones(S.derived, n - i)
+            assert Hp.is_cycle(ht) == row.ht_chain_is_cycle, (name, i)
+            assert (not Hp.class_is_zero(ht)) == row.class_nonzero, (name, i)
+
+
+def test_all_ones_cycle_flag_where_a_degree_is_not_a_cycle():
+    # the suspension of rp2 is not an Euler space: its all-ones 1-chain on the
+    # subdivision is not a cycle, and the flag-table parity must say so
+    S = barycentric_subdivide(suspension(corpus("rp2-6").complex()))
+    flags = [is_cycle for is_cycle, _ in S.all_ones_chains()]
+    assert flags == [Chain.all_ones(S.derived, d).boundary().is_zero()
+                     for d in range(S.base.dim + 1)]
+    assert flags[1] is False
+
+
+def test_compute_report_stays_on_the_base(monkeypatch):
+    """No derived complex, no subdivision chain map, and homology of K only."""
+    def refuse(*args):
+        raise AssertionError("compute_report reached into the derived complex")
+
+    seen = []
+
+    def recording(complex):
+        seen.append(complex)
+        return mod2_homology(complex)
+
+    monkeypatch.setattr(SubdividedComplex, "derived", property(refuse))
+    monkeypatch.setattr(SubdividedComplex, "chain_map", refuse)
+    monkeypatch.setattr("swlab.pipeline.mod2_homology", recording)
+    entry = corpus("rp3")
+    X = entry.complex()
+    report = compute_report(X)
+    assert report.betti == entry.betti
+    assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
+    assert report.all_matched and report.pairing_ok
+    assert seen and all(complex is X for complex in seen)
+
+
+def product(X, Y):
+    """Staircase triangulation of X x Y (Eilenberg-Zilber): one simplex per
+    monotone lattice path through the vertex grid of each pair of facets.
+    Product vertices are numbered lexicographically, so every path is an
+    increasing vertex tuple."""
+    m = max(Y.vertices()) + 1
+    facets = []
+    for a in X.facets:
+        for b in Y.facets:
+            p, q = len(a) - 1, len(b) - 1
+            for steps_in_x in combinations(range(p + q), p):
+                i = j = 0
+                path = [a[0] * m + b[0]]
+                for step in range(p + q):
+                    if step in steps_in_x:
+                        i += 1
+                    else:
+                        j += 1
+                    path.append(a[i] * m + b[j])
+                facets.append(tuple(path))
+    return build_complex(facets)
+
+
+def test_rp2_times_s1_has_nonzero_w2_in_dimension_3():
+    # w(RP2 x S1) = w(RP2) = 1 + a + a^2, so w1 and w2 are nonzero and w3 is 0
+    X = product(corpus("rp2-6").complex(), build_complex([(0, 1), (1, 2), (0, 2)]))
+    assert X.f_vector == (18, 108, 180, 90)
+    report = compute_report(X)
+    assert report.betti == (1, 2, 2, 1)
+    assert tuple(row.class_nonzero for row in report.rows) == (True, True, True, False)
+    assert report.all_matched and report.pairing_ok
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def _classes_under_512_mib(X, tmp_path):
+    """`swlab classes FILE --report OUT` in a child capped at 512 MiB of
+    address space; returns the report."""
+    facets, out = tmp_path / "input.facets", tmp_path / "report.json"
+    write_complex_file(str(facets), X)
+    src = str(Path(swlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swlab.cli", "classes", str(facets), "--report", str(out)],
+        env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
+        timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def _rows(payload):
+    return [(row["class_nonzero"], row["matches_oracle"]) for row in payload["degrees"]]
+
+
+@pytest.mark.slow
+def test_sd_sd_s3_completes_under_512_mib(tmp_path):
+    X = corpus("s3").complex()
+    for _ in range(2):
+        X = build_complex(barycentric_subdivide(X).derived.facets)
+    assert len(X.facets) == 2880
+    payload = _classes_under_512_mib(X, tmp_path)
+    assert payload["betti"] == [1, 0, 0, 1]
+    assert _rows(payload) == [(True, True), (False, True), (False, True), (False, True)]
+    assert payload["diagnostics"]["pairing_ok"] is True
+
+
+@pytest.mark.slow
+def test_rp2_times_rp2_completes_under_512_mib(tmp_path):
+    # w(RP2 x RP2) = (1 + a + a^2)(1 + b + b^2): every degree is nonzero
+    rp2 = corpus("rp2-6").complex()
+    X = product(rp2, rp2)
+    assert X.f_vector == (36, 405, 1270, 1500, 600)
+    payload = _classes_under_512_mib(X, tmp_path)
+    assert payload["betti"] == [1, 2, 3, 2, 1]
+    assert _rows(payload) == [(True, True)] * 5
+    assert payload["diagnostics"]["pairing_ok"] is True

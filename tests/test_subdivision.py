@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from swlab.corpus import corpus
+from swlab.corpus import CORPUS_NAMES, corpus
 from swlab.errors import (
     DimensionOutOfRange,
     NotAFlagCell,
     NotPseudomanifold,
     SimplexNotInComplex,
 )
+from swlab.oracle import fundamental_cycle
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
     FlagSimplex,
@@ -80,12 +81,60 @@ def test_chain_map_columns_hold_full_flags(name):
 
 
 def test_chain_map_of_fundamental_cycle_is_cycle():
+    for name in CORPUS_NAMES:
+        S = barycentric_subdivide(corpus(name).complex())
+        n = S.base.dim
+        gamma = fundamental_cycle(S.base)
+        pushed = Chain(S.derived, n, S.chain_map(n).matvec(gamma.bits))
+        assert pushed.boundary().is_zero(), name
+        # the subdivided fundamental cycle is the all-ones top chain, and the
+        # last-vertex map takes that chain back to the fundamental cycle exactly
+        assert pushed == Chain.all_ones(S.derived, n), name
+        assert S.all_ones_chains()[n] == (True, gamma), name
+
+
+def last_vertex_map(S, chain):
+    """Reference last-vertex map on a derived chain: each derived simplex goes
+    to the base simplex spanned by the largest vertex of each member of its
+    flag, and to zero when two of those vertices coincide."""
+    image = 0
+    for t in chain.support():
+        last = {s[-1] for s in S.flag_of(t).chain}
+        if len(last) == len(t):
+            image ^= 1 << S.base.index(last)
+    return Chain(S.base, chain.dimension, image)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_last_vertex_map_inverts_chain_map_on_chains(name):
+    # of the full flags of a simplex exactly one keeps its largest vertices
+    # distinct, so the last-vertex map undoes the subdivision chain map
+    S = barycentric_subdivide(corpus(name).complex())
+    for d in range(S.base.dim + 1):
+        for j, column in enumerate(S.chain_map(d).columns):
+            pushed = Chain(S.derived, d, column)
+            assert last_vertex_map(S, pushed) == Chain(S.base, d, 1 << j), (d, j)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_all_ones_chains_agree_with_the_derived_complex(name):
+    # the one pass over the flag table against the boundary and the
+    # reference map on the built derived complex
+    S = barycentric_subdivide(corpus(name).complex())
+    for d, (is_cycle, image) in enumerate(S.all_ones_chains()):
+        ht = Chain.all_ones(S.derived, d)
+        assert is_cycle == ht.boundary().is_zero(), d
+        assert image == last_vertex_map(S, ht), d
+
+
+def test_derived_complex_is_built_on_first_access():
     S = sub_sphere()
-    pushed = Chain(S.derived, 2,
-                   S.chain_map(2).matvec(Chain.all_ones(S.base, 2).bits))
-    assert pushed.boundary().is_zero()
-    # the subdivided fundamental cycle is the all-ones top chain
-    assert pushed == Chain.all_ones(S.derived, 2)
+    assert S._derived is None
+    S.all_ones_chains()
+    flag_dual_cells(S, 1)
+    assert S._derived is None
+    assert S.derived is S.derived
+    assert S.derived.f_vector == (14, 36, 24)
 
 
 def test_chain_map_rejects_bad_dimension():
