@@ -1,11 +1,17 @@
 """Command-line front end.
 
-Exit codes separate the two failure families: 2 for anything wrong with
-the request itself (unparsable input, unknown names, radii outside a
-model's guard), 1 for verification failures found while computing
-(oracle conflicts, tolerance breaches, non-convergent limits).  Reports
-serialize with sorted keys and no timing data, so byte-identical inputs
-produce byte-identical reports.
+Exit codes:
+
+  0  success;
+  1  verification failure found while computing (oracle conflicts,
+     tolerance breaches, non-convergent limits);
+  2  anything wrong with the request itself (unparsable input, unknown
+     names, radii outside a model's guard);
+  3  internal error (a failed internal assertion, or memory exhausted),
+     reported as one `internal error: ...` line on stderr.
+
+Reports serialize with sorted keys and no timing data, so byte-identical
+inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from .errors import (
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _INPUT_ERRORS = (ParseError, EmptyInput, MalformedFacet, NotPseudomanifold,
                  UnknownCorpusEntry, OutOfDomain, OSError)
@@ -258,6 +265,11 @@ def main(argv=None) -> int:
     except SWLabError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (AssertionError, MemoryError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

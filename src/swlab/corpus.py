@@ -125,7 +125,7 @@ _BUILDERS = {
         _rp3_facets(), (1, 1, 1, 1), (True, False, False, False)),
 }
 
-CORPUS_NAMES = ("s2", "rp2-6", "t2-7", "klein", "s3", "rp3")
+CORPUS_NAMES = tuple(_BUILDERS)
 
 
 def corpus(name: str) -> CorpusEntry:

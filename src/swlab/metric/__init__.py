@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from .calculus import (
     CurvatureData,
-    GeodesicState,
-    ShootResult,
     christoffel,
     christoffel_many,
     curvature_at,
@@ -13,7 +11,6 @@ from .calculus import (
     frame_gram_det,
     g_norms,
     gauss_equation_check,
-    geodesic_shoot,
     geodesic_shoot_many,
     metric_jet,
     restricted_chart,
@@ -37,13 +34,11 @@ from .probes import (
 __all__ = [
     "CurvatureData",
     "GaussBonnetResult",
-    "GeodesicState",
     "MODELS",
     "MODEL_NAMES",
     "MetricChart",
     "ModelGeometry",
     "ProbeResult",
-    "ShootResult",
     "cgb_constant",
     "christoffel",
     "christoffel_many",
@@ -55,7 +50,6 @@ __all__ = [
     "g_norms",
     "gauss_bonnet_disk",
     "gauss_equation_check",
-    "geodesic_shoot",
     "geodesic_shoot_many",
     "get_model",
     "metric_jet",

@@ -9,6 +9,8 @@ thousands of rays through numpy at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -19,32 +21,31 @@ H1 = 1e-5
 H2 = 1e-3
 
 
-def metric_jet(chart: MetricChart, points: np.ndarray, h: float = H1):
-    """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
-    dg[:, a, i, j] = d g_ij / d x_a.  One batched metric call evaluates the
-    whole stencil."""
+def _central_differences(fn, points, h: float):
+    """fn at the points (N, d) and its central differences along every
+    coordinate: diff[:, a] = (fn(x + h e_a) - fn(x - h e_a)) / 2h.  One
+    batched call of fn evaluates the whole stencil."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     stencil = [pts]
-    for a in range(d):
-        step = np.zeros(d)
-        step[a] = h
-        stencil.append(pts + step)
-        stencil.append(pts - step)
-    g_all = chart.metric(np.concatenate(stencil, axis=0))
-    g = g_all[:n]
-    dg = np.empty((n, d, d, d))
-    for a in range(d):
-        plus = g_all[(1 + 2 * a) * n:(2 + 2 * a) * n]
-        minus = g_all[(2 + 2 * a) * n:(3 + 2 * a) * n]
-        dg[:, a] = (plus - minus) / (2.0 * h)
-    return g, dg
+    for step in h * np.eye(d):
+        stencil += [pts + step, pts - step]
+    values = fn(np.concatenate(stencil, axis=0))
+    shifted = values[n:].reshape((d, 2, n) + values.shape[1:])
+    diff = np.stack([(plus - minus) / (2.0 * h) for plus, minus in shifted],
+                    axis=1)
+    return values[:n], diff
 
 
-def christoffel_many(chart: MetricChart, points: np.ndarray,
-                     h: float = H1) -> np.ndarray:
+def metric_jet(chart: MetricChart, points: np.ndarray):
+    """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
+    dg[:, a, i, j] = d g_ij / d x_a."""
+    return _central_differences(chart.metric, points, H1)
+
+
+def christoffel_many(chart: MetricChart, points: np.ndarray) -> np.ndarray:
     """Gamma[:, k, i, j] = Gamma^k_ij at each point."""
-    g, dg = metric_jet(chart, points, h)
+    g, dg = metric_jet(chart, points)
     # dg[:, a, i, j] = d_a g_ij; lower symbol: (d_i g_jl + d_j g_il - d_l g_ij)/2
     lower = 0.5 * (np.einsum("nijl->nlij", dg)
                    + np.einsum("njil->nlij", dg)
@@ -52,9 +53,9 @@ def christoffel_many(chart: MetricChart, points: np.ndarray,
     return np.einsum("nkl,nlij->nkij", np.linalg.inv(g), lower)
 
 
-def christoffel(chart: MetricChart, p, h: float = H1) -> np.ndarray:
+def christoffel(chart: MetricChart, p) -> np.ndarray:
     """Christoffel symbols at a single point, shape (d, d, d)."""
-    return christoffel_many(chart, [p], h)[0]
+    return christoffel_many(chart, [p])[0]
 
 
 @dataclass(frozen=True)
@@ -73,25 +74,14 @@ class CurvatureData:
 
 
 def curvature_many(chart: MetricChart, points: np.ndarray,
-                   h2: float | None = None, h1: float = H1) -> CurvatureData:
+                   h2: float | None = None) -> CurvatureData:
+    """Curvature from central differences of the Christoffel symbols with
+    the outer step h2 (default H2 times the chart's scale)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
     if h2 is None:
         h2 = H2 * chart.scale
-    # Christoffels on the outer stencil in one batch
-    stencil = [pts]
-    for a in range(d):
-        step = np.zeros(d)
-        step[a] = h2
-        stencil.append(pts + step)
-        stencil.append(pts - step)
-    gam_all = christoffel_many(chart, np.concatenate(stencil, axis=0), h1)
-    gam = gam_all[:n]
-    dgam = np.empty((n, d, d, d, d))
-    for a in range(d):
-        plus = gam_all[(1 + 2 * a) * n:(2 + 2 * a) * n]
-        minus = gam_all[(2 + 2 * a) * n:(3 + 2 * a) * n]
-        dgam[:, a] = (plus - minus) / (2.0 * h2)
+    gam, dgam = _central_differences(partial(christoffel_many, chart), pts,
+                                     h2)
     # R^m_{c a b} = d_a Gamma^m_bc - d_b Gamma^m_ac
     #              + Gamma^l_bc Gamma^m_al - Gamma^l_ac Gamma^m_bl
     riem_up = (np.einsum("nambc->nmcab", dgam)
@@ -105,31 +95,14 @@ def curvature_many(chart: MetricChart, points: np.ndarray,
     return CurvatureData(riem_up, riemann, ricci, scalar)
 
 
-def curvature_at(chart: MetricChart, p, h2: float | None = None,
-                 h1: float = H1) -> CurvatureData:
+def curvature_at(chart: MetricChart, p) -> CurvatureData:
     """Curvature at a single point (leading batch axis dropped)."""
-    data = curvature_many(chart, [p], h2, h1)
+    data = curvature_many(chart, [p])
     return CurvatureData(data.riem_up[0], data.riemann[0], data.ricci[0],
                          float(data.scalar[0]))
 
 
 # ------------------------------------------------------------------ geodesics
-
-@dataclass(frozen=True)
-class GeodesicState:
-    """Position and velocity in chart coordinates."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShootResult:
-    state: GeodesicState
-    speed_drift: float
-    steps: int
-    h: float
-
 
 def g_norms(chart: MetricChart, points, vectors) -> np.ndarray:
     g = chart.metric(points)
@@ -137,11 +110,11 @@ def g_norms(chart: MetricChart, points, vectors) -> np.ndarray:
                              np.atleast_2d(vectors), np.atleast_2d(vectors)))
 
 
-def _geodesic_rhs(chart, x, v, h1):
+def _geodesic_rhs(chart, x, v):
     """x' = v, v' = -Gamma(v, v) without forming the symbols: with
     P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij the geodesic equation
     reads g v' = -(P - Q/2)."""
-    g, dg = metric_jet(chart, x, h1)
+    g, dg = metric_jet(chart, x)
     vv = v[:, :, None] * v[:, None, :]
     p = np.einsum("nijl,nij->nl", dg, vv)
     q = np.einsum("nlij,nij->nl", dg, vv)
@@ -150,7 +123,7 @@ def _geodesic_rhs(chart, x, v, h1):
 
 
 def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
-                        h: float, h1: float = H1, record: bool = False):
+                        h: float, record: bool = False):
     """Integrate x'' = -Gamma(x', x') with fixed-step RK4, batched over rays.
 
     Returns (x, v) arrays, or with record=True the full trajectory arrays
@@ -163,12 +136,12 @@ def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
     vs = [v.copy()] if record else None
     try:
         for _ in range(steps):
-            k1x, k1v = _geodesic_rhs(chart, x, v, h1)
+            k1x, k1v = _geodesic_rhs(chart, x, v)
             k2x, k2v = _geodesic_rhs(chart, x + 0.5 * dt * k1x,
-                                     v + 0.5 * dt * k1v, h1)
+                                     v + 0.5 * dt * k1v)
             k3x, k3v = _geodesic_rhs(chart, x + 0.5 * dt * k2x,
-                                     v + 0.5 * dt * k2v, h1)
-            k4x, k4v = _geodesic_rhs(chart, x + dt * k3x, v + dt * k3v, h1)
+                                     v + 0.5 * dt * k2v)
+            k4x, k4v = _geodesic_rhs(chart, x + dt * k3x, v + dt * k3v)
             x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if record:
@@ -180,21 +153,6 @@ def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
     if record:
         return np.stack(xs), np.stack(vs)
     return x, v
-
-
-def geodesic_shoot(chart: MetricChart, state: GeodesicState, length: float,
-                   h: float | None = None) -> ShootResult:
-    """Shoot one geodesic; reports the relative g-speed drift."""
-    if h is None:
-        h = length / 256.0
-    x0 = np.atleast_2d(np.asarray(state.position, dtype=float))
-    v0 = np.atleast_2d(np.asarray(state.velocity, dtype=float))
-    speed0 = g_norms(chart, x0, v0)[0]
-    x, v = geodesic_shoot_many(chart, x0, v0, length, h)
-    speed1 = g_norms(chart, x, v)[0]
-    drift = abs(speed1 - speed0) / max(speed0, 1e-300)
-    steps = max(1, int(round(length / h)))
-    return ShootResult(GeodesicState(x[0], v[0]), drift, steps, h)
 
 
 # ---------------------------------------------------------------- w1 frames
@@ -246,15 +204,13 @@ def restricted_chart(chart3: MetricChart) -> MetricChart:
                        scale=chart3.scale)
 
 
-def gauss_equation_check(model, p, x=None, y=None,
-                         h2: float | None = None) -> float:
+def gauss_equation_check(model, p) -> float:
     """Residual of the Gauss equation relating intrinsic and extrinsic
     Ricci tensors on the totally geodesic plane x3 = 0:
 
         r_sub(X, Y) = r_amb(X, Y) - g(R(v, X) Y, v)
 
-    for the unit normal v.  X, Y are tangent 2-vectors (default: the
-    residual is maximized over the coordinate pairs)."""
+    for the unit normal v, maximized over the coordinate pairs X, Y."""
     chart3 = model.chart("generic")
     if chart3.dim != 3:
         raise OutOfDomain(f"{model.name}: Gauss equation check needs a "
@@ -269,15 +225,11 @@ def gauss_equation_check(model, p, x=None, y=None,
                           f"at {p3}; plane is not a metric slice")
     normal = np.array([0.0, 0.0, 1.0]) / np.sqrt(g3[2, 2])
 
-    amb = curvature_at(chart3, p3, h2)
-    intr = curvature_at(sub, p2, h2)
+    amb = curvature_at(chart3, p3)
+    intr = curvature_at(sub, p2)
 
-    pairs = ([(np.asarray(x, dtype=float), np.asarray(y, dtype=float))]
-             if x is not None and y is not None
-             else [(np.eye(2)[i], np.eye(2)[j])
-                   for i in range(2) for j in range(2)])
     residual = 0.0
-    for xv, yv in pairs:
+    for xv, yv in product(np.eye(2), repeat=2):
         x3 = np.array([xv[0], xv[1], 0.0])
         y3 = np.array([yv[0], yv[1], 0.0])
         lhs = xv @ intr.ricci @ yv

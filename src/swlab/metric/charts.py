@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import OutOfDomain, SingularMetric
+from ..errors import DimensionOutOfRange, OutOfDomain, SingularMetric
 
 
 class MetricChart:
@@ -20,12 +20,16 @@ class MetricChart:
 
     `metric` takes an (N, dim) array of points and returns (N, dim, dim)
     symmetric matrices, validating the domain predicate and positive
-    definiteness (leading principal minors) at every call.
+    definiteness (leading principal minors) at every call.  The minors are
+    expanded up to order 3, so `dim` must lie in 1..3.
     """
 
     __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn")
 
     def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0):
+        if dim not in (1, 2, 3):
+            raise DimensionOutOfRange(
+                f"{name}: chart dimension {dim} is outside 1..3")
         self.name = name
         self.dim = dim
         self.scale = scale

@@ -60,22 +60,6 @@ def _fft_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.irfft(spec * (1j * k.reshape(shape)), n=n, axis=axis)
 
 
-def _check_radius(model: ModelGeometry, eps: float) -> None:
-    if not eps > 0:
-        raise OutOfDomain(f"{model.name}: probe radius must be positive")
-    if eps > model.injectivity_guard:
-        raise OutOfDomain(
-            f"{model.name}: radius {eps} exceeds the injectivity guard "
-            f"{model.injectivity_guard}")
-
-
-def _start_batch(chart, center, dirs):
-    """Common ray setup: centers tiled, directions g-normalized."""
-    x0 = np.tile(np.asarray(center, dtype=float), (len(dirs), 1))
-    v0 = dirs / g_norms(chart, x0, dirs)[:, None]
-    return x0, v0
-
-
 # RK4 steps over the probe radius when the caller passes no step.  The
 # probes need the sphere or disk value, not a fine trajectory: at eps/32 the
 # step-doubling difference stays far below the quadrature error on every
@@ -83,14 +67,46 @@ def _start_batch(chart, center, dirs):
 PROBE_STEPS = 32
 
 
-def _shoot_pair(chart, x0, v0, eps: float, h: float, record: bool = False):
-    """Shoot the rays to length eps at the RK4 step h and at 2h.
+def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
+    """The chart, center and RK4 step of a probe of radius eps.  The radius
+    must lie within the injectivity guard; the default center is the
+    model's generic-chart center and the default step eps / PROBE_STEPS."""
+    chart = model.chart(chart_kind)
+    if not eps > 0:
+        raise OutOfDomain(f"{model.name}: probe radius must be positive")
+    if eps > model.injectivity_guard:
+        raise OutOfDomain(
+            f"{model.name}: radius {eps} exceeds the injectivity guard "
+            f"{model.injectivity_guard}")
+    if center is None:
+        if chart_kind != "generic":
+            raise OutOfDomain(
+                f"{model.name}: default center is a generic-chart point; "
+                f"pass one explicitly for the {chart_kind} chart")
+        center = model.center
+    return chart, center, eps / PROBE_STEPS if h is None else h
+
+
+def _circle_fan(grid):
+    """The ray count (default 512) and the unit directions of a planar
+    fan of rays."""
+    nrays = int(grid) if grid is not None else 512
+    theta = 2.0 * math.pi * np.arange(nrays) / nrays
+    return nrays, np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _shoot_pair(chart, center, dirs, eps: float, h: float,
+                record: bool = False):
+    """Shoot unit-speed rays from center along dirs to length eps at the
+    RK4 step h and at 2h.
 
     eps/h is rounded to a positive even step count so that the companion
     takes exactly half as many steps (step doubling).  Returns the (x, v)
     pair of each shoot, fine first, and the fine step count."""
     if not h > 0:
         raise OutOfDomain(f"RK4 step must be positive, got {h}")
+    x0 = np.tile(np.asarray(center, dtype=float), (len(dirs), 1))
+    v0 = dirs / g_norms(chart, x0, dirs)[:, None]
     steps = 2 * max(1, round(eps / (2.0 * h)))
     fine = geodesic_shoot_many(chart, x0, v0, eps, eps / steps,
                                record=record)
@@ -176,21 +192,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     step count and the parts of `error`.  Raises GridTooCoarse when the
     self-estimated error exceeds `max_error`.
     """
-    chart = model.chart(chart_kind)
-    _check_radius(model, eps)
-    if center is None:
-        if chart_kind != "generic":
-            raise OutOfDomain(
-                f"{model.name}: default center is a generic-chart point; "
-                f"pass one explicitly for the {chart_kind} chart")
-        center = model.center
-    if h is None:
-        h = eps / PROBE_STEPS
-
+    chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
     if chart.dim == 2:
-        grid = int(grid) if grid is not None else 512
-        theta = 2.0 * math.pi * np.arange(grid) / grid
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        grid, dirs = _circle_fan(grid)
         measure = partial(_circle_length, chart)
         flat = sphere_volume(1) * eps
     elif chart.dim == 3:
@@ -213,8 +217,7 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
         raise OutOfDomain(
             f"{model.name}: sphere probes need dimension 2 or 3")
 
-    x0, v0 = _start_batch(chart, center, dirs)
-    (x, v), (x2, _), steps = _shoot_pair(chart, x0, v0, eps, h)
+    (x, v), (x2, _), steps = _shoot_pair(chart, center, dirs, eps, h)
     drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
     value, quadrature = measure(x)
     error, parts = _error_budget(model.name, eps, max_error, quadrature,
@@ -308,25 +311,12 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     at the RK4 step h (default eps / PROBE_STEPS) and once more at 2h;
     `params` holds the step count and the parts of `error`.
     """
-    chart = model.chart(chart_kind)
+    chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
     if chart.dim != 2:
         raise OutOfDomain(f"{model.name}: disk probe needs dimension 2")
-    _check_radius(model, eps)
-    if center is None:
-        if chart_kind != "generic":
-            raise OutOfDomain(
-                f"{model.name}: default center is a generic-chart point; "
-                f"pass one explicitly for the {chart_kind} chart")
-        center = model.center
-    if h is None:
-        h = eps / PROBE_STEPS
-    nrays = int(grid) if grid is not None else 512
-
-    theta = 2.0 * math.pi * np.arange(nrays) / nrays
-    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    x0, v0 = _start_batch(chart, center, dirs)
-    (traj_x, traj_v), companion, steps = _shoot_pair(chart, x0, v0, eps, h,
-                                                     record=True)
+    nrays, dirs = _circle_fan(grid)
+    (traj_x, traj_v), companion, steps = _shoot_pair(chart, center, dirs,
+                                                     eps, h, record=True)
     drift = float(np.max(np.abs(
         g_norms(chart, traj_x[-1], traj_v[-1]) - 1.0)))
     interior, boundary, quadrature = _disk_total(chart, traj_x, traj_v, eps)

@@ -195,6 +195,21 @@ def test_cli_verification_failure_exit(tmp_path, capsys):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("fault", [
+    AssertionError("pivot lost\nin degree 2"),
+    MemoryError(),
+])
+def test_cli_internal_error_exit(monkeypatch, capsys, fault):
+    def broken(complex):
+        raise fault
+
+    monkeypatch.setattr("swlab.pipeline.compute_report", broken)
+    assert cli.main(["classes", "--corpus", "s2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: " + type(fault).__name__)
+    assert err.count("\n") == 1
+
+
 def test_cli_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from swlab.errors import LeftDomain, OutOfDomain, SingularMetric
+from swlab.errors import (
+    DimensionOutOfRange,
+    LeftDomain,
+    OutOfDomain,
+    SingularMetric,
+)
 from swlab.metric import (
-    GeodesicState,
     MetricChart,
     MODEL_NAMES,
     christoffel,
@@ -17,7 +21,6 @@ from swlab.metric import (
     frame_gram_det,
     g_norms,
     gauss_equation_check,
-    geodesic_shoot,
     geodesic_shoot_many,
     get_model,
     metric_jet,
@@ -119,15 +122,17 @@ def test_metric_jet_against_closed_form():
 
 def test_equator_geodesic_closes():
     chart = get_model("round-s2").chart("generic")
-    start = GeodesicState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    res = geodesic_shoot(chart, start, 2.0 * math.pi)
-    gap = np.hypot(*(res.state.position - [1.0, 0.0]))
-    assert gap < 1e-6
-    assert res.speed_drift < 1e-8
+    x0, v0 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    speed0 = g_norms(chart, x0, v0)[0]
+    gaps = []
+    for steps in (256, 512):
+        x, v = geodesic_shoot_many(chart, x0, v0, 2.0 * math.pi,
+                                   h=2.0 * math.pi / steps)
+        gaps.append(np.hypot(*(x[0] - [1.0, 0.0])))
+        assert abs(g_norms(chart, x, v)[0] - speed0) / speed0 < 1e-8
+    assert gaps[0] < 1e-6
     # RK4: halving the step shrinks the closure gap by about 16
-    fine = geodesic_shoot(chart, start, 2.0 * math.pi, h=2.0 * math.pi / 512)
-    fine_gap = np.hypot(*(fine.state.position - [1.0, 0.0]))
-    assert gap / fine_gap > 8.0
+    assert gaps[0] / gaps[1] > 8.0
 
 
 def test_geodesic_batch_matches_single():
@@ -187,6 +192,15 @@ def test_non_positive_metric_rejected():
         "lorentz", 2, lambda pts: np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1)))
     with pytest.raises(SingularMetric):
         lorentz.metric([(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("dim", [0, 4, 5])
+def test_chart_dimension_outside_checked_range_rejected(dim):
+    # the Sylvester check expands minors up to order 3 only; a 4-D chart
+    # with a negative last eigenvalue would otherwise pass it
+    with pytest.raises(DimensionOutOfRange):
+        MetricChart("x", dim, lambda pts: np.tile(
+            np.diag([1.0] * (dim - 1) + [-1.0]), (len(pts), 1, 1)))
 
 
 def test_frame_dets_all_models():

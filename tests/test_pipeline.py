@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -80,6 +81,21 @@ def test_report_invariant_under_subdivision(name, depth):
     assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
     assert all(row.matches_oracle is True for row in report.rows)
     assert report.pairing_ok
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_report_invariant_under_vertex_relabeling(entries, reports, seed):
+    """A seeded random relabeling onto scattered labels changes nothing in
+    the report of any corpus entry."""
+    rng = random.Random(seed)
+    for name, entry in entries.items():
+        X = entry.complex()
+        old = sorted({v for facet in X.facets for v in facet})
+        new = dict(zip(old, rng.sample(range(3 * len(old)), len(old))))
+        Y = build_complex([tuple(sorted(new[v] for v in facet))
+                           for facet in X.facets])
+        assert compute_report(Y).as_dict() == reports[name].as_dict(), \
+            (name, seed)
 
 
 def test_all_ones_cocycle_on_derived_but_not_on_base():
