@@ -4,12 +4,14 @@ Derivatives of the metric use central differences with step H1; the outer
 derivatives of the Christoffel symbols in the curvature use H2 scaled by
 the chart's characteristic length.  Geodesics integrate with fixed-step
 RK4.  Everything is batched over points so the probes can drive tens of
-thousands of rays through numpy at once.
+thousands of rays through numpy at once: tensor contractions are batched
+matmuls on reshaped or transposed views, and the metric inverse is the
+closed-form adjugate over the determinant (charts have dimension 1..3), so
+the per-step path calls no einsum and no LAPACK routine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -21,36 +23,70 @@ H1 = 1e-5
 H2 = 1e-3
 
 
-def _central_differences(fn, points, h: float):
-    """fn at the points (N, d) and its central differences along every
-    coordinate: diff[:, a] = (fn(x + h e_a) - fn(x - h e_a)) / 2h.  One
-    batched call of fn evaluates the whole stencil."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    stencil = [pts]
-    for step in h * np.eye(d):
-        stencil += [pts + step, pts - step]
-    values = fn(np.concatenate(stencil, axis=0))
-    shifted = values[n:].reshape((d, 2, n) + values.shape[1:])
-    diff = np.stack([(plus - minus) / (2.0 * h) for plus, minus in shifted],
-                    axis=1)
-    return values[:n], diff
+def _stencil(pts: np.ndarray, h: float) -> np.ndarray:
+    """The points (N, d) followed by x + h e_a and x - h e_a for every
+    coordinate a, so that one batched call evaluates a function on all."""
+    d = pts.shape[1]
+    stencil = np.tile(pts, (2 * d + 1, 1, 1))
+    for a in range(d):
+        stencil[2 * a + 1, :, a] += h
+        stencil[2 * a + 2, :, a] -= h
+    return stencil.reshape(-1, d)
+
+
+def _central_differences(values: np.ndarray, n: int, h: float):
+    """Split values on the _stencil of n points into the values at the
+    points and diff[:, a] = (f(x + h e_a) - f(x - h e_a)) / 2h."""
+    shifted = values[n:].reshape((-1, 2, n) + values.shape[1:])
+    diff = (shifted[:, 0] - shifted[:, 1]) / (2.0 * h)
+    return values[:n], np.moveaxis(diff, 0, 1)
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of symmetric (N, d, d) matrices, d <= 3: the adjugate over
+    the determinant, read from the upper triangle.  MetricChart.metric has
+    checked every g finite with positive leading minors, and the
+    determinant here is the same expansion as its last minor, so it is
+    positive."""
+    d = g.shape[-1]
+    if d == 1:
+        return 1.0 / g
+    if d == 2:
+        a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        det = a * c - b * b
+        adj = np.stack([c, -b, -b, a], axis=-1)
+    else:
+        a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
+        e, f, i = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+        c00, c01, c02 = e * i - f * f, c * f - b * i, b * f - e * c
+        c11, c12, c22 = a * i - c * c, b * c - a * f, a * e - b * b
+        det = a * c00 + b * c01 + c * c02
+        adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1)
+    return (adj / det[:, None]).reshape(g.shape)
 
 
 def metric_jet(chart: MetricChart, points: np.ndarray):
     """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
     dg[:, a, i, j] = d g_ij / d x_a."""
-    return _central_differences(chart.metric, points, H1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _central_differences(chart.metric(_stencil(pts, H1)), len(pts), H1)
+
+
+def _christoffel(chart: MetricChart, points: np.ndarray):
+    """Gamma[:, k, i, j] = Gamma^k_ij with the metric and its inverse at
+    the points."""
+    g, dg = metric_jet(chart, points)
+    n, d = g.shape[:2]
+    ginv = _inverse(g)
+    # dg[:, a, i, j] = d_a g_ij; lower[:, l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij)/2
+    lower = 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg)
+    gam = (ginv @ lower.reshape(n, d, d * d)).reshape(n, d, d, d)
+    return gam, g, ginv
 
 
 def christoffel_many(chart: MetricChart, points: np.ndarray) -> np.ndarray:
     """Gamma[:, k, i, j] = Gamma^k_ij at each point."""
-    g, dg = metric_jet(chart, points)
-    # dg[:, a, i, j] = d_a g_ij; lower symbol: (d_i g_jl + d_j g_il - d_l g_ij)/2
-    lower = 0.5 * (np.einsum("nijl->nlij", dg)
-                   + np.einsum("njil->nlij", dg)
-                   - dg)
-    return np.einsum("nkl,nlij->nkij", np.linalg.inv(g), lower)
+    return _christoffel(chart, points)[0]
 
 
 def christoffel(chart: MetricChart, p) -> np.ndarray:
@@ -78,20 +114,25 @@ def curvature_many(chart: MetricChart, points: np.ndarray,
     """Curvature from central differences of the Christoffel symbols with
     the outer step h2 (default H2 times the chart's scale)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = pts.shape
     if h2 is None:
         h2 = H2 * chart.scale
-    gam, dgam = _central_differences(partial(christoffel_many, chart), pts,
-                                     h2)
+    # The first block of the stencil is the points themselves, so g and
+    # its inverse there come with the symbols.
+    symbols, g, ginv = _christoffel(chart, _stencil(pts, h2))
+    gam, dgam = _central_differences(symbols, n, h2)
+    g, ginv = g[:n], ginv[:n]
     # R^m_{c a b} = d_a Gamma^m_bc - d_b Gamma^m_ac
     #              + Gamma^l_bc Gamma^m_al - Gamma^l_ac Gamma^m_bl
-    riem_up = (np.einsum("nambc->nmcab", dgam)
-               - np.einsum("nbmac->nmcab", dgam)
-               + np.einsum("nlbc,nmal->nmcab", gam, gam)
-               - np.einsum("nlac,nmbl->nmcab", gam, gam))
-    g = chart.metric(pts)
-    riemann = np.einsum("ndm,nmcab->ndcab", g, riem_up)
-    ricci = np.einsum("nmcmb->nbc", riem_up)
-    scalar = np.einsum("nxy,nxy->n", np.linalg.inv(g), ricci)
+    # with dgam[:, a, m, b, c] = d_a Gamma^m_bc and
+    # gg[:, m, a, b, c] = Gamma^m_al Gamma^l_bc
+    gg = (gam.reshape(n, d * d, d)
+          @ gam.reshape(n, d, d * d)).reshape((n,) + (d,) * 4)
+    riem_up = (dgam.transpose(0, 2, 4, 1, 3) - dgam.transpose(0, 2, 4, 3, 1)
+               + gg.transpose(0, 1, 4, 2, 3) - gg.transpose(0, 1, 4, 3, 2))
+    riemann = (g @ riem_up.reshape(n, d, d ** 3)).reshape(riem_up.shape)
+    ricci = np.trace(riem_up, axis1=1, axis2=3).transpose(0, 2, 1)
+    scalar = (ginv * ricci).sum(axis=(1, 2))
     return CurvatureData(riem_up, riemann, ricci, scalar)
 
 
@@ -105,9 +146,9 @@ def curvature_at(chart: MetricChart, p) -> CurvatureData:
 # ------------------------------------------------------------------ geodesics
 
 def g_norms(chart: MetricChart, points, vectors) -> np.ndarray:
-    g = chart.metric(points)
-    return np.sqrt(np.einsum("nij,ni,nj->n", g,
-                             np.atleast_2d(vectors), np.atleast_2d(vectors)))
+    w = np.atleast_2d(vectors)
+    return np.sqrt((chart.metric(points)
+                    * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
 
 
 def _geodesic_rhs(chart, x, v):
@@ -115,10 +156,11 @@ def _geodesic_rhs(chart, x, v):
     P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij the geodesic equation
     reads g v' = -(P - Q/2)."""
     g, dg = metric_jet(chart, x)
-    vv = v[:, :, None] * v[:, None, :]
-    p = np.einsum("nijl,nij->nl", dg, vv)
-    q = np.einsum("nlij,nij->nl", dg, vv)
-    acc = -np.linalg.solve(g, (p - 0.5 * q)[..., None])[..., 0]
+    n, d = v.shape
+    vv = (v[:, :, None] * v[:, None, :]).reshape(n, 1, d * d)
+    p = (vv @ dg.reshape(n, d * d, d))[:, 0]
+    q = (dg.reshape(n, d, d * d) @ vv.transpose(0, 2, 1))[..., 0]
+    acc = -(_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0]
     return v, acc
 
 

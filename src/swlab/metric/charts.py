@@ -57,24 +57,28 @@ class MetricChart:
         return g
 
     def _check_spd(self, g, pts):
-        """Sylvester test: all leading principal minors positive.  Minors
-        are expanded by hand; this sits on the geodesic hot path and a
-        LAPACK det call here costs more than the metric itself."""
-        minor = g[:, 0, 0].copy()
-        bad = minor <= 0
-        if self.dim >= 2 and not bad.any():
-            minor = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-            bad = minor <= 0
-        if self.dim >= 3 and not bad.any():
-            minor = (g[:, 0, 0] * (g[:, 1, 1] * g[:, 2, 2] - g[:, 1, 2] ** 2)
-                     - g[:, 0, 1] * (g[:, 0, 1] * g[:, 2, 2]
-                                     - g[:, 1, 2] * g[:, 0, 2])
-                     + g[:, 0, 2] * (g[:, 0, 1] * g[:, 1, 2]
-                                     - g[:, 1, 1] * g[:, 0, 2]))
-            bad = minor <= 0
-        if bad.any():
+        """Every entry finite and all leading principal minors positive
+        (Sylvester).  Finiteness is tested first, so that no minor is formed
+        from an inf or NaN.  Minors are expanded by hand; this sits on the
+        geodesic hot path and a LAPACK det call here costs more than the
+        metric itself.  The calculus inverts g in closed form and relies on
+        this check for a positive determinant."""
+        finite = np.isfinite(g)
+        if finite.all():
+            ok = g[:, 0, 0] > 0
+            if self.dim >= 2:
+                ok &= g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0] > 0
+            if self.dim >= 3:
+                ok &= (g[:, 0, 0] * (g[:, 1, 1] * g[:, 2, 2] - g[:, 1, 2] ** 2)
+                       - g[:, 0, 1] * (g[:, 0, 1] * g[:, 2, 2]
+                                       - g[:, 1, 2] * g[:, 0, 2])
+                       + g[:, 0, 2] * (g[:, 0, 1] * g[:, 1, 2]
+                                       - g[:, 1, 1] * g[:, 0, 2])) > 0
+        else:
+            ok = finite.all(axis=(1, 2))
+        if not ok.all():
             raise SingularMetric(
-                f"{self.name}: metric not positive definite at {pts[bad][0]}")
+                f"{self.name}: metric not positive definite at {pts[~ok][0]}")
 
     def __repr__(self):
         return f"MetricChart({self.name!r}, dim={self.dim})"
@@ -100,22 +104,25 @@ class ModelGeometry:
         return self.charts[kind]
 
 
+def _norm2(pts):
+    """|x|^2 of every point.  A matmul: numpy reduces over a length-2 or 3
+    axis several times slower than BLAS contracts it."""
+    return (pts * pts) @ np.ones(pts.shape[1])
+
+
+def _diag(vals, n):
+    g = np.zeros((n, len(vals), len(vals)))
+    for i, v in enumerate(vals):
+        g[:, i, i] = v
+    return g
+
+
 def _diag_metric(values_fn):
-    def metric_fn(pts):
-        vals = values_fn(pts)
-        n, d = len(pts), len(vals)
-        g = np.zeros((n, d, d))
-        for i, v in enumerate(vals):
-            g[:, i, i] = v
-        return g
-    return metric_fn
+    return lambda pts: _diag(values_fn(pts), len(pts))
 
 
 def _conformal_metric(factor_fn, dim):
-    def metric_fn(pts):
-        lam = factor_fn(pts)
-        return lam[:, None, None] * np.eye(dim)[None, :, :]
-    return metric_fn
+    return lambda pts: _diag((factor_fn(pts),) * dim, len(pts))
 
 
 def _warped_cartesian(c: float):
@@ -124,13 +131,16 @@ def _warped_cartesian(c: float):
 
     Polynomial in the coordinates, hence smooth through the origin; the
     radial eigenvalue is identically 1 and the tangential one (1+c rho^2)^2.
+    The entries are filled one coordinate pair at a time: broadcasting the
+    outer product over a length-3 axis costs over twice as much.
     """
     def metric_fn(pts):
-        rho2 = np.einsum("ni,ni->n", pts, pts)
-        conf = (1.0 + c * rho2) ** 2
-        rad = 2.0 * c + c * c * rho2
-        out = conf[:, None, None] * np.eye(pts.shape[1])
-        out -= np.einsum("n,ni,nj->nij", rad, pts, pts)
+        rho2 = _norm2(pts)
+        out = _diag(((1.0 + c * rho2) ** 2,) * pts.shape[1], len(pts))
+        rx = (2.0 * c + c * c * rho2)[:, None] * pts
+        for i, j in zip(*np.triu_indices(pts.shape[1])):
+            out[:, i, j] -= rx[:, i] * pts[:, j]
+            out[:, j, i] = out[:, i, j]
         return out
     return metric_fn
 
@@ -187,7 +197,7 @@ def _build_models() -> dict:
         charts={
             "generic": MetricChart(
                 "round-s2/stereographic", 2, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 + np.sum(pts * pts, axis=1)) ** 2, 2)),
+                    lambda pts: 4.0 / (1.0 + _norm2(pts)) ** 2, 2)),
             "polar": MetricChart(
                 "round-s2/polar", 2,
                 _diag_metric(lambda pts: (np.ones(len(pts)),
@@ -208,8 +218,8 @@ def _build_models() -> dict:
         charts={
             "generic": MetricChart(
                 "hyperbolic-2/disk", 2, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 - np.sum(pts * pts, axis=1)) ** 2, 2),
-                domain_fn=lambda pts: np.sum(pts * pts, axis=1) < (1.0 - 1e-9)),
+                    lambda pts: 4.0 / (1.0 - _norm2(pts)) ** 2, 2),
+                domain_fn=lambda pts: _norm2(pts) < (1.0 - 1e-9)),
             "polar": MetricChart(
                 "hyperbolic-2/polar", 2,
                 _diag_metric(lambda pts: (np.ones(len(pts)),
@@ -251,7 +261,7 @@ def _build_models() -> dict:
         charts={
             "generic": MetricChart(
                 "round-s3/stereographic", 3, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 + np.sum(pts * pts, axis=1)) ** 2, 3)),
+                    lambda pts: 4.0 / (1.0 + _norm2(pts)) ** 2, 3)),
             "polar": MetricChart(
                 "round-s3/polar", 3,
                 _diag_metric(lambda pts: (

@@ -194,6 +194,35 @@ def test_non_positive_metric_rejected():
         lorentz.metric([(0.0, 0.0)])
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_metric_rejected(entry):
+    # NaN fails every comparison, so a sign test alone passes it; an inf
+    # diagonal passes the sign tests and forms inf * 0 in the minors
+    broken = MetricChart(
+        "broken", 2,
+        lambda pts: np.tile(np.diag([entry, entry]), (len(pts), 1, 1)))
+    with pytest.raises(SingularMetric):
+        broken.metric([(0.0, 0.0)])
+    with pytest.raises(SingularMetric):
+        geodesic_shoot_many(broken, [(0.0, 0.0)], [(1.0, 0.0)], 0.1, h=0.05)
+
+
+def test_curvature_evaluates_metric_once(monkeypatch):
+    # g and its inverse at the points come from the centre block of the
+    # Christoffel stencil: one batched call of (2d+1)^2 = 25 points each
+    calls = []
+    metric = MetricChart.metric
+
+    def recording(self, points):
+        calls.append(len(points))
+        return metric(self, points)
+
+    monkeypatch.setattr(MetricChart, "metric", recording)
+    pts = np.random.default_rng(34).uniform(-0.5, 0.5, size=(10, 2))
+    curvature_many(get_model("round-s2").chart("generic"), pts)
+    assert calls == [250]
+
+
 @pytest.mark.parametrize("dim", [0, 4, 5])
 def test_chart_dimension_outside_checked_range_rejected(dim):
     # the Sylvester check expands minors up to order 3 only; a 4-D chart
@@ -213,7 +242,8 @@ def test_frame_dets_all_models():
 
 
 def test_frame_collapse_on_non_finite_metric():
-    # a NaN entry slips through the sign tests but must not produce a frame
+    # a NaN entry must not produce a frame; the chart's metric check
+    # rejects it before the frame is built
     broken = MetricChart(
         "broken", 2,
         lambda pts: np.tile(np.diag([1.0, math.nan]), (len(pts), 1, 1)))
