@@ -4,6 +4,8 @@ Cup, cap, and cup-i products at the cochain level, Steenrod squares, the
 fundamental cycle, Wu classes, and Stiefel-Whitney classes via the Wu
 formula w = Sq(v).  Everything here is independent of the dual-cell
 machinery so the two routes can be compared against each other.
+There is one product loop, in `cup_i`: `cup` is cup_0, and `cup_i` and
+`cap` read face indices from the complex's per-dimension index tables.
 
 A d-cochain is stored as a Chain on the d-skeleton: over GF(2) with the
 simplex basis, chains and cochains carry identical data and differ only in
@@ -70,24 +72,24 @@ def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
         raise DimensionMismatch(f"{name} lives on a different complex")
 
 
-def _value(cochain: Chain, face: tuple[int, ...]) -> int:
-    return (cochain.bits >> cochain.complex.index(tuple(sorted(face)))) & 1
+def _face_indices(X: SimplicialComplex, order: VertexOrder, d: int, positions):
+    """For each d-simplex of X in skeleton order, the index of its face at
+    each position tuple of its order-sorted vertex list, read from the
+    per-dimension index tables without re-validating the face."""
+    if order.complex is not X:
+        raise DimensionMismatch("order lives on a different complex")
+    skeleton = X.skeleton(d)
+    tables = [X._index[len(pos) - 1] for pos in positions]
+    for s in skeleton:
+        w = order.sort(s)
+        yield [table[tuple(sorted([w[k] for k in pos]))]
+               for table, pos in zip(tables, positions)]
 
 
 def cup(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
         beta: Chain) -> Chain:
-    """Front-face/back-face cup product of a p- and a q-cochain."""
-    _check_cochain(X, alpha, "alpha")
-    _check_cochain(X, beta, "beta")
-    p, q = alpha.dimension, beta.dimension
-    if p + q > X.dim:
-        raise DegreeOverflow(f"cup degree {p}+{q} exceeds dimension {X.dim}")
-    bits = 0
-    for idx, s in enumerate(X.skeleton(p + q)):
-        w = order.sort(s)
-        if _value(alpha, w[:p + 1]) & _value(beta, w[p:]):
-            bits |= 1 << idx
-    return Chain(X, p + q, bits)
+    """Front-face/back-face cup product of a p- and a q-cochain: cup_0."""
+    return cup_i(X, order, alpha, beta, 0)
 
 
 def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
@@ -99,15 +101,11 @@ def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     p, d = alpha.dimension, c.dimension
     if p > d:
         raise DegreeOverflow(f"cannot cap a {p}-cochain with a {d}-chain")
-    out = 0
-    skel = X.skeleton(d)
-    bits = c.bits
-    while bits:
-        low = bits & -bits
-        w = order.sort(skel[low.bit_length() - 1])
-        if _value(alpha, w[:p + 1]):
-            out ^= 1 << X.index(tuple(sorted(w[p:])))
-        bits ^= low
+    a, bits, out = alpha.bits, c.bits, 0
+    positions = (tuple(range(p + 1)), tuple(range(p, d + 1)))
+    for idx, (front, back) in enumerate(_face_indices(X, order, d, positions)):
+        if (bits >> idx) & (a >> front) & 1:
+            out ^= 1 << back
     return Chain(X, d - p, out)
 
 
@@ -119,8 +117,8 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     sequences 0 <= a_1 < ... < a_{i+1} <= p+q-i.  The cuts split the vertex
     list into i+2 closed intervals overlapping at the cut points; alpha
     evaluates on the union of the even-numbered intervals, beta on the odd.
-    Terms whose interval unions have the wrong cardinality drop out, so
-    cup_0 collapses to the plain cup product.
+    Terms whose interval unions have the wrong cardinality drop out (this
+    depends only on p, q, i), so cup_0 is the front/back-face cup product.
     """
     _check_cochain(X, alpha, "alpha")
     _check_cochain(X, beta, "beta")
@@ -130,20 +128,17 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     m = p + q - i
     if m > X.dim:
         raise DegreeOverflow(f"cup-{i} degree {m} exceeds dimension {X.dim}")
-    bits = 0
-    for idx, s in enumerate(X.skeleton(m)):
-        w = order.sort(s)
-        acc = 0
-        for cuts in combinations(range(m + 1), i + 1):
-            bounds = (0,) + cuts + (m,)
-            evens: list[int] = []
-            odds: list[int] = []
-            for j in range(i + 2):
-                segment = w[bounds[j]:bounds[j + 1] + 1]
-                (evens if j % 2 == 0 else odds).extend(segment)
-            if len(evens) == p + 1 and len(odds) == q + 1:
-                acc ^= _value(alpha, evens) & _value(beta, odds)
-        if acc:
+    terms: list[tuple[int, ...]] = []  # even positions, odd positions, ...
+    for cuts in combinations(range(m + 1), i + 1):
+        bounds = (0,) + cuts + (m,)
+        parts = [range(bounds[j], bounds[j + 1] + 1) for j in range(i + 2)]
+        evens = tuple(k for part in parts[0::2] for k in part)
+        odds = tuple(k for part in parts[1::2] for k in part)
+        if len(evens) == p + 1 and len(odds) == q + 1:
+            terms += (evens, odds)
+    a, b, bits = alpha.bits, beta.bits, 0
+    for idx, faces in enumerate(_face_indices(X, order, m, terms)):
+        if sum((a >> f) & (b >> g) & 1 for f, g in zip(faces[0::2], faces[1::2])) & 1:
             bits |= 1 << idx
     return Chain(X, m, bits)
 

@@ -358,5 +358,7 @@ class Chain:
     def from_simplices(cls, complex: SimplicialComplex, dimension: int, simplices) -> Chain:
         bits = 0
         for s in simplices:
+            if len(s) != dimension + 1:
+                raise DimensionMismatch(f"{s!r} is not a {dimension}-simplex")
             bits ^= 1 << complex.index(s)
         return cls(complex, dimension, bits)

@@ -117,7 +117,8 @@ class SubdividedComplex:
             last = tuple(s[-1] for s in reversed(flag))
             if len(set(last)) == d + 1:
                 odd_images[d].symmetric_difference_update((last,))
-        return [(not faces, Chain(self.base, d, sum(1 << self.base.index(s) for s in images)))
+        index = self.base._index
+        return [(not faces, Chain(self.base, d, sum(1 << index[d][s] for s in images)))
                 for d, (faces, images) in enumerate(zip(odd_faces, odd_images))]
 
     def flag_of(self, derived_simplex) -> FlagSimplex:

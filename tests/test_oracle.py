@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from swlab.oracle import (
     steenrod_sq,
     wu_classes,
 )
+from swlab import simplicial
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import barycentric_subdivide
 
@@ -50,6 +53,53 @@ def shuffled_order(rng, X):
 @pytest.fixture(scope="module", params=CORPUS_NAMES)
 def entry_complex(request, entries):
     return entries[request.param].complex()
+
+
+# Reference products: one face loop each, every face looked up through the
+# validating `SimplicialComplex.index`, every cut sequence walked per simplex.
+
+def _ref_value(cochain, face):
+    return (cochain.bits >> cochain.complex.index(face)) & 1
+
+
+def ref_cup(X, order, alpha, beta):
+    p, q = alpha.dimension, beta.dimension
+    bits = 0
+    for idx, s in enumerate(X.skeleton(p + q)):
+        w = order.sort(s)
+        if _ref_value(alpha, w[:p + 1]) & _ref_value(beta, w[p:]):
+            bits |= 1 << idx
+    return Chain(X, p + q, bits)
+
+
+def ref_cap(X, order, alpha, c):
+    p, d = alpha.dimension, c.dimension
+    out = 0
+    for s in c.support():
+        w = order.sort(s)
+        if _ref_value(alpha, w[:p + 1]):
+            out ^= 1 << X.index(w[p:])
+    return Chain(X, d - p, out)
+
+
+def ref_cup_i(X, order, alpha, beta, i):
+    p, q = alpha.dimension, beta.dimension
+    m = p + q - i
+    bits = 0
+    for idx, s in enumerate(X.skeleton(m)):
+        w = order.sort(s)
+        acc = 0
+        for cuts in combinations(range(m + 1), i + 1):
+            bounds = (0,) + cuts + (m,)
+            evens, odds = [], []
+            for j in range(i + 2):
+                segment = w[bounds[j]:bounds[j + 1] + 1]
+                (evens if j % 2 == 0 else odds).extend(segment)
+            if len(evens) == p + 1 and len(odds) == q + 1:
+                acc ^= _ref_value(alpha, evens) & _ref_value(beta, odds)
+        if acc:
+            bits |= 1 << idx
+    return Chain(X, m, bits)
 
 
 def test_vertex_order_validation():
@@ -160,7 +210,60 @@ def test_cup_i_zero_is_cup(entry_complex):
         q = int(rng.integers(0, n - p))
         a = random_cochain(rng, X, p)
         b = random_cochain(rng, X, q)
-        assert cup_i(X, order, a, b, 0) == cup(X, order, a, b)
+        assert cup_i(X, order, a, b, 0) == ref_cup(X, order, a, b)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_products_match_reference(entry_complex, shuffled):
+    """cup, cup_i and cap agree with the reference loops for every (p, q, i)."""
+    X = entry_complex
+    rng = np.random.default_rng(22)
+    order = shuffled_order(rng, X) if shuffled else VertexOrder.numeric(X)
+    n = X.dim
+    for p in range(n + 1):
+        for q in range(n + 1):
+            a = random_cochain(rng, X, p)
+            b = random_cochain(rng, X, q)
+            if p + q <= n:
+                assert cup(X, order, a, b) == ref_cup(X, order, a, b)
+            for i in range(min(p, q) + 1):
+                if p + q - i <= n:
+                    assert cup_i(X, order, a, b, i) == ref_cup_i(X, order, a, b, i)
+            if p <= q:
+                assert cap(X, order, a, b) == ref_cap(X, order, a, b)
+
+
+def test_products_reject_an_order_on_another_complex(entry_complex):
+    X = entry_complex
+    renamed = build_complex([tuple(v + 1 for v in f) for f in X.facets])
+    same = build_complex(X.facets)
+    a = Chain.all_ones(X, 0)
+    gamma = Chain.all_ones(X, X.dim)
+    for Y in (renamed, same):
+        order = VertexOrder.numeric(Y)
+        with pytest.raises(DimensionMismatch):
+            cup(X, order, a, a)
+        with pytest.raises(DimensionMismatch):
+            cup_i(X, order, a, a, 0)
+        with pytest.raises(DimensionMismatch):
+            cap(X, order, a, gamma)
+
+
+def test_wu_and_cap_make_no_simplex_lookup(entry_complex, monkeypatch):
+    """Once the pseudomanifold report is cached, the oracle reads every face
+    from the complex's index tables and canonicalizes no vertex tuple."""
+    X = entry_complex
+    X.is_closed_pseudomanifold()
+    calls = []
+    canonical = simplicial.canonical_simplex
+    monkeypatch.setattr(simplicial, "canonical_simplex",
+                        lambda vs: calls.append(vs) or canonical(vs))
+    order = VertexOrder.numeric(X)
+    wu = wu_classes(X, order)
+    gamma = fundamental_cycle(X)
+    for cls in wu.w:
+        cap(X, order, cls.cocycle, gamma)
+    assert calls == []
 
 
 def test_cup_i_coboundary_identity(entry_complex):

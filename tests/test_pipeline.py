@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swlab
-from swlab.corpus import corpus
+from swlab.corpus import CORPUS_NAMES, corpus
 from swlab.errors import (
     NotACycle,
     NotPseudomanifold,
@@ -345,6 +347,45 @@ def test_connected_sums(left, right, betti, pattern):
     assert report.betti == betti
     assert tuple(row.class_nonzero for row in report.rows) == pattern
     assert report.all_matched
+
+
+def stellar_move(X, facet):
+    """The 1 -> (n+1) bistellar move: replace `facet` by the cone from a new
+    vertex over its boundary."""
+    apex = max(X.vertices()) + 1
+    cone = [tuple(v for v in facet if v != u) + (apex,) for u in facet]
+    return build_complex([f for f in X.facets if f != facet] + cone)
+
+
+def edge_flip(X, edge):
+    """The 2 -> 2 move on a closed surface: swap the edge ab shared by the
+    triangles abc and abd for cd, unless cd is already an edge."""
+    pair = X.cofacets(edge)
+    c, d = (next(v for v in f if v not in edge) for f in pair)
+    if X.contains((c, d)):
+        return X
+    a, b = edge
+    flipped = [tuple(sorted((a, c, d))), tuple(sorted((b, c, d)))]
+    return build_complex([f for f in X.facets if f not in pair] + flipped)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_report_invariant_under_bistellar_moves(entries, reports, name, data):
+    """Random stellar moves on facets, and edge flips on surfaces, keep the
+    Betti numbers, the class pattern, the match and the pairing."""
+    X = entries[name].complex()
+    for _ in range(data.draw(st.integers(1, 4), label="moves")):
+        if X.dim == 2 and data.draw(st.booleans(), label="flip"):
+            X = edge_flip(X, data.draw(st.sampled_from(X.skeleton(1)), label="edge"))
+        else:
+            X = stellar_move(X, data.draw(st.sampled_from(X.facets), label="facet"))
+    report, expected = compute_report(X), reports[name]
+    assert report.betti == expected.betti
+    assert [row.class_nonzero for row in report.rows] \
+        == [row.class_nonzero for row in expected.rows]
+    assert report.all_matched and report.pairing_ok
 
 
 def test_rp2_times_s1_has_nonzero_w2_in_dimension_3():

@@ -122,6 +122,17 @@ def test_chain_dimension_mismatch_rejected():
         a ^ b
 
 
+def test_from_simplices_rejects_wrong_dimension():
+    X = sphere2()
+    with pytest.raises(DimensionMismatch):
+        Chain.from_simplices(X, 1, [(0, 1, 2)])
+    with pytest.raises(DimensionMismatch):
+        Chain.from_simplices(X, 0, [(1, 2, 3)])
+    with pytest.raises(DimensionMismatch):
+        Chain.from_simplices(X, 2, [(0, 1, 2), (0, 1)])
+    assert Chain.from_simplices(X, 2, [(2, 1, 0)]).support() == ((0, 1, 2),)
+
+
 def test_boundary_of_boundary_vanishes():
     X = sphere2()
     rng = np.random.default_rng(0)
