@@ -8,7 +8,7 @@ loudly with CorpusValidationFailed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .errors import CorpusValidationFailed, UnknownCorpusEntry
 from .homology import mod2_homology
@@ -48,27 +48,30 @@ def _klein_facets() -> list[Simplex]:
     return sorted(facets)
 
 
-def _rp3_facets() -> list[Simplex]:
-    """Projective 3-space as the antipodal quotient of the barycentric
-    subdivision of the boundary of the 4-dimensional cross-polytope.
+def _rpn_facets(n: int) -> list[Simplex]:
+    """Projective n-space as the antipodal quotient of the barycentric
+    subdivision of the boundary of the (n+1)-dimensional cross-polytope.
 
-    Vertices 0..3 stand for +e_1..+e_4 and 4..7 for -e_1..-e_4, so the
-    antipodal map is v -> (v + 4) mod 8.  It acts freely on the simplices
-    of the cross-polytope boundary (no face contains an antipodal pair),
-    hence the quotient of the subdivision is again simplicial.
+    Vertices 0..n stand for +e_1..+e_{n+1} and n+1..2n+1 for -e_1..-e_{n+1},
+    so the antipodal map is v -> (v + n + 1) mod (2n + 2).  It acts freely
+    on the simplices of the cross-polytope boundary (no face contains an
+    antipodal pair), hence the quotient of the subdivision is again
+    simplicial.  A facet of the subdivision is a full flag inside one facet
+    of the cross-polytope: a sign per coordinate and an order of them.
     """
+    m = n + 1
+
     def antipode(s: Simplex) -> Simplex:
-        return tuple(sorted((v + 4) % 8 for v in s))
+        return tuple(sorted((v + m) % (2 * m) for v in s))
 
     def canon(s: Simplex) -> Simplex:
         return min(s, antipode(s))
 
-    tops = [tuple(sorted((0 + 4 * s0, 1 + 4 * s1, 2 + 4 * s2, 3 + 4 * s3)))
-            for s0 in (0, 1) for s1 in (0, 1)
-            for s2 in (0, 1) for s3 in (0, 1)]
+    tops = [tuple(sorted(i + m * sign for i, sign in enumerate(signs)))
+            for signs in product((0, 1), repeat=m)]
     cells = set()
     for top in tops:
-        for k in range(1, 5):
+        for k in range(1, m + 1):
             for face in combinations(top, k):
                 cells.add(canon(face))
     vid = {s: k for k, s in enumerate(sorted(cells, key=lambda s: (len(s), s)))}
@@ -76,7 +79,7 @@ def _rp3_facets() -> list[Simplex]:
     facets = set()
     for top in tops:
         for perm in permutations(top):
-            flag = [tuple(sorted(perm[:k + 1])) for k in range(4)]
+            flag = [tuple(sorted(perm[:k + 1])) for k in range(m)]
             facets.add(tuple(sorted(vid[canon(s)] for s in flag)))
     return sorted(facets)
 
@@ -122,7 +125,7 @@ _BUILDERS = {
         (True, False, False, False)),
     "rp3": lambda: _entry(
         "rp3", "projective 3-space (cross-polytope quotient, 40 vertices)",
-        _rp3_facets(), (1, 1, 1, 1), (True, False, False, False)),
+        _rpn_facets(3), (1, 1, 1, 1), (True, False, False, False)),
 }
 
 CORPUS_NAMES = tuple(_BUILDERS)

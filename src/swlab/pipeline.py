@@ -4,17 +4,36 @@ the Stiefel-Whitney classes.
 For a closed pseudomanifold K with barycentric subdivision K', the all-ones
 cochain on the dual i-cells of K' has, under Poincare duality, the bits of
 the sum ht of all (n-i)-simplices of K'.  It is a cocycle exactly when ht is
-a cycle: every (n-i-1)-simplex of K' has an even number of cofaces.  K' stays
-a flag table and nothing is reduced on it; every class question is asked in
-H(K) through the last-vertex map lambda, which sends a derived vertex (a
-simplex of K) to its largest vertex.  It is a simplicial approximation of
-the identity, so lambda_* inverts sd_*, the subdivision map on homology, and
-lambda_# sd_# = id holds even on chains.  Hence [ht] = [sd_# PD(w_i)] in H(K') exactly when
+a cycle.  Every class question is asked in H(K) through the last-vertex map
+lambda, which sends a derived vertex (a simplex of K) to its largest vertex.
+It is a simplicial approximation of the identity, so lambda_* inverts sd_*,
+the subdivision map on homology, and lambda_# sd_# = id holds even on
+chains.  Hence [ht] = [sd_# PD(w_i)] in H(K') exactly when
 [lambda_# ht] = [PD(w_i)] in H(K), and [ht] != 0 exactly when
 [lambda_# ht] != 0.  PD(w_i) is the Wu-formula oracle's class, computed on K
 independently and capped with the fundamental cycle.  Agreement in every
 degree is the theorem under test; disagreement raises OracleConflict with
 the full report attached.
+
+K' is never built: both facts the report needs about ht are local counts
+on K, in the line of Halperin and Toledo ("Stiefel-Whitney homology
+classes", Ann. of Math. 1972) and Goldstein and Turner ("A formula for
+Stiefel-Whitney homology classes", Proc. AMS 1976).
+
+- Cycle: a (d-1)-simplex of K' is a flag s_0 > ... > s_{d-1} of simplices
+  of K, and its d-cofaces insert one more member.  Between two neighbours
+  whose sizes differ by k, or below the last member, there are 2^k - 2
+  choices, an even number; above the top there is one per proper coface of
+  s_0.  So ht in degree d >= 1 is a cycle exactly when every simplex of K of
+  dimension >= d-1 has an even number of proper cofaces.
+- Image: for a d-simplex rho = (v_0 < ... < v_d) of K, the coefficient of
+  rho in lambda_# ht is the parity of the number of simplices sigma >= rho
+  with max sigma = v_d whose other vertices all lie in gaps of rho with index
+  = d (mod 2); gap g is the open interval after the first g vertices of rho,
+  so gap 0 lies below v_0.
+
+The pairing diagnostic reads the ridge -> two-facets table of K, which is
+all the partner involution on flag dual cells swaps by.
 """
 from __future__ import annotations
 
@@ -25,7 +44,7 @@ from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
 from .simplicial import Chain, SimplicialComplex
-from .subdivision import SubdividedComplex, barycentric_subdivide, flag_dual_cells
+from .subdivision import SubdividedComplex, all_ones_chains, ridge_pairing_ok, ridge_swaps
 
 
 def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
@@ -33,8 +52,8 @@ def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
 
     This is the Halperin-Toledo chain: the Poincare dual of the all-ones
     cochain on the dual (n-i)-cells.  It builds the derived complex, so
-    compute_report reads the same facts from the flag table instead, and
-    the tests keep this chain as their reference.
+    compute_report counts the same facts on the base instead, and the tests
+    keep this chain as their reference.
     """
     base = subdivision.base
     if not base.is_closed_pseudomanifold().passed:
@@ -71,10 +90,10 @@ class SWReport:
     `rows[i]` is the degree-i record; `k_level_cocycle[i]` reports whether
     the all-ones cochain is already a cocycle on the dual cells of K
     itself (generally it is not; the subdivision is what makes it one);
-    `pairing_ok` certifies the fixed-point-free partner involution on flag
-    dual cells in every degree >= 1.  `timings` holds wall-clock phase
-    durations and is deliberately left out of `as_dict` so that reports are
-    byte-identical across runs.
+    `pairing_ok` certifies, from the ridge table of K, the fixed-point-free
+    partner involution on flag dual cells in every degree >= 1.  `timings`
+    holds wall-clock phase durations and is deliberately left out of
+    `as_dict` so that reports are byte-identical across runs.
     """
 
     dimension: int
@@ -102,18 +121,6 @@ class SWReport:
         return all(row.matches_oracle for row in self.rows)
 
 
-def _pairing_involution_ok(S: SubdividedComplex) -> bool:
-    """Flag dual cells decompose into partner orbits of size exactly two."""
-    for i in range(1, S.base.dim + 1):
-        for ids in flag_dual_cells(S, i).values():
-            partner = {id_tuple: S.partner(id_tuple) for id_tuple in ids}
-            # no fixed point; the partner lies in this cell and maps back
-            for id_tuple, other in partner.items():
-                if other == id_tuple or partner.get(other) != id_tuple:
-                    return False
-    return True
-
-
 def compute_report(K: SimplicialComplex) -> SWReport:
     """Run the full dual-cell vs Wu-oracle comparison on K."""
     pm = K.is_closed_pseudomanifold()
@@ -124,7 +131,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     n = K.dim
 
     t0 = time.perf_counter()
-    S = barycentric_subdivide(K)
+    all_ones = all_ones_chains(K)
     timings["subdivide"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -139,7 +146,6 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     timings["wu_oracle"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    all_ones = S.all_ones_chains()
     rows = []
     conflicts = []
     for i in range(n + 1):
@@ -157,7 +163,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     timings["degrees"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pairing_ok = _pairing_involution_ok(S)
+    pairing_ok = ridge_pairing_ok(ridge_swaps(K))
     k_level = tuple(Chain.all_ones(K, n - i).boundary().is_zero()
                     for i in range(n + 1))
     timings["pairing"] = time.perf_counter() - t0

@@ -253,7 +253,8 @@ class SimplicialComplex:
                 seen[start] = True
                 while stack:
                     t = tops[stack.pop()]
-                    for k in range(len(t)):
+                    # facets of a 0-complex are points, with no ridge to cross
+                    for k in range(len(t) if n else 0):
                         for u in self.cofacets(t[:k] + t[k + 1 :]):
                             j = idx.get(u)
                             if j is not None and not seen[j]:

@@ -5,14 +5,21 @@ flag: a chain of k+1 base simplices each a proper face of the previous one.
 Derived vertex ids are assigned by decreasing base dimension (ties broken
 lexicographically), so the id tuple of a flag is automatically increasing and
 canonical.  The flag behind every derived simplex is stored at build time,
-and the derived complex (built on first access), the chain maps, the flag
-dual cells, the partner involution and the all-ones chains all read it.
+and the derived complex (built on first access), the chain maps and the flag
+dual cells read it.
+
+What the verification report needs from the subdivision is counted on the
+base without listing a flag: the cycle flags and last-vertex images of the
+all-ones chains (`all_ones_chains`), and the ridge table that the partner
+involution swaps by (`ridge_swaps`, checked by `ridge_pairing_ok`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import (
     DimensionOutOfRange,
@@ -26,9 +33,12 @@ from .simplicial import Chain, Simplex, SimplicialComplex
 __all__ = [
     "FlagSimplex",
     "SubdividedComplex",
+    "all_ones_chains",
     "barycentric_subdivide",
     "flag_dual_cells",
     "flag_partner",
+    "ridge_pairing_ok",
+    "ridge_swaps",
 ]
 
 
@@ -68,7 +78,7 @@ class FlagSimplex:
 class SubdividedComplex:
     """Base complex, its barycentric subdivision, and the flag bookkeeping."""
 
-    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps", "_ridge_tops")
+    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps", "_swaps")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
@@ -89,7 +99,7 @@ class SubdividedComplex:
         self._flags = flags
         self._derived: SimplicialComplex | None = None
         self._chain_maps: dict[int, BitMatrix] = {}
-        self._ridge_tops: dict[int, tuple[int, ...]] | None = None
+        self._swaps: dict[Simplex, dict[Simplex, Simplex]] | None = None
 
     @property
     def derived(self) -> SimplicialComplex:
@@ -101,25 +111,6 @@ class SubdividedComplex:
             skeletons = tuple(tuple(sorted(by_dim[d])) for d in range(len(by_dim)))
             self._derived = SimplicialComplex(skeletons)
         return self._derived
-
-    def all_ones_chains(self) -> list[tuple[bool, Chain]]:
-        """Per degree d: whether the all-ones d-chain of the derived complex is
-        a cycle (for d >= 1: every (d-1)-simplex has an even number of
-        d-cofaces), and its image on the base under the last-vertex map, which
-        sends a flag to the span of its members' largest vertices (they never
-        increase along the flag), or to zero when two of them coincide."""
-        odd_faces = [set() for _ in range(self.base.dim + 1)]
-        odd_images = [set() for _ in range(self.base.dim + 1)]
-        for ids, flag in self._flags.items():
-            d = len(ids) - 1
-            odd_faces[d].symmetric_difference_update(
-                ids[:k] + ids[k + 1 :] for k in range(d + 1) if d)
-            last = tuple(s[-1] for s in reversed(flag))
-            if len(set(last)) == d + 1:
-                odd_images[d].symmetric_difference_update((last,))
-        index = self.base._index
-        return [(not faces, Chain(self.base, d, sum(1 << index[d][s] for s in images)))
-                for d, (faces, images) in enumerate(zip(odd_faces, odd_images))]
 
     def flag_of(self, derived_simplex) -> FlagSimplex:
         t = tuple(derived_simplex)
@@ -152,24 +143,20 @@ class SubdividedComplex:
         """The partner of a flag dual cell, as derived vertex ids.
 
         ``ids`` is a derived simplex whose flag runs through dimensions n,
-        n-1, ..., n-i with i >= 1.  Its top id is swapped for the other facet
-        around the ridge ``ids[1]``; facets carry the smallest ids, so the
-        result is still sorted.  Raises NotPseudomanifold unless the base is
-        a closed pseudomanifold, and NotAFlagCell unless ``ids`` is a derived
-        simplex that starts with a facet and a ridge of it.
+        n-1, ..., n-i with i >= 1.  Its top is swapped for the other facet
+        around the ridge ``ids[1]`` by the `ridge_swaps` table; facets carry
+        the smallest ids, so the result is still sorted.  Raises
+        NotPseudomanifold unless the base is a closed pseudomanifold, and
+        NotAFlagCell unless ``ids`` is a derived simplex that starts with a
+        facet and a ridge of it.
         """
-        if self._ridge_tops is None:
-            _require_closed_base(self)
-            vid = self.vertex_id
-            self._ridge_tops = {
-                vid[r]: tuple(vid[t] for t in self.base.cofacets(r))
-                for r in self.base.skeleton(self.base.dim - 1)
-            }
-        tops = self._ridge_tops.get(ids[1]) if len(ids) > 1 else None
-        if tops is None or ids[0] not in tops or ids not in self._flags:
+        if self._swaps is None:
+            self._swaps = ridge_swaps(self.base)
+        chain = self._flags.get(ids, ())
+        other = self._swaps.get(chain[1], {}).get(chain[0]) if len(chain) > 1 else None
+        if other is None:
             raise NotAFlagCell(f"{ids} does not start with a facet and its ridge")
-        a, b = tops
-        return (b if ids[0] == a else a,) + ids[1:]
+        return (self.vertex_id[other],) + ids[1:]
 
     def __repr__(self):
         # counted from the flag table, so repr never builds the derived complex
@@ -182,10 +169,91 @@ def barycentric_subdivide(complex: SimplicialComplex) -> SubdividedComplex:
     return SubdividedComplex(complex)
 
 
-def _require_closed_base(subdivision: SubdividedComplex):
-    report = subdivision.base.is_closed_pseudomanifold()
+def _require_closed(base: SimplicialComplex):
+    report = base.is_closed_pseudomanifold()
     if not report.passed:
         raise NotPseudomanifold("base complex is not a closed pseudomanifold", report)
+
+
+def ridge_swaps(base: SimplicialComplex) -> dict[Simplex, dict[Simplex, Simplex]]:
+    """Each ridge of a closed pseudomanifold, with {facet: the other facet}
+    over its two facets.
+
+    The partner of a flag dual cell that starts facet > ridge swaps the facet
+    by this table and keeps the rest of the flag, so the table is all that
+    the partner involution reads.  Raises NotPseudomanifold on any other base.
+    """
+    _require_closed(base)
+    if base.dim < 1:
+        return {}
+    return {r: {a: b, b: a} for r in base.skeleton(base.dim - 1)
+            for a, b in (base.cofacets(r),)}
+
+
+def ridge_pairing_ok(swaps: dict[Simplex, dict[Simplex, Simplex]]) -> bool:
+    """Whether a ridge table pairs the flag dual cells in orbits of size two.
+
+    Every ridge must swap exactly two distinct facets, each containing it,
+    and each swap must undo the other.  Then the partner map is a
+    fixed-point-free involution on the flag dual cells of every degree >= 1,
+    and it keeps the bottom of a flag, so each orbit lies in one cell.
+    """
+    for ridge, swap in swaps.items():
+        if len(swap) != 2:
+            return False
+        for facet, other in swap.items():
+            if other == facet or swap.get(other) != facet or not set(ridge) < set(facet):
+                return False
+    return True
+
+
+def _gap_patterns(size: int) -> list[tuple[int, ...]]:
+    """Positions of the faces rho of a sorted simplex of `size` vertices that
+    keep its largest vertex and leave each other vertex in a gap of rho whose
+    index has the parity of dim rho.  The gap index of a vertex outside rho
+    is the number of rho's vertices below it."""
+    top = size - 1
+    patterns = []
+    for mask in range(1 << top):
+        d = mask.bit_count()
+        if all((mask & ((1 << i) - 1)).bit_count() % 2 == d % 2
+               for i in range(top) if not mask >> i & 1):
+            patterns.append(tuple(i for i in range(top) if mask >> i & 1) + (top,))
+    return patterns
+
+
+def all_ones_chains(base: SimplicialComplex) -> list[tuple[bool, Chain]]:
+    """Per degree d: whether the all-ones d-chain of the barycentric
+    subdivision is a cycle, and its image on the base under the last-vertex
+    map, both counted on the base without listing a flag.
+
+    For d >= 1 the chain is a cycle exactly when every simplex of dimension
+    >= d-1 has an even number of proper cofaces.  The coefficient of a
+    d-simplex rho = (v_0 < ... < v_d) in the image is the parity of the
+    number of simplices sigma >= rho with max sigma = v_d whose other
+    vertices all lie in gaps of rho with index = d mod 2, gap g being the
+    open interval after the first g vertices of rho.  `swlab.pipeline`
+    gives both counting arguments.
+    """
+    n = base.dim
+    cofaces = [Counter() for _ in range(n + 1)]
+    images = [Counter() for _ in range(n + 1)]
+    for d in range(n + 1):
+        skeleton = base.skeleton(d)
+        for k in range(1, d + 1):
+            for positions in combinations(range(d + 1), k):
+                cofaces[k - 1].update(map(itemgetter(*positions), skeleton))
+        # each sigma counts once for every admissible rho inside it
+        for positions in _gap_patterns(d + 1):
+            images[len(positions) - 1].update(map(itemgetter(*positions), skeleton))
+    highest_odd = max((d for d, counts in enumerate(cofaces)
+                       if any(c & 1 for c in counts.values())), default=-1)
+    index = base._index
+    # itemgetter of a single position gives a bare vertex, not a 1-tuple
+    return [(d == 0 or highest_odd < d - 1,
+             Chain(base, d, sum(1 << index[d][s if d else (s,)]
+                                for s, c in image.items() if c & 1)))
+            for d, image in enumerate(images)]
 
 
 def flag_dual_cells(subdivision: SubdividedComplex, i: int):
@@ -194,7 +262,7 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     Returns {base (n-i)-simplex: [derived id tuples]} with keys in skeleton
     order and cells in derived skeleton order, which is sorted id order.
     """
-    _require_closed_base(subdivision)
+    _require_closed(subdivision.base)
     n = subdivision.base.dim
     if not 0 <= i <= n:
         raise DimensionOutOfRange(f"cell degree {i} outside 0..{n}")

@@ -6,13 +6,14 @@ import pytest
 
 from swlab import cli
 from swlab.corpus import CORPUS_NAMES, corpus, corpus_entries
-from swlab.errors import EmptyInput, ParseError, UnknownCorpusEntry
+from swlab.errors import EmptyInput, NotPseudomanifold, ParseError, UnknownCorpusEntry
 from swlab.fileio import (
     parse_complex_file,
     parse_complex_text,
     serialize_complex,
     write_complex_file,
 )
+from swlab.pipeline import compute_report
 
 EXPECTED_F = {
     "s2": (4, 6, 4),
@@ -178,6 +179,27 @@ def test_cli_usage_errors(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_cli_point_is_a_closed_manifold(tmp_path, capsys):
+    point = tmp_path / "point.facets"
+    point.write_text("0\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["classes", str(point), "--report", str(out)]) == 0
+    assert "pattern: 1\n" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["betti"] == [1]
+    assert payload["degrees"][0]["matches_oracle"] is True
+
+
+def test_cli_two_points_are_not_connected(tmp_path, capsys):
+    points = tmp_path / "points.facets"
+    points.write_text("0\n1\n")
+    assert cli.main(["classes", str(points)]) == 2
+    assert "not a closed pseudomanifold" in capsys.readouterr().err
+    with pytest.raises(NotPseudomanifold) as exc_info:
+        compute_report(parse_complex_file(str(points)))
+    assert exc_info.value.report.n_components == 2
 
 
 def test_cli_verification_failure_exit(tmp_path, capsys):

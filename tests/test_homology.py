@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from swlab.errors import DimensionMismatch, NotACocycle, NotACycle
-from swlab.homology import mod2_homology
+from swlab.gf2 import EchelonBasis
+from swlab.homology import HomologySummary, mod2_homology
 from swlab.simplicial import Chain, build_complex
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -115,6 +116,48 @@ def test_cohomology_basis_sizes_match_betti(entries):
         H = mod2_homology(X)
         for d in range(X.dim + 1):
             assert len(H.cohomology_basis(d)) == H.betti(d)
+
+
+def test_transcript_leaves_no_representative_in_the_rest_of_the_basis(entries):
+    # the transcript stops inserting at betti(d) representatives; the
+    # guard that it found them all is this test: inserting every cocycle
+    # basis vector into a copy finds no new representative and no new pivot
+    for name, entry in entries.items():
+        X = entry.complex()
+        H = mod2_homology(X)
+        for d in range(X.dim + 1):
+            reps, transcript = H._transcript(d)
+            ncols = transcript.ncols
+            full = EchelonBasis(ncols, dict(transcript.by_pivot))
+            for z in H.cocycle_basis(d):
+                assert not full.insert(z | 1 << (ncols + len(reps))) & ((1 << ncols) - 1), (name, d)
+            assert full.by_pivot == transcript.by_pivot, (name, d)
+
+
+def test_transcript_stops_at_betti(monkeypatch):
+    # s2: nothing is reduced in degree 1 (betti 0), and in degree 2 the
+    # first unit cocycle is already a representative
+    calls = {"cocycle_basis": [], "insert": 0}
+    cocycle_basis, insert = HomologySummary.cocycle_basis, EchelonBasis.insert
+
+    def counting_cocycle_basis(self, d):
+        calls["cocycle_basis"].append(d)
+        return cocycle_basis(self, d)
+
+    def counting_insert(self, v):
+        calls["insert"] += 1
+        return insert(self, v)
+
+    H = mod2_homology(build_complex(S2_FACETS))
+    # the image bases are reductions of their own, made before counting
+    for d in range(3):
+        H.betti(d), H.coboundary_image_basis(d)
+    monkeypatch.setattr(HomologySummary, "cocycle_basis", counting_cocycle_basis)
+    monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
+    assert H.cohomology_basis(1) == []
+    assert calls == {"cocycle_basis": [], "insert": 0}
+    assert H.cohomology_basis(2) == [1]
+    assert calls == {"cocycle_basis": [2], "insert": 1}
 
 
 def test_top_cocycle_basis_is_unit_vectors():

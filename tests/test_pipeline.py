@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swlab
-from swlab.corpus import CORPUS_NAMES, corpus
+from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus
 from swlab.errors import (
     NotACycle,
     NotPseudomanifold,
@@ -25,18 +25,49 @@ from swlab.errors import (
 from swlab.fileio import write_complex_file
 from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
-from swlab.pipeline import (
-    SWReport,
-    _pairing_involution_ok,
-    compute_report,
-    ht_chain,
-)
+from swlab.pipeline import SWReport, compute_report, ht_chain
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
     SubdividedComplex,
+    all_ones_chains,
     barycentric_subdivide,
     flag_dual_cells,
+    ridge_pairing_ok,
+    ridge_swaps,
 )
+
+
+def ref_all_ones_chains(S):
+    """One pass over the flag table of S: per degree d, whether the all-ones
+    d-chain of the derived complex is a cycle (for d >= 1: every
+    (d-1)-simplex has an even number of d-cofaces), and its image on the
+    base under the last-vertex map, which sends a flag to the span of its
+    members' largest vertices (they never increase along the flag), or to
+    zero when two of them coincide."""
+    odd_faces = [set() for _ in range(S.base.dim + 1)]
+    odd_images = [set() for _ in range(S.base.dim + 1)]
+    for ids, flag in S._flags.items():
+        d = len(ids) - 1
+        odd_faces[d].symmetric_difference_update(
+            ids[:k] + ids[k + 1 :] for k in range(d + 1) if d)
+        last = tuple(s[-1] for s in reversed(flag))
+        if len(set(last)) == d + 1:
+            odd_images[d].symmetric_difference_update((last,))
+    index = S.base._index
+    return [(not faces, Chain(S.base, d, sum(1 << index[d][s] for s in images)))
+            for d, (faces, images) in enumerate(zip(odd_faces, odd_images))]
+
+
+def ref_pairing_ok(S):
+    """Flag dual cells decompose into partner orbits of size exactly two."""
+    for i in range(1, S.base.dim + 1):
+        for ids in flag_dual_cells(S, i).values():
+            partner = {id_tuple: S.partner(id_tuple) for id_tuple in ids}
+            # no fixed point; the partner lies in this cell and maps back
+            for id_tuple, other in partner.items():
+                if other == id_tuple or partner.get(other) != id_tuple:
+                    return False
+    return True
 
 
 def test_ht_chain_is_all_ones_on_derived():
@@ -110,37 +141,53 @@ def test_all_ones_cocycle_on_derived_but_not_on_base():
     assert not Chain.all_ones(base, 1).boundary().is_zero()
 
 
-def _cells_of(S):
-    """Every flag dual cell of S, as lists of id tuples, over all degrees >= 1."""
-    return [ids for i in range(1, S.base.dim + 1)
-            for ids in flag_dual_cells(S, i).values()]
+def _first_ridge(swaps):
+    ridge = next(iter(swaps))
+    a, b = swaps[ridge]
+    return ridge, a, b
 
 
-def _fixed_point(cells):
-    return {t: t for cell in cells for t in cell}
+def _fixed_point(swaps, facets):
+    # the ridge names no facet, names one facet twice, or swaps each facet
+    # with itself
+    ridge, a, b = _first_ridge(swaps)
+    return [{**swaps, ridge: table} for table in ({}, {a: a}, {a: a, b: b})]
 
 
-def _cyclic_shift(cells):
-    # a 3-cycle or longer inside one cell: partners stay in the cell but
-    # the map is not an involution there
-    assert any(len(cell) > 2 for cell in cells)
-    return {t: cell[(k + 1) % len(cell)]
-            for cell in cells for k, t in enumerate(cell)}
+def _cyclic_shift(swaps, facets):
+    # the swap out of b does not lead back to a
+    ridge, a, b = _first_ridge(swaps)
+    c = next(f for f in facets if f not in (a, b))
+    return [{**swaps, ridge: {a: b, b: c}}]
 
 
-def _other_cell(cells):
-    return {t: cells[(c + 1) % len(cells)][0]
-            for c, cell in enumerate(cells) for t in cell}
+def _other_cell(swaps, facets):
+    # a symmetric swap with a facet that does not contain the ridge
+    ridge, a, b = _first_ridge(swaps)
+    c = next(f for f in facets if not set(ridge) < set(f))
+    return [{**swaps, ridge: {a: c, c: a}}]
 
 
 @pytest.mark.parametrize("broken", [_fixed_point, _cyclic_shift, _other_cell])
 def test_broken_partner_map_fails_pairing(monkeypatch, broken):
-    S = barycentric_subdivide(corpus("s2").complex())
-    assert _pairing_involution_ok(S)
-    table = broken(_cells_of(S))
-    monkeypatch.setattr(SubdividedComplex, "partner",
-                        lambda subdivision, ids: table[ids])
-    assert not _pairing_involution_ok(S)
+    X = corpus("s2").complex()
+    swaps = ridge_swaps(X)
+    assert ridge_pairing_ok(swaps)
+    for table in broken(swaps, X.facets):
+        assert not ridge_pairing_ok(table)
+        monkeypatch.setattr("swlab.pipeline.ridge_swaps", lambda complex: table)
+        report = compute_report(X)
+        assert not report.pairing_ok
+        assert report.all_matched
+
+
+def test_ridge_pairing_matches_the_flag_reference(entries):
+    # the partner map swaps by the same table, so on every entry the check
+    # of the table and the orbit check over all flag dual cells agree
+    for name, entry in entries.items():
+        X = entry.complex()
+        assert ridge_pairing_ok(ridge_swaps(X)), name
+        assert ref_pairing_ok(barycentric_subdivide(X)), name
 
 
 def test_report_euler_characteristic(entries, reports):
@@ -268,16 +315,71 @@ def test_report_classes_match_derived_homology(entries, reports):
 
 def test_all_ones_cycle_flag_where_a_degree_is_not_a_cycle():
     # the suspension of rp2 is not an Euler space: its all-ones 1-chain on the
-    # subdivision is not a cycle, and the flag-table parity must say so
+    # subdivision is not a cycle, and the coface parity must say so
     S = barycentric_subdivide(suspension(corpus("rp2-6").complex()))
-    flags = [is_cycle for is_cycle, _ in S.all_ones_chains()]
+    flags = [is_cycle for is_cycle, _ in all_ones_chains(S.base)]
     assert flags == [Chain.all_ones(S.derived, d).boundary().is_zero()
                      for d in range(S.base.dim + 1)]
     assert flags[1] is False
+    # in the double suspension both vertices and edges can have an odd
+    # number of cofaces; the edges decide degree 2
+    S = barycentric_subdivide(suspension(S.base))
+    flags = [is_cycle for is_cycle, _ in all_ones_chains(S.base)]
+    assert flags == [Chain.all_ones(S.derived, d).boundary().is_zero()
+                     for d in range(S.base.dim + 1)]
+    assert flags == [True, False, False, True, True]
+
+
+CIRCLE = [(0, 1), (1, 2), (0, 2)]
+
+LOCAL_FORMULA_INPUTS = {
+    **{name: lambda name=name: corpus(name).complex() for name in CORPUS_NAMES},
+    "rp2-6xs1": lambda: product(corpus("rp2-6").complex(), build_complex(CIRCLE)),
+    "kleinxs1": lambda: product(corpus("klein").complex(), build_complex(CIRCLE)),
+    **{f"{a}#{b}": lambda a=a, b=b: connected_sum(corpus(a).complex(), corpus(b).complex())
+       for a, b in [("rp2-6", "rp2-6"), ("rp2-6", "t2-7"), ("t2-7", "t2-7"), ("rp3", "rp3")]},
+    "sus(rp2-6)": lambda: suspension(corpus("rp2-6").complex()),
+    "sus(sus(rp2-6))": lambda: suspension(suspension(corpus("rp2-6").complex())),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCAL_FORMULA_INPUTS))
+def test_all_ones_chains_match_the_flag_reference(name):
+    X = LOCAL_FORMULA_INPUTS[name]()
+    assert all_ones_chains(X) == ref_all_ones_chains(barycentric_subdivide(X))
+
+
+def relabeled(X, labels):
+    """X with its vertices, in increasing order, renamed to `labels`."""
+    to = dict(zip(X.vertices(), labels))
+    return build_complex([tuple(sorted(to[v] for v in f)) for f in X.facets])
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_all_ones_chains_under_relabeling_and_subdivision(entries, name, data):
+    """The last-vertex image depends on the vertex order through the gap
+    rule.  After at most one subdivision and any relabeling onto scattered
+    labels, the local formula still equals the flag reference, and the
+    report keeps the entry's invariants."""
+    entry = entries[name]
+    X = entry.complex()
+    # sd(rp3) has 4608 facets, too many for the flag reference in tier-1
+    if name != "rp3" and data.draw(st.booleans(), label="subdivide"):
+        X = build_complex(barycentric_subdivide(X).derived.facets)
+    n = X.n_simplices(0)
+    X = relabeled(X, data.draw(st.permutations(range(3 * n)), label="labels")[:n])
+    assert all_ones_chains(X) == ref_all_ones_chains(barycentric_subdivide(X))
+    report = compute_report(X)
+    assert report.betti == entry.betti
+    assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
+    assert report.all_matched and report.pairing_ok
 
 
 def test_compute_report_stays_on_the_base(monkeypatch):
-    """No derived complex, no subdivision chain map, and homology of K only."""
+    """No subdivision, no derived complex, no subdivision chain map, and
+    homology of K only."""
     def refuse(*args):
         raise AssertionError("compute_report reached into the derived complex")
 
@@ -287,6 +389,7 @@ def test_compute_report_stays_on_the_base(monkeypatch):
         seen.append(complex)
         return mod2_homology(complex)
 
+    monkeypatch.setattr(SubdividedComplex, "__init__", refuse)
     monkeypatch.setattr(SubdividedComplex, "derived", property(refuse))
     monkeypatch.setattr(SubdividedComplex, "chain_map", refuse)
     monkeypatch.setattr("swlab.pipeline.mod2_homology", recording)
@@ -381,6 +484,7 @@ def test_report_invariant_under_bistellar_moves(entries, reports, name, data):
             X = edge_flip(X, data.draw(st.sampled_from(X.skeleton(1)), label="edge"))
         else:
             X = stellar_move(X, data.draw(st.sampled_from(X.facets), label="facet"))
+    assert all_ones_chains(X) == ref_all_ones_chains(barycentric_subdivide(X))
     report, expected = compute_report(X), reports[name]
     assert report.betti == expected.betti
     assert [row.class_nonzero for row in report.rows] \
@@ -443,4 +547,16 @@ def test_rp2_times_rp2_completes_under_512_mib(tmp_path):
     payload = _classes_under_512_mib(X, tmp_path)
     assert payload["betti"] == [1, 2, 3, 2, 1]
     assert _rows(payload) == [(True, True)] * 5
+    assert payload["diagnostics"]["pairing_ok"] is True
+
+
+@pytest.mark.slow
+def test_rp4_completes_under_512_mib(tmp_path):
+    # w(RP4) = (1 + a)^5 = 1 + a + a^4: zero classes between nonzero ones
+    X = build_complex(_rpn_facets(4))
+    assert X.f_vector == (121, 1320, 4080, 4800, 1920)
+    payload = _classes_under_512_mib(X, tmp_path)
+    assert payload["betti"] == [1, 1, 1, 1, 1]
+    assert _rows(payload) == [(True, True), (True, True), (False, True),
+                              (False, True), (True, True)]
     assert payload["diagnostics"]["pairing_ok"] is True

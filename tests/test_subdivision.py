@@ -16,9 +16,11 @@ from swlab.oracle import fundamental_cycle
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
     FlagSimplex,
+    all_ones_chains,
     barycentric_subdivide,
     flag_dual_cells,
     flag_partner,
+    ridge_swaps,
 )
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -90,7 +92,7 @@ def test_chain_map_of_fundamental_cycle_is_cycle():
         # the subdivided fundamental cycle is the all-ones top chain, and the
         # last-vertex map takes that chain back to the fundamental cycle exactly
         assert pushed == Chain.all_ones(S.derived, n), name
-        assert S.all_ones_chains()[n] == (True, gamma), name
+        assert all_ones_chains(S.base)[n] == (True, gamma), name
 
 
 def last_vertex_map(S, chain):
@@ -118,10 +120,10 @@ def test_last_vertex_map_inverts_chain_map_on_chains(name):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_all_ones_chains_agree_with_the_derived_complex(name):
-    # the one pass over the flag table against the boundary and the
-    # reference map on the built derived complex
+    # the counts on the base against the boundary and the reference map on
+    # the built derived complex
     S = barycentric_subdivide(corpus(name).complex())
-    for d, (is_cycle, image) in enumerate(S.all_ones_chains()):
+    for d, (is_cycle, image) in enumerate(all_ones_chains(S.base)):
         ht = Chain.all_ones(S.derived, d)
         assert is_cycle == ht.boundary().is_zero(), d
         assert image == last_vertex_map(S, ht), d
@@ -130,8 +132,7 @@ def test_all_ones_chains_agree_with_the_derived_complex(name):
 def test_derived_complex_is_built_on_first_access():
     S = sub_sphere()
     assert S._derived is None
-    S.all_ones_chains()
-    flag_dual_cells(S, 1)
+    S.partner(flag_dual_cells(S, 1)[(0, 1)][0])
     assert S._derived is None
     assert S.derived is S.derived
     assert S.derived.f_vector == (14, 36, 24)
@@ -221,6 +222,16 @@ def test_flag_dual_cells_requires_closed_base():
     S = barycentric_subdivide(build_complex([(0, 1, 2)]))
     with pytest.raises(NotPseudomanifold):
         flag_dual_cells(S, 1)
+
+
+def test_ridge_swaps_table():
+    swaps = ridge_swaps(build_complex(S2_FACETS))
+    assert len(swaps) == 6
+    assert swaps[(0, 1)] == {(0, 1, 2): (0, 1, 3), (0, 1, 3): (0, 1, 2)}
+    # a point is a closed 0-manifold without ridges; a disk has a free edge
+    assert ridge_swaps(build_complex([(0,)])) == {}
+    with pytest.raises(NotPseudomanifold):
+        ridge_swaps(build_complex([(0, 1, 2)]))
 
 
 def test_subdivision_of_torus_counts():
