@@ -33,8 +33,13 @@ def parse_complex_text(text: str) -> SimplicialComplex:
 
 
 def parse_complex_file(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(f"line {line}: input is not UTF-8 text", line=line) from exc
+    return parse_complex_text(text)
 
 
 def serialize_complex(complex: SimplicialComplex) -> str:

@@ -205,10 +205,6 @@ class BitMatrix:
         return self.transpose().column_space()
 
     def rank(self) -> int:
-        """Read off the row space if only it is reduced, else the column space."""
-        t = self._transpose
-        if self._column_space is None and t is not None and t._column_space is not None:
-            return t._column_space.rank
         return self.column_space().rank
 
     def _tagged_reduction(self) -> tuple[EchelonBasis, list[int]]:

@@ -1,12 +1,14 @@
-"""Mod-2 homology and cohomology summaries with one reduction per quantity.
+"""Mod-2 homology and cohomology summaries, every class read as coordinates.
 
-Image bases and ranks belong to the boundary matrices, which reduce and
-cache them: `boundary_image_basis` is a column space, `coboundary_image_basis`
-a row space.  Class-membership queries (is this cycle a boundary? are two
-cocycles cohomologous?) reduce against those bases.  Cycle and cocycle
-bases are tagged null spaces, computed on demand.  The summary's one cache
-is the cohomology transcript of each degree, which yields both the basis of
-H^d and any cocycle's coordinates over it.
+The one cache is the cohomology transcript of each degree: the coboundary
+image extended by tagged representatives of a basis of H^d.  It gives that
+basis and any cocycle's coordinates over it.  Cycles need no boundary
+reduction: over a field the Kronecker pairing of H^d and H_d is perfect, so
+H_d is the dual of H^d (de Silva, Morozov & Vejdemo-Johansson, "Dualities in
+persistent (co)homology", Inverse Problems 2011).  A cycle z thus bounds
+exactly when it pairs to 0 with every basis representative, and the bits
+<rep_j, z> are the coordinates of [z] in the dual basis.  Ranks are read
+from the coboundaries, which the transcripts reduce anyway.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class HomologySummary:
         if d < 0 or d > self.complex.dim:
             return 0
         X = self.complex
-        return X.n_simplices(d) - sum(
-            X.boundary_matrix(k).rank() for k in (d, d + 1) if 1 <= k <= X.dim)
+        return X.n_simplices(d) - sum(X.boundary_matrix(k).transpose().rank()
+                                      for k in (d, d + 1) if 1 <= k <= X.dim)
 
     @property
     def betti_vector(self) -> tuple[int, ...]:
@@ -61,26 +63,28 @@ class HomologySummary:
             raise DimensionMismatch("chain lives on a different complex")
         b = chain.boundary()
         if not b.is_zero():
-            i = (b.bits & -b.bits).bit_length() - 1
-            raise NotACycle(
-                f"{which} has nonzero boundary (first odd face {b.complex.skeleton(b.dimension)[i]})",
-                which=which,
-                failed_simplex=b.complex.skeleton(b.dimension)[i],
-            )
+            face = b.complex.skeleton(b.dimension)[(b.bits & -b.bits).bit_length() - 1]
+            raise NotACycle(f"{which} has nonzero boundary (first odd face {face})",
+                            which=which, failed_simplex=face)
 
     def is_cycle(self, chain: Chain) -> bool:
         return chain.boundary().is_zero()
 
+    def homology_coordinates(self, chain: Chain, which: str = "chain") -> int:
+        """Bitmask of the cycle's class in the basis dual to cohomology_basis:
+        bit j is the pairing <representative j, chain>."""
+        self.check_cycle(chain, which=which)
+        return sum(((rep & chain.bits).bit_count() & 1) << j
+                   for j, rep in enumerate(self.cohomology_basis(chain.dimension)))
+
     def class_is_zero(self, chain: Chain) -> bool:
-        self.check_cycle(chain)
-        return self.boundary_image_basis(chain.dimension).contains(chain.bits)
+        return self.homology_coordinates(chain) == 0
 
     def same_class(self, z1: Chain, z2: Chain) -> bool:
         if z1.dimension != z2.dimension:
             raise DimensionMismatch("cycles of different dimensions")
-        self.check_cycle(z1, which="first cycle")
-        self.check_cycle(z2, which="second cycle")
-        return self.boundary_image_basis(z1.dimension).contains(z1.bits ^ z2.bits)
+        return (self.homology_coordinates(z1, which="first cycle")
+                == self.homology_coordinates(z2, which="second cycle"))
 
     def cycle_basis(self, d: int) -> list[int]:
         """Kernel basis of boundary_d (whole chain group when d = 0)."""
@@ -97,25 +101,20 @@ class HomologySummary:
             raise DimensionMismatch("cochain lives on a different complex")
         cb = cochain.coboundary()
         if not cb.is_zero():
-            i = (cb.bits & -cb.bits).bit_length() - 1
-            raise NotACocycle(
-                f"{which} has nonzero coboundary "
-                f"(first odd cofacet {cb.complex.skeleton(cb.dimension)[i]})"
-            )
+            face = cb.complex.skeleton(cb.dimension)[(cb.bits & -cb.bits).bit_length() - 1]
+            raise NotACocycle(f"{which} has nonzero coboundary (first odd cofacet {face})")
 
     def is_cocycle(self, cochain: Chain) -> bool:
         return cochain.coboundary().is_zero()
 
     def cocycle_class_is_zero(self, cochain: Chain) -> bool:
-        self.check_cocycle(cochain)
-        return self.coboundary_image_basis(cochain.dimension).contains(cochain.bits)
+        return self.cohomology_coordinates(cochain) == 0
 
     def same_cocycle_class(self, a1: Chain, a2: Chain) -> bool:
         if a1.dimension != a2.dimension:
             raise DimensionMismatch("cochains of different degrees")
-        self.check_cocycle(a1, which="first cocycle")
-        self.check_cocycle(a2, which="second cocycle")
-        return self.coboundary_image_basis(a1.dimension).contains(a1.bits ^ a2.bits)
+        return (self.cohomology_coordinates(a1, which="first cocycle")
+                == self.cohomology_coordinates(a2, which="second cocycle"))
 
     def cocycle_basis(self, d: int) -> list[int]:
         """Kernel basis of the coboundary out of degree d."""
@@ -151,10 +150,10 @@ class HomologySummary:
         """Cocycle representatives of a basis of H^d (mod-2)."""
         return self._transcript(d)[0]
 
-    def cohomology_coordinates(self, cochain: Chain) -> int:
+    def cohomology_coordinates(self, cochain: Chain, which: str = "cochain") -> int:
         """Bitmask of the cocycle's class over cohomology_basis: bit j is
         representative j."""
-        self.check_cocycle(cochain)
+        self.check_cocycle(cochain, which=which)
         coords = self._transcript(cochain.dimension)[1].tags(cochain.bits)
         if coords is None:
             raise AssertionError("cocycle escapes the cohomology basis")

@@ -65,15 +65,17 @@ def _fft_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
 # step-doubling difference stays far below the quadrature error on every
 # model.
 PROBE_STEPS = 32
+# Below about 1.2e-77, eps**4 (a squared area element) is subnormal and underflows.
+MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 
 
 def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
     """The chart, center and RK4 step of a probe of radius eps.  The radius
-    must lie within the injectivity guard; the default center is the
+    must lie in [MIN_RADIUS, injectivity guard]; the default center is the
     model's generic-chart center and the default step eps / PROBE_STEPS."""
     chart = model.chart(chart_kind)
-    if not eps > 0:
-        raise OutOfDomain(f"{model.name}: probe radius must be positive")
+    if not eps >= MIN_RADIUS:
+        raise OutOfDomain(f"{model.name}: probe radius {eps} is below {MIN_RADIUS:.3g}")
     if eps > model.injectivity_guard:
         raise OutOfDomain(
             f"{model.name}: radius {eps} exceeds the injectivity guard "
@@ -356,9 +358,9 @@ def w3_limit(model: ModelGeometry, eps_list, center=None, grid=None,
         raise OutOfDomain(f"{model.name}: the limit probe is 3-dimensional")
     radii = [float(e) for e in eps_list]
     if len(radii) < 3:
-        raise NonConvergent("need at least 3 radii to extrapolate")
+        raise OutOfDomain("need at least 3 radii to extrapolate")
     if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise NonConvergent("radii must strictly decrease")
+        raise OutOfDomain("radii must strictly decrease")
 
     probes = [sphere_area_probe(model, e, center=center, grid=grid,
                                 chart_kind=chart_kind) for e in radii]

@@ -25,7 +25,7 @@ from .errors import (
     PairingDegenerate,
 )
 from .gf2 import BitMatrix
-from .homology import HomologySummary, mod2_homology
+from .homology import mod2_homology
 from .simplicial import Chain, Simplex, SimplicialComplex
 
 
@@ -165,9 +165,7 @@ def fundamental_cycle(X: SimplicialComplex) -> Chain:
         raise NotPseudomanifold(
             "fundamental cycle needs a closed pseudomanifold", report=report)
     gamma = Chain.all_ones(X, X.dim)
-    H = mod2_homology(X)
-    H.check_cycle(gamma, which="fundamental chain")
-    if H.class_is_zero(gamma):
+    if mod2_homology(X).homology_coordinates(gamma, which="fundamental chain") == 0:
         raise AssertionError("fundamental cycle bounds; homology is broken")
     return gamma
 

@@ -13,7 +13,8 @@ chains.  Hence [ht] = [sd_# PD(w_i)] in H(K') exactly when
 [lambda_# ht] != 0.  PD(w_i) is the Wu-formula oracle's class, computed on K
 independently and capped with the fundamental cycle.  Agreement in every
 degree is the theorem under test; disagreement raises OracleConflict with
-the full report attached.
+the full report attached.  Each class is read as its pairings with the
+cohomology basis of K (`homology_coordinates`): no boundary is reduced.
 
 K' is never built: both facts the report needs about ht are local counts
 on K, in the line of Halperin and Toledo ("Stiefel-Whitney homology
@@ -150,13 +151,12 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     conflicts = []
     for i in range(n + 1):
         closed, image = all_ones[n - i]
-        img = H.boundary_image_basis(n - i)
-        class_nonzero = closed and not img.contains(image.bits)
-        matches: bool | None = None
+        class_nonzero, matches = False, None
         if closed:
+            coords = H.homology_coordinates(image, which="all-ones image")
+            class_nonzero = coords != 0
             pd_wi = cap(K, order, wu.w[i].cocycle, gamma)
-            H.check_cycle(pd_wi, which="Wu cycle")
-            matches = img.contains(image.bits ^ pd_wi.bits)
+            matches = coords == H.homology_coordinates(pd_wi, which="Wu cycle")
             if not matches:
                 conflicts.append(i)
         rows.append(DegreeRow(i, closed, closed, class_nonzero, matches))

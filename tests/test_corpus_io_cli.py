@@ -181,6 +181,17 @@ def test_cli_usage_errors(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin.facets"
+    path.write_bytes(b"0 1 2\n\xff\xfe 3\n")
+    assert cli.main(["classes", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: line 2: input is not UTF-8 text"]
+    with pytest.raises(ParseError) as exc_info:
+        parse_complex_file(str(path))
+    assert exc_info.value.line == 2
+
+
 def test_cli_point_is_a_closed_manifold(tmp_path, capsys):
     point = tmp_path / "point.facets"
     point.write_text("0\n")
@@ -262,9 +273,20 @@ def test_cli_w3_limit(capsys):
     out = capsys.readouterr().out
     assert "extrapolated limit" in out
     assert "cochain value 1" in out
-    # too few radii to extrapolate: verification failure, not usage
-    assert cli.main(base + ["--eps-list", "0.4,0.2"]) == 1
-    capsys.readouterr()
+    # too few or non-decreasing radii are bad requests, not verification failures
+    for radii in ("0.3", "0.4,0.2", "0.1,0.2,0.05"):
+        assert cli.main(base + ["--eps-list", radii]) == 2, radii
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.parametrize("eps", ["1e-100", "1e-200"])
+def test_cli_probe_radius_below_the_floor(capsys, eps):
+    for argv in (["gauss-bonnet", "--model", "round-s2", "--eps", eps],
+                 ["sphere-area", "--model", "round-s3", "--eps", eps]):
+        assert cli.main(["metric"] + argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_cli_bad_grid(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from swlab.errors import DimensionMismatch, NotACocycle, NotACycle
 from swlab.gf2 import EchelonBasis
 from swlab.homology import HomologySummary, mod2_homology
 from swlab.simplicial import Chain, build_complex
+from swlab.subdivision import barycentric_subdivide
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 TORUS_FACETS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] \
@@ -181,3 +184,83 @@ def test_cross_complex_queries_rejected():
     H = mod2_homology(X)
     with pytest.raises(DimensionMismatch):
         H.class_is_zero(Chain.all_ones(Y, 2))
+
+
+def _random_sum(rng, vectors):
+    """The GF(2) sum of a random subset of the vectors."""
+    total = 0
+    for v in vectors:
+        if rng.random() < 0.5:
+            total ^= v
+    return total
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["base", "sd"])
+def test_class_queries_agree_with_the_image_bases(entries, subdivided):
+    """All four class queries read coordinates over the cohomology basis.
+    The old route, membership in the image basis of a boundary or of a
+    coboundary, is the reference: on every entry and its first subdivision,
+    over random boundaries and coboundaries, random sums of cycle basis
+    vectors and of cohomology representatives, and both shifted within their
+    class."""
+    rng = random.Random(12)
+    for name, entry in entries.items():
+        X = entry.complex()
+        if subdivided:
+            X = build_complex(barycentric_subdivide(X).derived.facets)
+        H = mod2_homology(X)
+        for d in range(X.dim + 1):
+            below = [rng.getrandbits(X.n_simplices(d + 1)) for _ in range(4)]
+            boundaries = [Chain(X, d + 1, bits).boundary() for bits in below]
+            basis = H.cycle_basis(d)
+            cycles = [Chain(X, d, _random_sum(rng, basis)) for _ in range(6)]
+            cycles += boundaries + [z ^ b for z in cycles for b in boundaries[:2]]
+            image = H.boundary_image_basis(d)
+            for z in cycles:
+                assert H.class_is_zero(z) == image.contains(z.bits), (name, d)
+            for z1, z2 in zip(cycles, cycles[1:] + cycles[:1]):
+                assert H.same_class(z1, z2) == image.contains(z1.bits ^ z2.bits), (name, d)
+            assert all(H.class_is_zero(b) for b in boundaries)
+
+            above = [rng.getrandbits(X.n_simplices(d - 1)) if d else 0 for _ in range(4)]
+            coboundaries = [Chain(X, d - 1, bits).coboundary() if d else Chain(X, 0, 0)
+                            for bits in above]
+            reps = H.cohomology_basis(d)
+            cocycles = [Chain(X, d, _random_sum(rng, reps)) for _ in range(6)]
+            cocycles += coboundaries + [a ^ b for a in cocycles for b in coboundaries[:2]]
+            coimage = H.coboundary_image_basis(d)
+            for a in cocycles:
+                assert H.cocycle_class_is_zero(a) == coimage.contains(a.bits), (name, d)
+            for a1, a2 in zip(cocycles, cocycles[1:] + cocycles[:1]):
+                assert (H.same_cocycle_class(a1, a2)
+                        == coimage.contains(a1.bits ^ a2.bits)), (name, d)
+            assert all(H.cocycle_class_is_zero(b) for b in coboundaries)
+
+
+def test_homology_coordinates_are_dual_to_the_cohomology_basis(entries):
+    """Over GF(2), H_d is the dual of H^d: the pairings of the cycles with
+    the cohomology representatives reach every coordinate vector, and they
+    vanish exactly on boundaries."""
+    for name, entry in entries.items():
+        X = entry.complex()
+        H = mod2_homology(X)
+        for d in range(X.dim + 1):
+            coords = [H.homology_coordinates(Chain(X, d, bits)) for bits in H.cycle_basis(d)]
+            span = EchelonBasis(H.betti(d))
+            for c in coords:
+                span.insert(c)
+            assert span.rank == H.betti(d), (name, d)
+        assert H.homology_coordinates(Chain.all_ones(X, X.dim)) == 1, name
+
+
+def test_homology_coordinates_reject_a_chain_that_is_not_a_cycle():
+    X = build_complex(TORUS_FACETS)
+    H = mod2_homology(X)
+    edge = Chain.from_simplices(X, 1, [X.skeleton(1)[0]])
+    with pytest.raises(NotACycle) as err:
+        H.homology_coordinates(edge, which="probe")
+    assert err.value.which == "probe"
+    with pytest.raises(NotACycle):
+        H.same_class(Chain(X, 1, 0), edge)
+    with pytest.raises(NotACocycle):
+        H.same_cocycle_class(Chain(X, 1, 0), edge)

@@ -15,7 +15,7 @@ from swlab.metric import (
     w3_limit,
 )
 from swlab.metric import calculus
-from swlab.metric.probes import PROBE_STEPS, _fft_derivative, _simpson
+from swlab.metric.probes import MIN_RADIUS, PROBE_STEPS, _fft_derivative, _simpson
 
 MODELS_2D = ("flat-2", "round-s2", "hyperbolic-2")
 MODELS_3D = ("flat-3", "round-s3", "warped-3")
@@ -143,12 +143,35 @@ def test_grid_too_coarse():
 
 def test_w3_limit_input_validation():
     flat = get_model("flat-3")
-    with pytest.raises(NonConvergent):
+    # bad requests, not verification failures
+    with pytest.raises(OutOfDomain):
         w3_limit(flat, (0.2, 0.1))          # too short to extrapolate
-    with pytest.raises(NonConvergent):
+    with pytest.raises(OutOfDomain):
         w3_limit(flat, (0.1, 0.2, 0.05))    # not strictly decreasing
     with pytest.raises(OutOfDomain):
         w3_limit(get_model("round-s2"), (0.2, 0.1, 0.05))
+
+
+@pytest.mark.parametrize("eps", [1e-100, 1e-200, 0.0, math.nan])
+def test_probe_radius_below_the_floor_is_rejected(eps):
+    # below MIN_RADIUS the area came out 0 with a 0 error bar, or the probe
+    # divided by zero
+    with pytest.raises(OutOfDomain):
+        sphere_area_probe(get_model("round-s3"), eps, grid=(24, 48))
+    with pytest.raises(OutOfDomain):
+        gauss_bonnet_disk(get_model("round-s2"), eps, grid=64)
+
+
+@pytest.mark.parametrize("eps", [1.01 * MIN_RADIUS, 1e-60])
+def test_error_covers_the_closed_form_just_above_the_radius_floor(eps):
+    for name in ("round-s3", "flat-3"):
+        res = sphere_area_probe(get_model(name), eps, grid=(24, 48))
+        # sin(eps)/eps is 1 in floating point at these radii
+        assert res.value > 0 and res.error > 0, name
+        assert abs(res.value - 4.0 * math.pi * eps ** 2) <= res.error, name
+    for name in ("round-s2", "flat-2"):
+        res = gauss_bonnet_disk(get_model(name), eps, grid=64)
+        assert abs(res.total - 2.0 * math.pi) <= res.error, name
 
 
 def test_w3_limit_rejects_oscillatory_metric():

@@ -23,6 +23,7 @@ from swlab.errors import (
     PairingDegenerate,
 )
 from swlab.fileio import write_complex_file
+from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
 from swlab.pipeline import SWReport, compute_report, ht_chain
@@ -298,6 +299,51 @@ def test_oracle_chain_that_is_not_a_cycle_is_rejected(monkeypatch):
     monkeypatch.setattr("swlab.pipeline.cap", one_simplex)
     with pytest.raises(NotACycle):
         compute_report(X)
+
+
+def test_all_ones_image_that_is_not_a_cycle_is_rejected(monkeypatch):
+    """lambda_# is a chain map, so a closed all-ones chain has a cycle for
+    image.  An image with a boundary must raise NotACycle before its
+    coordinates are read."""
+    X = corpus("rp2-6").complex()
+
+    def one_simplex_images(K):
+        return [(True, Chain(K, d, 1) if d else image)
+                for d, (_, image) in enumerate(all_ones_chains(K))]
+
+    monkeypatch.setattr("swlab.pipeline.all_ones_chains", one_simplex_images)
+    with pytest.raises(NotACycle) as exc_info:
+        compute_report(X)
+    assert exc_info.value.which == "all-ones image"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
+    """Every class is read as coordinates over the cohomology transcripts,
+    so the report reduces coboundaries (transposed boundary matrices) and
+    the Wu pairing matrices only, and none of them twice the same way."""
+    reductions = []
+    column_space, tagged = BitMatrix.column_space, BitMatrix._tagged_reduction
+
+    def counting_column_space(self):
+        if self._column_space is None:
+            reductions.append(("column space", self))
+        return column_space(self)
+
+    def counting_tagged(self):
+        reductions.append(("tagged", self))
+        return tagged(self)
+
+    X = corpus(name).complex()
+    monkeypatch.setattr(BitMatrix, "column_space", counting_column_space)
+    monkeypatch.setattr(BitMatrix, "_tagged_reduction", counting_tagged)
+    report = compute_report(X)
+    assert report.all_matched
+    boundaries = [X.boundary_matrix(k) for k in range(1, X.dim + 1)]
+    # the matrices stay referenced in `reductions`, so their ids are distinct
+    assert not any(m is b for _, m in reductions for b in boundaries)
+    assert len({(kind, id(m)) for kind, m in reductions}) == len(reductions)
+    assert {id(b.transpose()) for b in boundaries} <= {id(m) for _, m in reductions}
 
 
 def test_report_classes_match_derived_homology(entries, reports):
