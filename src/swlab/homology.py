@@ -63,9 +63,12 @@ class HomologySummary:
             raise DimensionMismatch("chain lives on a different complex")
         b = chain.boundary()
         if not b.is_zero():
-            face = b.complex.skeleton(b.dimension)[(b.bits & -b.bits).bit_length() - 1]
-            raise NotACycle(f"{which} has nonzero boundary (first odd face {face})",
-                            which=which, failed_simplex=face)
+            i = (b.bits & -b.bits).bit_length() - 1
+            raise NotACycle(
+                f"{which} has nonzero boundary (first odd face {b.complex.skeleton(b.dimension)[i]})",
+                which=which,
+                failed_simplex=b.complex.skeleton(b.dimension)[i],
+            )
 
     def is_cycle(self, chain: Chain) -> bool:
         return chain.boundary().is_zero()
@@ -101,8 +104,11 @@ class HomologySummary:
             raise DimensionMismatch("cochain lives on a different complex")
         cb = cochain.coboundary()
         if not cb.is_zero():
-            face = cb.complex.skeleton(cb.dimension)[(cb.bits & -cb.bits).bit_length() - 1]
-            raise NotACocycle(f"{which} has nonzero coboundary (first odd cofacet {face})")
+            i = (cb.bits & -cb.bits).bit_length() - 1
+            raise NotACocycle(
+                f"{which} has nonzero coboundary "
+                f"(first odd cofacet {cb.complex.skeleton(cb.dimension)[i]})"
+            )
 
     def is_cocycle(self, cochain: Chain) -> bool:
         return cochain.coboundary().is_zero()
@@ -113,8 +119,9 @@ class HomologySummary:
     def same_cocycle_class(self, a1: Chain, a2: Chain) -> bool:
         if a1.dimension != a2.dimension:
             raise DimensionMismatch("cochains of different degrees")
-        return (self.cohomology_coordinates(a1, which="first cocycle")
-                == self.cohomology_coordinates(a2, which="second cocycle"))
+        self.check_cocycle(a1, which="first cocycle")
+        # a1 is a cocycle, so delta(a1 + a2) = delta(a2): checking the sum checks a2
+        return self.cohomology_coordinates(a1 ^ a2, which="second cocycle") == 0
 
     def cocycle_basis(self, d: int) -> list[int]:
         """Kernel basis of the coboundary out of degree d."""

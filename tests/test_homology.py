@@ -262,5 +262,11 @@ def test_homology_coordinates_reject_a_chain_that_is_not_a_cycle():
     assert err.value.which == "probe"
     with pytest.raises(NotACycle):
         H.same_class(Chain(X, 1, 0), edge)
-    with pytest.raises(NotACocycle):
-        H.same_cocycle_class(Chain(X, 1, 0), edge)
+    with pytest.raises(NotACocycle) as alone:
+        H.check_cocycle(edge)
+    # the second cochain is checked through the sum: same cofacet, its own label
+    cofacet = str(alone.value).split("coboundary ", 1)[1]
+    for pair, label in (((edge, Chain(X, 1, 0)), "first"), ((Chain(X, 1, 0), edge), "second")):
+        with pytest.raises(NotACocycle) as err:
+            H.same_cocycle_class(*pair)
+        assert str(err.value) == f"{label} cocycle has nonzero coboundary {cofacet}"
