@@ -14,9 +14,9 @@ Reininghaus & Wagner, J. Symb. Comput. 2017).  Kernels and solutions use the
 same loop on columns tagged with their own index above the row bits, which
 records the reduction R = D V: a column whose row part reduces to zero
 carries a kernel vector in its tag bits, and `EchelonBasis.tags` reads a
-solution off them.  Each `BitMatrix` owns and caches its transpose and its
-column space; the row space is the transpose's, and callers such as
-`swlab.homology` keep no second copy of a basis or a rank.
+solution off them.  Each `BitMatrix` owns and caches its transpose, its
+column space and its kernel vectors; the row space is the transpose's, and
+callers such as `swlab.homology` keep no second copy of a basis or a rank.
 
 Columns are reduced in index order, so every basis, rank, solution and kernel
 basis is reproducible bit for bit.
@@ -94,7 +94,8 @@ class EchelonBasis:
 class BitMatrix:
     """Immutable-by-convention GF(2) matrix. Build once, then query."""
 
-    __slots__ = ("rows", "cols", "columns", "_transpose", "_column_space")
+    __slots__ = ("rows", "cols", "columns", "_transpose", "_column_space",
+                 "_null_space")
 
     def __init__(self, rows: int, cols: int, columns: list[int] | None = None):
         if rows < 0 or cols < 0:
@@ -108,6 +109,7 @@ class BitMatrix:
         self.columns = columns
         self._transpose: BitMatrix | None = None
         self._column_space: EchelonBasis | None = None
+        self._null_space: list[int] | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -230,6 +232,9 @@ class BitMatrix:
         """Kernel basis, one vector per column that depends on earlier ones.
 
         The vector for column j has j as its highest bit, so the cols - rank
-        vectors are independent."""
-        return self._tagged_reduction()[1]
+        vectors are independent.  The vectors are cached (not the tagged
+        basis); each call returns a fresh list."""
+        if self._null_space is None:
+            self._null_space = self._tagged_reduction()[1]
+        return list(self._null_space)
 

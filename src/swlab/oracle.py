@@ -4,8 +4,18 @@ Cup, cap, and cup-i products at the cochain level, Steenrod squares, the
 fundamental cycle, Wu classes, and Stiefel-Whitney classes via the Wu
 formula w = Sq(v).  Everything here is independent of the dual-cell
 machinery so the two routes can be compared against each other.
-There is one product loop, in `cup_i`: `cup` is cup_0, and `cup_i` and
-`cap` read face indices from the complex's per-dimension index tables.
+
+Products act on whole chains at once.  Which face of an m-simplex sits at
+given vertex positions depends only on the complex, the vertex order, m and
+the positions, not on the cochains, so `VertexOrder.faces` builds each such
+face-index table once and keeps it.  A product is then a few `gather`s, each
+one C-level pass that moves bit table[idx] of a cochain to bit idx:
+`cup_i` XORs, over its cut terms, the AND of alpha gathered on the even
+faces and beta gathered on the odd ones (`cup` is cup_0), and `cap` gathers
+alpha on the front faces and adds up the back faces of the simplices that
+survive.  Steenrod's cut-sequence form of the products (Medina-Mardones,
+"New formulas for cup-i products and fast computation of Steenrod
+squares", Comput. Geom. 2023) keeps the number of terms small.
 
 A d-cochain is stored as a Chain on the d-skeleton: over GF(2) with the
 simplex basis, chains and cochains carry identical data and differ only in
@@ -14,7 +24,8 @@ which side of `pairing` they sit on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter
 
 from .errors import (
     DegreeOverflow,
@@ -37,9 +48,13 @@ class VertexOrder:
     get this for free: their vertex ids are assigned by decreasing dimension
     of the underlying barycenter, so `numeric` is already the order that the
     subdivision construction wants.
+
+    The order also keeps the face-index tables of the products on its
+    complex (`faces`), and the order-sorted skeletons they are read from,
+    so every product with one order reuses them.
     """
 
-    __slots__ = ("complex", "_rank")
+    __slots__ = ("complex", "_rank", "_sorted", "_faces")
 
     def __init__(self, complex: SimplicialComplex, sequence):
         seq = tuple(sequence)
@@ -49,6 +64,8 @@ class VertexOrder:
                 "order must list every vertex of the complex exactly once")
         self.complex = complex
         self._rank = {v: i for i, v in enumerate(seq)}
+        self._sorted: dict[int, list[tuple[int, ...]]] = {}
+        self._faces: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
     @classmethod
     def numeric(cls, complex: SimplicialComplex) -> VertexOrder:
@@ -62,6 +79,27 @@ class VertexOrder:
         """Vertices of `simplex` listed in increasing order rank."""
         return tuple(sorted(simplex, key=self._rank.__getitem__))
 
+    def faces(self, X: SimplicialComplex, m: int,
+              positions: tuple[int, ...]) -> list[int]:
+        """For each m-simplex of X in skeleton order, the index of its face
+        spanned by the vertices at `positions` of its order-sorted vertex
+        list; built on first use and cached."""
+        if self.complex is not X:
+            raise DimensionMismatch("order lives on a different complex")
+        table = self._faces.get((m, positions))
+        if table is None:
+            if m not in self._sorted:
+                self._sorted[m] = list(map(self.sort, X.skeleton(m)))
+            index = X._index[len(positions) - 1]
+            if len(positions) == 1:
+                k, = positions
+                table = [index[(w[k],)] for w in self._sorted[m]]
+            else:
+                get = itemgetter(*positions)
+                table = [index[tuple(sorted(get(w)))] for w in self._sorted[m]]
+            self._faces[m, positions] = table
+        return table
+
     def __repr__(self):
         seq = sorted(self._rank, key=self._rank.__getitem__)
         return f"VertexOrder({list(seq)})"
@@ -72,18 +110,25 @@ def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
         raise DimensionMismatch(f"{name} lives on a different complex")
 
 
-def _face_indices(X: SimplicialComplex, order: VertexOrder, d: int, positions):
-    """For each d-simplex of X in skeleton order, the index of its face at
-    each position tuple of its order-sorted vertex list, read from the
-    per-dimension index tables without re-validating the face."""
-    if order.complex is not X:
-        raise DimensionMismatch("order lives on a different complex")
-    skeleton = X.skeleton(d)
-    tables = [X._index[len(pos) - 1] for pos in positions]
-    for s in skeleton:
-        w = order.sort(s)
-        yield [table[tuple(sorted([w[k] for k in pos]))]
-               for table, pos in zip(tables, positions)]
+# digit characters <-> 0/1 bytes
+_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _low_first(bits: int, width: int) -> str:
+    """The `width` binary digits of `bits`, lowest bit first."""
+    return f"{bits:0{width}b}"[::-1]
+
+
+def gather(bits: int, table: list[int], width: int) -> int:
+    """The int whose bit idx is bit table[idx] of `bits`, a width-bit int.
+
+    One C-level pass: pick the digits of `bits` in the reverse of table
+    order, so that int(..., 2) reads bit table[0] last, as bit 0."""
+    if not table:
+        return 0
+    # with one index itemgetter returns a bare digit, which join also takes
+    return int("".join(itemgetter(*reversed(table))(_low_first(bits, width))), 2)
 
 
 def cup(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
@@ -99,14 +144,18 @@ def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     _check_cochain(X, alpha, "alpha")
     _check_cochain(X, c, "chain")
     p, d = alpha.dimension, c.dimension
+    if p < 0:
+        raise IndexOutOfRange(f"cannot cap with a cochain of degree {p}")
     if p > d:
         raise DegreeOverflow(f"cannot cap a {p}-cochain with a {d}-chain")
-    a, bits, out = alpha.bits, c.bits, 0
-    positions = (tuple(range(p + 1)), tuple(range(p, d + 1)))
-    for idx, (front, back) in enumerate(_face_indices(X, order, d, positions)):
-        if (bits >> idx) & (a >> front) & 1:
-            out ^= 1 << back
-    return Chain(X, d - p, out)
+    front = order.faces(X, d, tuple(range(p + 1)))
+    back = order.faces(X, d, tuple(range(p, d + 1)))
+    hit = gather(alpha.bits, front, X.n_simplices(p)) & c.bits
+    # one parity byte per (d-p)-simplex, flipped by each hit simplex's back face
+    parity = bytearray(X.n_simplices(d - p))
+    for face in compress(back, _low_first(hit, len(back)).encode().translate(_TO_BYTES)):
+        parity[face] ^= 1
+    return Chain(X, d - p, int(parity[::-1].translate(_TO_DIGITS), 2))
 
 
 def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
@@ -128,18 +177,16 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     m = p + q - i
     if m > X.dim:
         raise DegreeOverflow(f"cup-{i} degree {m} exceeds dimension {X.dim}")
-    terms: list[tuple[int, ...]] = []  # even positions, odd positions, ...
+    a, b, bits = alpha.bits, beta.bits, 0
+    na, nb = X.n_simplices(p), X.n_simplices(q)
     for cuts in combinations(range(m + 1), i + 1):
         bounds = (0,) + cuts + (m,)
         parts = [range(bounds[j], bounds[j + 1] + 1) for j in range(i + 2)]
         evens = tuple(k for part in parts[0::2] for k in part)
         odds = tuple(k for part in parts[1::2] for k in part)
         if len(evens) == p + 1 and len(odds) == q + 1:
-            terms += (evens, odds)
-    a, b, bits = alpha.bits, beta.bits, 0
-    for idx, faces in enumerate(_face_indices(X, order, m, terms)):
-        if sum((a >> f) & (b >> g) & 1 for f, g in zip(faces[0::2], faces[1::2])) & 1:
-            bits |= 1 << idx
+            bits ^= (gather(a, order.faces(X, m, evens), na)
+                     & gather(b, order.faces(X, m, odds), nb))
     return Chain(X, m, bits)
 
 

@@ -163,6 +163,24 @@ def test_transcript_stops_at_betti(monkeypatch):
     assert calls == {"cocycle_basis": [2], "insert": 1}
 
 
+def test_kernel_bases_are_reduced_once(monkeypatch):
+    # the kernel vectors are cached on the boundary matrix; each call hands
+    # out its own list, so a caller's edit cannot reach the cache
+    X = build_complex(TORUS_FACETS)
+    H = mod2_homology(X)
+    cocycles, cycles = H.cocycle_basis(1), H.cycle_basis(1)
+    inserts = []
+    insert = EchelonBasis.insert
+    monkeypatch.setattr(EchelonBasis, "insert",
+                        lambda self, v: inserts.append(v) or insert(self, v))
+    again = H.cocycle_basis(1)
+    assert again == cocycles and again is not cocycles
+    again.clear()
+    assert H.cocycle_basis(1) == cocycles
+    assert H.cycle_basis(1) == cycles
+    assert inserts == []
+
+
 def test_top_cocycle_basis_is_unit_vectors():
     X = build_complex(S2_FACETS)
     H = mod2_homology(X)

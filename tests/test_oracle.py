@@ -233,6 +233,77 @@ def test_products_match_reference(entry_complex, shuffled):
                 assert cap(X, order, a, b) == ref_cap(X, order, a, b)
 
 
+def _one_simplex_orders(X):
+    rng = np.random.default_rng(23)
+    return [VertexOrder.numeric(X), shuffled_order(rng, X)]
+
+
+@pytest.mark.parametrize("facets", [[(0, 1, 2)], [(5,)]],
+                         ids=["one-triangle", "one-vertex"])
+def test_products_match_reference_on_one_simplex_skeletons(facets):
+    """A one-triangle and a one-vertex complex: the product degrees that
+    have exactly one simplex gather through a single-index table."""
+    X = build_complex(facets)
+    n = X.dim
+    for order in _one_simplex_orders(X):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for a_bits in range(1 << X.n_simplices(p)):
+                    for b_bits in range(1 << X.n_simplices(q)):
+                        a, b = Chain(X, p, a_bits), Chain(X, q, b_bits)
+                        if p + q <= n:
+                            assert cup(X, order, a, b) == ref_cup(X, order, a, b)
+                        for i in range(min(p, q) + 1):
+                            if p + q - i <= n:
+                                assert cup_i(X, order, a, b, i) \
+                                    == ref_cup_i(X, order, a, b, i)
+                        if p <= q:
+                            assert cap(X, order, a, b) == ref_cap(X, order, a, b)
+
+
+def test_face_tables_are_built_once_per_order(entry_complex, monkeypatch):
+    """Across wu_classes and the degree caps, each (m, positions) table is
+    built once: the order sorts each m-simplex once, whatever the number
+    of tables and products read from that skeleton."""
+    X = entry_complex
+    sorts = []
+    sort = VertexOrder.sort
+    monkeypatch.setattr(VertexOrder, "sort",
+                        lambda self, s: sorts.append(s) or sort(self, s))
+    order = VertexOrder.numeric(X)
+    built = []
+    faces = VertexOrder.faces
+
+    def recording_faces(self, Y, m, positions):
+        if (m, positions) not in self._faces:
+            built.append((m, positions))
+        return faces(self, Y, m, positions)
+
+    monkeypatch.setattr(VertexOrder, "faces", recording_faces)
+
+    def wu_and_degree_caps():
+        wu = wu_classes(X, order)
+        gamma = fundamental_cycle(X)
+        for cls in wu.w:
+            cap(X, order, cls.cocycle, gamma)
+
+    wu_and_degree_caps()
+    assert built and len(built) == len(set(built)) == len(order._faces)
+    sorted_once = sum(X.n_simplices(m) for m in {m for m, _ in built})
+    assert len(sorts) == sorted_once
+    tables = dict(order._faces)
+    wu_and_degree_caps()
+    assert len(built) == len(tables) and len(sorts) == sorted_once
+    assert all(order._faces[key] is table for key, table in tables.items())
+
+
+def test_cap_rejects_a_negative_degree(entry_complex):
+    X = entry_complex
+    order = VertexOrder.numeric(X)
+    with pytest.raises(IndexOutOfRange):
+        cap(X, order, Chain.zero(X, -1), fundamental_cycle(X))
+
+
 def test_products_reject_an_order_on_another_complex(entry_complex):
     X = entry_complex
     renamed = build_complex([tuple(v + 1 for v in f) for f in X.facets])
