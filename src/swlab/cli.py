@@ -63,6 +63,15 @@ def _parse_eps_list(raw: str) -> tuple[float, ...]:
         raise ParseError(f"radius list must be comma-separated floats: {raw!r}")
 
 
+def tolerance(raw: str) -> float:
+    """A --tol value. NaN or inf would pass every gap and a negative value
+    fail every one, so only finite non-negative floats are accepted."""
+    tol = float(raw)
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(raw)
+    return tol
+
+
 def _json_dump(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -224,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--model", required=True)
     gb.add_argument("--eps", type=float, required=True)
     gb.add_argument("--grid", default=None)
-    gb.add_argument("--tol", type=float, default=1e-6)
+    gb.add_argument("--tol", type=tolerance, default=1e-6)
     gb.set_defaults(func=_cmd_metric)
 
     sa = msub.add_parser("sphere-area",
@@ -240,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w3.add_argument("--model", required=True)
     w3.add_argument("--eps-list", required=True, metavar="E1,E2,...")
     w3.add_argument("--grid", default=None)
-    w3.add_argument("--tol", type=float, default=1e-4)
+    w3.add_argument("--tol", type=tolerance, default=1e-4)
     w3.set_defaults(func=_cmd_metric)
 
     corpus = sub.add_parser("corpus", help="built-in triangulation corpus")

@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
 
-__all__ = ["BitMatrix", "EchelonBasis"]
+__all__ = ["BitMatrix", "EchelonBasis", "set_bits"]
+
+
+def set_bits(x: int):
+    """Yield the indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _check_vector(x: int, nbits: int) -> None:
@@ -167,10 +175,8 @@ class BitMatrix:
             rows = [0] * self.rows
             for j, c in enumerate(self.columns):
                 bit = 1 << j
-                while c:
-                    low = c & -c
-                    rows[low.bit_length() - 1] |= bit
-                    c ^= low
+                for i in set_bits(c):
+                    rows[i] |= bit
             t = BitMatrix(self.cols, self.rows, rows)
             t._transpose = self
             self._transpose = t

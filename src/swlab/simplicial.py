@@ -5,8 +5,10 @@ complex stores, per dimension, the lexicographically sorted tuple of its
 simplices plus an index map, so every chain group has a fixed basis order and
 mod-2 chains can be plain int bit vectors (bit ``i`` = simplex ``skeleton(d)[i]``).
 
-Complexes are immutable after construction; derived data (boundary matrices,
-coface maps, the pseudomanifold diagnostic) is computed once and cached.
+Complexes are immutable after construction; derived data (boundary matrices
+and their transposes, the pseudomanifold diagnostic) is computed once and
+cached.  The boundary matrices are the one incidence record: cofacets and the
+pseudomanifold check read their columns and those of their transposes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     MalformedFacet,
     SimplexNotInComplex,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, set_bits
 
 __all__ = [
     "Simplex",
@@ -79,7 +81,6 @@ class SimplicialComplex:
         "_index",
         "_facets",
         "_boundary",
-        "_cofaces",
         "_pm_report",
         "_extra",
     )
@@ -89,7 +90,6 @@ class SimplicialComplex:
         self._skeletons = skeletons
         self._index = tuple({s: i for i, s in enumerate(sk)} for sk in skeletons)
         self._boundary: dict[int, BitMatrix] = {}
-        self._cofaces: dict[Simplex, tuple[Simplex, ...]] | None = None
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
         # a facet is a face of no simplex one dimension up; walking the
@@ -162,12 +162,16 @@ class SimplicialComplex:
         d = len(s) - 1
         return d <= self.dim and s in self._index[d]
 
-    def index(self, simplex) -> int:
+    def _locate(self, simplex) -> tuple[int, int]:
+        """(dimension, index) of a simplex. Raises SimplexNotInComplex."""
         s = canonical_simplex(simplex)
         d = len(s) - 1
         if d > self.dim or s not in self._index[d]:
             raise SimplexNotInComplex(f"{s} not in complex")
-        return self._index[d][s]
+        return d, self._index[d][s]
+
+    def index(self, simplex) -> int:
+        return self._locate(simplex)[1]
 
     def simplices(self):
         for sk in self._skeletons:
@@ -176,18 +180,14 @@ class SimplicialComplex:
     # ------------------------------------------------------------- incidence
 
     def cofacets(self, simplex) -> tuple[Simplex, ...]:
-        """Cofaces of codimension one, in skeleton order."""
-        if self._cofaces is None:
-            cof: dict[Simplex, list[Simplex]] = {s: [] for s in self.simplices()}
-            for d in range(1, self.dim + 1):
-                for t in self._skeletons[d]:
-                    for k in range(len(t)):
-                        cof[t[:k] + t[k + 1 :]].append(t)
-            self._cofaces = {s: tuple(v) for s, v in cof.items()}
-        s = canonical_simplex(simplex)
-        if s not in self._cofaces:
-            raise SimplexNotInComplex(f"{s} not in complex")
-        return self._cofaces[s]
+        """Cofaces of codimension one, in skeleton order: the support of the
+        simplex's column in the transposed (d+1)-boundary."""
+        d, i = self._locate(simplex)
+        if d == self.dim:
+            return ()
+        up = self._skeletons[d + 1]
+        column = self.boundary_matrix(d + 1).transpose().columns[i]
+        return tuple(up[j] for j in set_bits(column))
 
     def boundary_matrix(self, d: int) -> BitMatrix:
         """Mod-2 boundary: rows = (d-1)-simplices, columns = d-simplices."""
@@ -195,20 +195,15 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"boundary dimension {d} outside 1..{self.dim}")
         if d not in self._boundary:
             rows = self._index[d - 1]
-            entries = []
-            for j, t in enumerate(self._skeletons[d]):
-                for k in range(len(t)):
-                    entries.append((rows[t[:k] + t[k + 1 :]], j))
-            self._boundary[d] = BitMatrix.from_entries(
-                len(self._skeletons[d - 1]), len(self._skeletons[d]), entries
-            )
+            columns = [sum(1 << rows[t[:k] + t[k + 1 :]] for k in range(len(t)))
+                       for t in self._skeletons[d]]
+            self._boundary[d] = BitMatrix(len(rows), len(columns), columns)
         return self._boundary[d]
 
     def link(self, simplex) -> SimplicialComplex:
         """All tau disjoint from sigma with tau + sigma in the complex."""
         s = canonical_simplex(simplex)
-        if not self.contains(s):
-            raise SimplexNotInComplex(f"{s} not in complex")
+        self._locate(s)  # raises SimplexNotInComplex
         sset = set(s)
         by_dim: dict[int, set[Simplex]] = {}
         for t in self.simplices():
@@ -231,43 +226,36 @@ class SimplicialComplex:
             return self._pm_report
         n = self.dim
         impure = tuple(f for f in self._facets if len(f) != n + 1)
-        pure = not impure
-        bad_ridges: list[tuple[Simplex, int]] = []
-        if n >= 1:
-            for r in self._skeletons[n - 1]:
-                cnt = len(self.cofacets(r))
-                if cnt != 2:
-                    bad_ridges.append((r, cnt))
-        ridges_ok = not bad_ridges
-        # facet adjacency across ridges
+        # column j of the n-boundary holds the ridges of top simplex j, column
+        # r of its transpose the top simplices of ridge r; points have no ridge
         tops = self._skeletons[n] if n >= 0 else ()
+        ridges_of, tops_of, bad_ridges = [0] * len(tops), [], []
+        if n >= 1:
+            top_boundary = self.boundary_matrix(n)
+            ridges_of, tops_of = top_boundary.columns, top_boundary.transpose().columns
+            bad_ridges = [(r, c) for r, c in zip(self._skeletons[n - 1],
+                                                 map(int.bit_count, tops_of)) if c != 2]
+        # components of the graph of top simplices adjacent across a ridge
         n_comp = 0
-        if tops:
-            idx = self._index[n]
-            seen = [False] * len(tops)
-            for start in range(len(tops)):
-                if seen[start]:
-                    continue
+        seen = [False] * len(tops)
+        for start in range(len(tops)):
+            if not seen[start]:
                 n_comp += 1
-                stack = [start]
                 seen[start] = True
+                stack = [start]
                 while stack:
-                    t = tops[stack.pop()]
-                    # facets of a 0-complex are points, with no ridge to cross
-                    for k in range(len(t) if n else 0):
-                        for u in self.cofacets(t[:k] + t[k + 1 :]):
-                            j = idx.get(u)
-                            if j is not None and not seen[j]:
+                    for r in set_bits(ridges_of[stack.pop()]):
+                        for j in set_bits(tops_of[r]):
+                            if not seen[j]:
                                 seen[j] = True
                                 stack.append(j)
-        connected = n_comp == 1
         self._pm_report = PseudomanifoldReport(
             dimension=n,
-            pure=pure,
+            pure=not impure,
             impure_facets=impure[:20],
-            ridges_ok=ridges_ok,
+            ridges_ok=not bad_ridges,
             bad_ridges=tuple(bad_ridges[:20]),
-            connected=connected,
+            connected=n_comp == 1,
             n_components=n_comp,
         )
         return self._pm_report
@@ -319,13 +307,7 @@ class Chain:
 
     def support(self) -> tuple[Simplex, ...]:
         sk = self.complex.skeleton(self.dimension)
-        x = self.bits
-        out = []
-        while x:
-            i = (x & -x).bit_length() - 1
-            out.append(sk[i])
-            x &= x - 1
-        return tuple(out)
+        return tuple(sk[i] for i in set_bits(self.bits))
 
     def pairing(self, other: Chain) -> int:
         """<cochain, chain> over GF(2): parity of the common support."""

@@ -27,7 +27,7 @@ from .errors import (
     NotPseudomanifold,
     SimplexNotInComplex,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, set_bits
 from .simplicial import Chain, Simplex, SimplicialComplex
 
 __all__ = [
@@ -78,7 +78,7 @@ class FlagSimplex:
 class SubdividedComplex:
     """Base complex, its barycentric subdivision, and the flag bookkeeping."""
 
-    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps", "_swaps")
+    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
@@ -99,7 +99,6 @@ class SubdividedComplex:
         self._flags = flags
         self._derived: SimplicialComplex | None = None
         self._chain_maps: dict[int, BitMatrix] = {}
-        self._swaps: dict[Simplex, dict[Simplex, Simplex]] | None = None
 
     @property
     def derived(self) -> SimplicialComplex:
@@ -144,19 +143,18 @@ class SubdividedComplex:
 
         ``ids`` is a derived simplex whose flag runs through dimensions n,
         n-1, ..., n-i with i >= 1.  Its top is swapped for the other facet
-        around the ridge ``ids[1]`` by the `ridge_swaps` table; facets carry
-        the smallest ids, so the result is still sorted.  Raises
-        NotPseudomanifold unless the base is a closed pseudomanifold, and
-        NotAFlagCell unless ``ids`` is a derived simplex that starts with a
-        facet and a ridge of it.
+        around the ridge ``ids[1]``, read from the base's cofacets as in
+        `ridge_swaps`; facets carry the smallest ids, so the result is still
+        sorted.  Raises NotPseudomanifold unless the base is a closed
+        pseudomanifold, and NotAFlagCell unless ``ids`` is a derived simplex
+        that starts with a facet and a ridge of it.
         """
-        if self._swaps is None:
-            self._swaps = ridge_swaps(self.base)
+        _require_closed(self.base)
         chain = self._flags.get(ids, ())
-        other = self._swaps.get(chain[1], {}).get(chain[0]) if len(chain) > 1 else None
-        if other is None:
+        if len(chain) < 2 or len(chain[1]) != self.base.dim:
             raise NotAFlagCell(f"{ids} does not start with a facet and its ridge")
-        return (self.vertex_id[other],) + ids[1:]
+        a, b = self.base.cofacets(chain[1])
+        return (self.vertex_id[b if a == chain[0] else a],) + ids[1:]
 
     def __repr__(self):
         # counted from the flag table, so repr never builds the derived complex
@@ -180,14 +178,18 @@ def ridge_swaps(base: SimplicialComplex) -> dict[Simplex, dict[Simplex, Simplex]
     over its two facets.
 
     The partner of a flag dual cell that starts facet > ridge swaps the facet
-    by this table and keeps the rest of the flag, so the table is all that
-    the partner involution reads.  Raises NotPseudomanifold on any other base.
+    as this table does and keeps the rest of the flag, so the table describes
+    the whole partner involution.  The two facets of ridge r are the support
+    of column r of the transposed n-boundary.  Raises NotPseudomanifold on
+    any other base.
     """
     _require_closed(base)
-    if base.dim < 1:
+    n = base.dim
+    if n < 1:
         return {}
-    return {r: {a: b, b: a} for r in base.skeleton(base.dim - 1)
-            for a, b in (base.cofacets(r),)}
+    facets = base.skeleton(n)
+    pairs = ((facets[i] for i in set_bits(c)) for c in base.boundary_matrix(n).transpose().columns)
+    return {r: {a: b, b: a} for r, (a, b) in zip(base.skeleton(n - 1), pairs)}
 
 
 def ridge_pairing_ok(swaps: dict[Simplex, dict[Simplex, Simplex]]) -> bool:

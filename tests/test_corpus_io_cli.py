@@ -260,6 +260,16 @@ def test_cli_gauss_bonnet(capsys):
     assert "misses 2*pi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_cli_rejects_unusable_tolerance(capsys, tol):
+    # a NaN or infinite tolerance would pass every gap, a negative one fail it
+    for argv in (["gauss-bonnet", "--model", "round-s2", "--eps", "0.5"],
+                 ["w3-limit", "--model", "round-s3", "--eps-list", "0.4,0.2,0.1",
+                  "--grid", "8,16"]):
+        assert cli.main(["metric"] + argv + [f"--tol={tol}"]) == 2, argv
+        assert "invalid tolerance value" in capsys.readouterr().err
+
+
 def test_cli_sphere_area(capsys):
     argv = ["metric", "sphere-area", "--model", "hyperbolic-2",
             "--eps", "0.5", "--grid", "256"]

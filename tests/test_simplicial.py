@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+
+from swlab.corpus import CORPUS_NAMES, corpus
 
 from swlab.errors import (
     DimensionMismatch,
@@ -11,10 +15,12 @@ from swlab.errors import (
 )
 from swlab.simplicial import (
     Chain,
+    PseudomanifoldReport,
     SimplicialComplex,
     build_complex,
     canonical_simplex,
 )
+from swlab.subdivision import barycentric_subdivide, ridge_swaps
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -73,10 +79,38 @@ def test_index_and_membership_errors():
         X.index((0, 4))
 
 
-def test_cofacets():
+def scanned_ridge_table(X):
+    """{ridge: {facet: other facet}} from a scan of the top simplices."""
+    around = {}
+    for f in X.skeleton(X.dim):
+        for r in combinations(f, X.dim):
+            around.setdefault(r, []).append(f)
+    return {r: {a: b, b: a} for r, (a, b) in around.items()}
+
+
+def test_cofacets(entries):
     X = sphere2()
     assert set(X.cofacets((0, 1))) == {(0, 1, 2), (0, 1, 3)}
     assert set(X.cofacets((2,))) == {(0, 2), (1, 2), (2, 3)}
+    # a triangle plus a loose edge: the edge is a facet below the top
+    impure = build_complex([(0, 1, 2), (2, 3)])
+    for X in [entry.complex() for entry in entries.values()] + [impure]:
+        for s in X.simplices():
+            d = len(s) - 1
+            up = X.skeleton(d + 1) if d < X.dim else ()
+            assert X.cofacets(s) == tuple(t for t in up if set(s) < set(t)), s
+    assert impure.cofacets((2, 3)) == ()
+    assert impure.cofacets((1, 0, 2)) == ()
+    assert impure.cofacets((3, 2)) == ()
+    with pytest.raises(SimplexNotInComplex):
+        impure.cofacets((1, 3))
+    with pytest.raises(SimplexNotInComplex):
+        impure.cofacets((0, 1, 2, 3))
+    with pytest.raises(MalformedFacet):
+        impure.cofacets((2, 2))
+    rp2_sd = barycentric_subdivide(corpus("rp2-6").complex()).derived
+    for X in [entry.complex() for entry in entries.values()] + [rp2_sd]:
+        assert ridge_swaps(X) == scanned_ridge_table(X)
 
 
 def test_link_of_vertex_in_sphere_is_circle():
@@ -102,6 +136,69 @@ def test_pseudomanifold_detection():
     # two triangles sharing only a vertex: not strongly connected
     pinched = build_complex([(0, 1, 2), (0, 3, 4)])
     assert not pinched.is_closed_pseudomanifold().passed
+
+
+def scanned_pseudomanifold_report(facets):
+    """The closed-pseudomanifold report from a scan of a facet list whose
+    entries are maximal: ridge counts over the top facets, and components
+    by union-find across shared ridges."""
+    n = max((len(f) for f in facets), default=0) - 1
+    tops = sorted(f for f in facets if len(f) == n + 1)
+    counts = {r: 0 for f in facets for r in combinations(f, n)} if n >= 1 else {}
+    parent = {f: f for f in tops}
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    first_top = {}
+    for f in tops:
+        for r in combinations(f, n) if n >= 1 else ():
+            counts[r] += 1
+            if r in first_top:
+                parent[root(f)] = root(first_top[r])
+            first_top.setdefault(r, f)
+    bad = [(r, c) for r, c in sorted(counts.items()) if c != 2]
+    impure = sorted((f for f in facets if len(f) != n + 1), key=lambda f: (len(f), f))
+    n_components = len({root(f) for f in tops})
+    return PseudomanifoldReport(
+        dimension=n, pure=not impure, impure_facets=tuple(impure[:20]),
+        ridges_ok=not bad, bad_ridges=tuple(bad[:20]),
+        connected=n_components == 1, n_components=n_components)
+
+
+_TETRAHEDRON = list(combinations(range(4), 3))
+PSEUDOMANIFOLD_CASES = {
+    "open disk": [(0, 1, 2)],
+    "pinched triangles": [(0, 1, 2), (0, 3, 4)],
+    "edge in three triangles": [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+    "impure": [(0, 1, 2), (2, 3)],
+    "wedged tetrahedra": _TETRAHEDRON + [tuple(v + 3 for v in f) for f in _TETRAHEDRON],
+    "one point": [(0,)],
+    "two points": [(0,), (1,)],
+    "empty": [],
+    "fan of 39": [(0, i, i + 1) for i in range(1, 40)],
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS_NAMES) + list(PSEUDOMANIFOLD_CASES))
+def test_pseudomanifold_report_matches_a_scan(name):
+    if name in PSEUDOMANIFOLD_CASES:
+        facets = PSEUDOMANIFOLD_CASES[name]
+    else:
+        facets = list(corpus(name).facets)
+    X = build_complex(facets) if facets else SimplicialComplex.empty()
+    report = X.is_closed_pseudomanifold()
+    assert report == scanned_pseudomanifold_report(facets)
+    # a point is a closed 0-manifold
+    assert report.passed == (name in CORPUS_NAMES or name == "one point")
+    if name == "wedged tetrahedra":
+        assert report.ridges_ok and report.n_components == 2
+    if name == "fan of 39":
+        # 41 free edges, capped at 20 in skeleton order
+        assert report.bad_ridges[:3] == (((0, 1), 1), ((0, 40), 1), ((1, 2), 1))
+        assert len(report.bad_ridges) == 20
 
 
 def test_chain_xor_and_popcount():
