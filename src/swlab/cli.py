@@ -51,7 +51,7 @@ def _parse_grid(raw: str | None):
         values = [int(p) for p in parts]
     except ValueError:
         raise ParseError(f"grid must be an integer or LAT,LON pair: {raw!r}")
-    if any(v < 4 for v in values) or len(values) > 2:
+    if len(values) > 2:
         raise ParseError(f"unusable grid specification: {raw!r}")
     return values[0] if len(values) == 1 else tuple(values)
 

@@ -11,6 +11,7 @@ the per-step path calls no einsum and no LAPACK routine.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -164,15 +165,28 @@ def _geodesic_rhs(chart, x, v):
     return v, acc
 
 
+def rk4_step_count(length: float, h: float) -> int:
+    """The number of RK4 steps of about h that cover length, at least one.
+    Raises OutOfDomain for a step that is not positive and finite, a
+    length that is not finite, or a step too short to count."""
+    if not (math.isfinite(h) and h > 0):
+        raise OutOfDomain(f"RK4 step must be positive and finite, got {h}")
+    if not math.isfinite(length):
+        raise OutOfDomain(f"geodesic length must be finite, got {length}")
+    if not math.isfinite(length / h):
+        raise OutOfDomain(f"RK4 step {h} is too short for length {length}")
+    return max(1, int(round(length / h)))
+
+
 def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
                         h: float, record: bool = False):
     """Integrate x'' = -Gamma(x', x') with fixed-step RK4, batched over rays.
 
     Returns (x, v) arrays, or with record=True the full trajectory arrays
-    of shape (steps+1, N, d)."""
+    of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count does."""
+    steps = rk4_step_count(length, h)
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
-    steps = max(1, int(round(length / h)))
     dt = length / steps
     xs = [x.copy()] if record else None
     vs = [v.copy()] if record else None

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
 from .calculus import christoffel_many, curvature_many, g_norms, \
-    geodesic_shoot_many
+    geodesic_shoot_many, rk4_step_count
 from .charts import ModelGeometry
 from .constants import sphere_volume
 
@@ -60,11 +60,20 @@ def _fft_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.irfft(spec * (1j * k.reshape(shape)), n=n, axis=axis)
 
 
-# RK4 steps over the probe radius when the caller passes no step.  The
-# probes need the sphere or disk value, not a fine trajectory: at eps/32 the
-# step-doubling difference stays far below the quadrature error on every
-# model.
-PROBE_STEPS = 32
+# The RK4 step when the caller passes no step: chart.scale / SCALE_STEPS,
+# clamped so that a probe takes between MIN_STEPS and MAX_STEPS steps.  The
+# probes need the sphere or disk value, not a fine trajectory: at radii up
+# to 0.5 the 16-step difference stays about 500 times below the quadrature
+# error on every model.  The scale cap keeps round-s2 disks out to its guard
+# 1.5 within 1e-6 of 2*pi, where eps/16 alone misses by 1e-5; MAX_STEPS
+# bounds the work at large radii (a flat disk of radius 1e6 takes 32 steps).
+MIN_STEPS = 16
+MAX_STEPS = 32
+SCALE_STEPS = 32
+# Fewest rays, latitudes or longitudes a probe grid may have: below 4 the
+# spectral tangents vanish (a 0.0 value with a 0.0 error) and the polar
+# stencil of a 3-D grid runs out of rows.
+MIN_GRID = 4
 # Below about 1.2e-77, eps**4 (a squared area element) is subnormal and underflows.
 MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 
@@ -72,9 +81,12 @@ MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
     """The chart, center and RK4 step of a probe of radius eps.  The radius
     must lie in [MIN_RADIUS, injectivity guard]; the default center is the
-    model's generic-chart center and the default step eps / PROBE_STEPS."""
+    model's generic-chart center and the default step chart.scale /
+    SCALE_STEPS, clamped to between MIN_STEPS and MAX_STEPS steps."""
     chart = model.chart(chart_kind)
-    if not eps >= MIN_RADIUS:
+    if not math.isfinite(eps):
+        raise OutOfDomain(f"{model.name}: probe radius {eps} is not finite")
+    if eps < MIN_RADIUS:
         raise OutOfDomain(f"{model.name}: probe radius {eps} is below {MIN_RADIUS:.3g}")
     if eps > model.injectivity_guard:
         raise OutOfDomain(
@@ -86,7 +98,10 @@ def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
                 f"{model.name}: default center is a generic-chart point; "
                 f"pass one explicitly for the {chart_kind} chart")
         center = model.center
-    return chart, center, eps / PROBE_STEPS if h is None else h
+    if h is None:
+        h = max(eps / MAX_STEPS, min(eps / MIN_STEPS,
+                                     chart.scale / SCALE_STEPS))
+    return chart, center, h
 
 
 def _circle_fan(grid):
@@ -96,6 +111,9 @@ def _circle_fan(grid):
         nrays = int(grid) if grid is not None else 512
     except TypeError:
         raise OutOfDomain(f"a 2-D probe takes one ray count, not {grid!r}") from None
+    if nrays < MIN_GRID:
+        raise OutOfDomain(f"a 2-D probe needs at least {MIN_GRID} rays, "
+                          f"not {nrays}")
     theta = 2.0 * math.pi * np.arange(nrays) / nrays
     return nrays, np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -108,16 +126,14 @@ def _shoot_pair(chart, center, dirs, eps: float, h: float,
     eps/h is rounded to a positive even step count so that the companion
     takes exactly half as many steps (step doubling).  Returns the (x, v)
     pair of each shoot, fine first, and the fine step count."""
-    if not h > 0:
-        raise OutOfDomain(f"RK4 step must be positive, got {h}")
+    half = rk4_step_count(eps / 2.0, h)
     x0 = np.tile(np.asarray(center, dtype=float), (len(dirs), 1))
     v0 = dirs / g_norms(chart, x0, dirs)[:, None]
-    steps = 2 * max(1, round(eps / (2.0 * h)))
-    fine = geodesic_shoot_many(chart, x0, v0, eps, eps / steps,
+    fine = geodesic_shoot_many(chart, x0, v0, eps, eps / (2 * half),
                                record=record)
-    coarse = geodesic_shoot_many(chart, x0, v0, eps, 2.0 * eps / steps,
+    coarse = geodesic_shoot_many(chart, x0, v0, eps, eps / half,
                                  record=record)
-    return fine, coarse, steps
+    return fine, coarse, 2 * half
 
 
 def _error_budget(name: str, eps: float, max_error: float | None,
@@ -193,8 +209,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     In dimension 2 this is the circumference of the geodesic circle, in
     dimension 3 the area of the geodesic sphere; `ratio` divides by
     2*pi*eps respectively 4*pi*eps^2.  The rays are shot at the RK4 step
-    h (default eps / PROBE_STEPS) and once more at 2h; `params` holds the
-    step count and the parts of `error`.  Raises GridTooCoarse when the
+    h (default chart.scale / SCALE_STEPS, clamped to between MIN_STEPS and
+    MAX_STEPS steps) and once more at 2h; `params` holds the step count
+    and the parts of `error`.  Raises GridTooCoarse when the
     self-estimated error exceeds `max_error`.
     """
     chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
@@ -209,6 +226,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
             raise OutOfDomain(
                 f"a 3-D probe takes a LAT,LON grid pair, not {grid!r}") from None
         grid = (nlat, nlon)
+        if min(grid) < MIN_GRID:
+            raise OutOfDomain(f"a 3-D probe needs at least {MIN_GRID} "
+                              f"latitudes and longitudes, not {grid!r}")
         if nlon % 2:
             raise OutOfDomain("longitude count must be even for the "
                               "pole-reflection stencil")
@@ -317,8 +337,9 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     polar shells, `boundary` integrates the geodesic curvature of the
     boundary circle; their sum is 2*pi for any metric, and `cochain_value`
     is the resulting Euler evaluation reduced mod 2.  The rays are shot
-    at the RK4 step h (default eps / PROBE_STEPS) and once more at 2h;
-    `params` holds the step count and the parts of `error`.
+    at the RK4 step h (default chart.scale / SCALE_STEPS, clamped to
+    between MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params`
+    holds the step count and the parts of `error`.
     """
     chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
     if chart.dim != 2:

@@ -299,6 +299,17 @@ def test_cli_probe_radius_below_the_floor(capsys, eps):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
+def test_cli_non_finite_radius(capsys):
+    for argv in (["gauss-bonnet", "--model", "round-s2", "--eps", "nan"],
+                 ["sphere-area", "--model", "round-s3", "--eps", "nan"],
+                 ["w3-limit", "--model", "round-s3",
+                  "--eps-list", "0.4,nan,0.1"]):
+        assert cli.main(["metric"] + argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "probe radius nan is not finite" in lines[0], lines
+
+
 def test_cli_bad_grid(capsys):
     for argv in [
         ["gauss-bonnet", "--model", "round-s2", "--eps", "0.5", "--grid", "3"],
@@ -306,6 +317,10 @@ def test_cli_bad_grid(capsys):
         ["gauss-bonnet", "--model", "round-s2", "--eps", "0.5", "--grid", "8,8"],
         ["sphere-area", "--model", "round-s2", "--eps", "0.5", "--grid", "8,8"],
         ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "16"],
+        # below the library's floor of 4 rays, latitudes or longitudes
+        ["sphere-area", "--model", "round-s2", "--eps", "0.5", "--grid", "2"],
+        ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "2,8"],
+        ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "8,-4"],
         ["w3-limit", "--model", "round-s3", "--eps-list", "0.4,0.2,0.1",
          "--grid", "16"],
     ]:

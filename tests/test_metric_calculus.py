@@ -169,6 +169,18 @@ def test_geodesic_left_domain():
     assert exit_point[0] > math.pi - 0.06
 
 
+@pytest.mark.parametrize("length,h", [
+    (0.4, -0.1), (0.4, 0.0), (0.4, math.nan), (0.4, math.inf),
+    (math.nan, 0.05), (math.inf, 0.05), (-math.inf, 0.05), (0.4, 1e-320)])
+def test_geodesic_step_and_length_are_validated(length, h):
+    # a negative step took one RK4 step over the full length, a zero or
+    # NaN one raised a bare ZeroDivisionError or ValueError, a subnormal
+    # one an OverflowError
+    chart = get_model("flat-2").chart()
+    with pytest.raises(OutOfDomain):
+        geodesic_shoot_many(chart, [(0.0, 0.0)], [(1.0, 0.0)], length, h)
+
+
 def test_g_norms():
     chart = get_model("round-s2").chart("polar")
     pts = np.array([[1.0, 0.0], [0.5, 1.0]])

@@ -15,7 +15,15 @@ from swlab.metric import (
     w3_limit,
 )
 from swlab.metric import calculus
-from swlab.metric.probes import MIN_RADIUS, PROBE_STEPS, _fft_derivative, _simpson
+from swlab.metric.probes import (
+    MIN_GRID,
+    MAX_STEPS,
+    MIN_RADIUS,
+    MIN_STEPS,
+    SCALE_STEPS,
+    _fft_derivative,
+    _simpson,
+)
 
 MODELS_2D = ("flat-2", "round-s2", "hyperbolic-2")
 MODELS_3D = ("flat-3", "round-s3", "warped-3")
@@ -121,6 +129,17 @@ def test_probe_radius_guard():
         gauss_bonnet_disk(get_model("round-s2"), 0.5, h=0.0)
 
 
+def test_probe_takes_any_finite_explicit_step():
+    # a step longer than the radius shoots two fine steps and a one-step
+    # companion; a step near the float maximum is not doubled into inf
+    for h in (0.5, 1e308):
+        res = gauss_bonnet_disk(get_model("flat-2"), 0.25, grid=64, h=h)
+        assert res.params["steps"] == 2
+    for h in (1e-320, math.inf):
+        with pytest.raises(OutOfDomain):
+            sphere_area_probe(get_model("flat-2"), 0.25, grid=64, h=h)
+
+
 def test_grid_shape_guard():
     with pytest.raises(OutOfDomain):
         sphere_area_probe(get_model("round-s2"), 0.5, grid=(8, 8))
@@ -128,6 +147,28 @@ def test_grid_shape_guard():
         sphere_area_probe(get_model("round-s3"), 0.2, grid=16)
     with pytest.raises(OutOfDomain):
         sphere_area_probe(get_model("round-s3"), 0.2, grid=(8, 9))  # odd longitudes
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("round-s2", 1), ("round-s2", 2), ("round-s2", 3),
+    ("round-s3", (1, 8)), ("round-s3", (4, 2)), ("round-s3", (2, 8)),
+    ("round-s3", (0, 4)), ("round-s3", (3, 8))])
+def test_grid_floor(name, grid):
+    # below MIN_GRID rays, latitudes or longitudes the value came out 0.0
+    # with a 0.0 error, or the polar stencil failed with a bare exception
+    with pytest.raises(OutOfDomain, match=f"at least {MIN_GRID}"):
+        sphere_area_probe(get_model(name), 0.3, grid=grid)
+    if name == "round-s2":
+        with pytest.raises(OutOfDomain, match=f"at least {MIN_GRID}"):
+            gauss_bonnet_disk(get_model(name), 0.3, grid=grid)
+
+
+def test_smallest_grid_is_measured():
+    res = sphere_area_probe(get_model("round-s2"), 0.3, grid=MIN_GRID)
+    assert res.value > 0 and res.error > 0
+    res = sphere_area_probe(get_model("round-s3"), 0.3,
+                            grid=(MIN_GRID, MIN_GRID))
+    assert res.value > 0 and res.error > 0
 
 
 def test_grid_too_coarse():
@@ -150,6 +191,14 @@ def test_w3_limit_input_validation():
         w3_limit(flat, (0.1, 0.2, 0.05))    # not strictly decreasing
     with pytest.raises(OutOfDomain):
         w3_limit(get_model("round-s2"), (0.2, 0.1, 0.05))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_non_finite_probe_radius_is_named(eps):
+    with pytest.raises(OutOfDomain, match="is not finite"):
+        sphere_area_probe(get_model("round-s3"), eps, grid=(24, 48))
+    with pytest.raises(OutOfDomain, match="is not finite"):
+        gauss_bonnet_disk(get_model("round-s2"), eps, grid=64)
 
 
 @pytest.mark.parametrize("eps", [1e-100, 1e-200, 0.0, math.nan])
@@ -228,9 +277,10 @@ def test_integration_part_is_fourth_order(probe):
 
 
 def test_default_probe_step_count(monkeypatch):
-    # a default probe shoots PROBE_STEPS RK4 steps plus a companion at
-    # half as many, four right-hand sides per step; a silent return to a
-    # finer default step fails here rather than on a timing gate
+    # a default probe shoots chart.scale / SCALE_STEPS, clamped to between
+    # MIN_STEPS and MAX_STEPS steps, plus a companion at half as many
+    # steps, four right-hand sides per step; a silent return to a finer
+    # default step fails here rather than on a timing gate
     calls = []
     rhs = calculus._geodesic_rhs
 
@@ -239,19 +289,60 @@ def test_default_probe_step_count(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(calculus, "_geodesic_rhs", counting_rhs)
-    assert PROBE_STEPS == 32
-    for probe, name, eps, grid in (
-            (sphere_area_probe, "round-s2", 0.5, None),
-            (gauss_bonnet_disk, "round-s2", 0.5, None),
-            (sphere_area_probe, "round-s3", 0.2, (8, 16))):
+    assert (MIN_STEPS, MAX_STEPS, SCALE_STEPS) == (16, 32, 32)
+    for probe, name, eps, grid, steps in (
+            (sphere_area_probe, "round-s2", 0.5, None, 16),
+            (gauss_bonnet_disk, "round-s2", 0.5, None, 16),
+            (sphere_area_probe, "round-s3", 0.2, (8, 16), 16),
+            # the scale cap: 0.75 / 16 is longer than scale / 32
+            (gauss_bonnet_disk, "round-s2", 0.75, 64, 24),
+            # the step count stops at MAX_STEPS, also far out
+            (gauss_bonnet_disk, "round-s2", 1.5, 64, 32),
+            (gauss_bonnet_disk, "flat-2", 1e6, 64, 32)):
         res = probe(get_model(name), eps, grid=grid)
-        assert len(calls) == 4 * (32 + 16)
+        assert len(calls) == 4 * (steps + steps // 2)
         calls.clear()
-        assert res.params["steps"] == 32
+        assert res.params["steps"] == steps
+        assert res.params["h"] == max(
+            eps / MAX_STEPS,
+            min(eps / MIN_STEPS, get_model(name).chart().scale / SCALE_STEPS))
         parts = res.params["error_parts"]
         assert set(parts) == {"quadrature", "integration", "drift"}
         assert min(parts.values()) >= 0.0
         assert sum(parts.values()) == pytest.approx(res.error, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,radii", [
+    *((n, (0.25, 0.5)) for n in MODELS_2D),
+    *((n, (0.2, 0.1, 0.05)) for n in MODELS_3D)])
+def test_default_step_integration_part_is_far_below_quadrature(name, radii):
+    # at the criterion radii the default step leaves the step-doubling
+    # difference at most 1/100 of the quadrature part (the worst case,
+    # the round-s2 circle at 0.5, is about 1/500), and every probe lies
+    # within its reported error of the closed form
+    model = get_model(name)
+    probes = (sphere_area_probe, gauss_bonnet_disk) if model.dim == 2 \
+        else (sphere_area_probe,)
+    for eps in radii:
+        for probe in probes:
+            res = probe(model, eps)
+            parts = res.params["error_parts"]
+            assert parts["integration"] <= parts["quadrature"] / 100.0, \
+                (probe.__name__, eps, parts)
+            if probe is gauss_bonnet_disk:
+                actual = abs(res.total - 2.0 * math.pi)
+            else:
+                actual = abs(res.value - model.analytic["sphere_area"](eps))
+            assert actual <= res.error, (probe.__name__, eps)
+
+
+@pytest.mark.parametrize("eps", (1.25, 1.5))
+def test_long_round_disk_meets_the_cli_tolerance(eps):
+    # the swlab metric gauss-bonnet default tolerance is 1e-6; a flat
+    # eps/16 step misses 2*pi by 2.5e-6 at 1.25 and 9.9e-6 at 1.5, the
+    # default (32 steps at both radii) by 4.8e-8 and 5.4e-7
+    res = gauss_bonnet_disk(get_model("round-s2"), eps)
+    assert abs(res.total - 2.0 * math.pi) <= 1e-6
 
 
 def test_simpson_any_interval_count():
