@@ -14,9 +14,13 @@ Reininghaus & Wagner, J. Symb. Comput. 2017).  Kernels and solutions use the
 same loop on columns tagged with their own index above the row bits, which
 records the reduction R = D V: a column whose row part reduces to zero
 carries a kernel vector in its tag bits, and `EchelonBasis.tags` reads a
-solution off them.  Each `BitMatrix` owns and caches its transpose, its
-column space and its kernel vectors; the row space is the transpose's, and
-callers such as `swlab.homology` keep no second copy of a basis or a rank.
+solution off them.  `BitMatrix.tagged_reduction` may leave out columns known
+to add nothing; `swlab.homology` leaves out the cleared ones, so that one
+tagged pass per coboundary gives its rank, image and kernel.  Each `BitMatrix`
+owns and caches its transpose and its column space.  `row_space` (the
+transpose's column space) and the cached `null_space` are references that
+the tests compare against; no rank, image or kernel of a report goes
+through them.
 
 Columns are reduced in index order, so every basis, rank, solution and kernel
 basis is reproducible bit for bit.
@@ -215,24 +219,33 @@ class BitMatrix:
     def rank(self) -> int:
         return self.column_space().rank
 
-    def _tagged_reduction(self) -> tuple[EchelonBasis, list[int]]:
-        """Reduce the columns with column j tagged by bit rows + j.
+    def tagged_reduction(self, kept=None) -> tuple[EchelonBasis, list[int]]:
+        """Reduce the columns listed in kept (all, by default), in that order,
+        the t-th of them tagged by bit rows + t.
 
-        Returns the tagged basis and, for each column whose row part reduces
-        to zero, the kernel vector read from its tag bits."""
+        Returns the tagged basis and, for each kept column whose row part
+        reduces to zero, a kernel vector of the kept columns read from its
+        tag bits, with bit j standing for column j.  With every column kept,
+        tag bit j is column j, so `EchelonBasis.tags` reads solutions off the
+        basis."""
         basis = EchelonBasis(self.rows)
         kernel = []
         low = (1 << self.rows) - 1
-        for j, c in enumerate(self.columns):
-            r = basis.insert(c | 1 << (self.rows + j))
+        if kept is None:
+            kept = range(self.cols)
+        columns = self.columns
+        for t, j in enumerate(kept):
+            r = basis.insert(columns[j] | 1 << (self.rows + t))
             if not r & low:
                 kernel.append(r >> self.rows)
+        if len(kept) < self.cols:
+            kernel = [sum(1 << kept[t] for t in set_bits(k)) for k in kernel]
         return basis, kernel
 
     def solve(self, b: int) -> int | None:
         """One solution x of Mx = b, or None if inconsistent."""
         _check_vector(b, self.rows)
-        return self._tagged_reduction()[0].tags(b)
+        return self.tagged_reduction()[0].tags(b)
 
     def null_space(self) -> list[int]:
         """Kernel basis, one vector per column that depends on earlier ones.
@@ -241,6 +254,6 @@ class BitMatrix:
         vectors are independent.  The vectors are cached (not the tagged
         basis); each call returns a fresh list."""
         if self._null_space is None:
-            self._null_space = self._tagged_reduction()[1]
+            self._null_space = self.tagged_reduction()[1]
         return list(self._null_space)
 

@@ -1,20 +1,32 @@
 """Mod-2 homology and cohomology summaries, every class read as coordinates.
 
-The one cache is the cohomology transcript of each degree: the coboundary
-image extended by tagged representatives of a basis of H^d.  It gives that
-basis and any cocycle's coordinates over it.  Cycles need no boundary
-reduction: over a field the Kronecker pairing of H^d and H_d is perfect, so
-H_d is the dual of H^d (de Silva, Morozov & Vejdemo-Johansson, "Dualities in
-persistent (co)homology", Inverse Problems 2011).  A cycle z thus bounds
-exactly when it pairs to 0 with every basis representative, and the bits
-<rep_j, z> are the coordinates of [z] in the dual basis.  Ranks are read
-from the coboundaries, which the transcripts reduce anyway.
+The one cache is a single cohomology pass per complex, in increasing degree
+with clearing (Chen & Kerber, "Persistent homology computation with a
+twist", EuroCG 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).  In
+degree d it skips each column of the coboundary delta_d whose index is the
+pivot of a reduced column of delta_{d-1}, and reduces the kept columns once,
+tagged.  The cleared columns add nothing: with the reduced columns of
+delta_{d-1}, which are coboundaries, the unit vectors of the other indices
+form a triangular basis of C^d.  Nonzero residues are the image basis of
+delta_d, which clears degree d+1.  The tags of the zero residues are the
+representatives of a basis of H^d: cocycles supported off the cleared
+pivots, so no nonzero combination of them is a coboundary, and there are
+n_d - rank delta_{d-1} - rank delta_d of them, the Betti number.  The
+transcript of degree d, the image of delta_{d-1} extended by the tagged
+representatives, gives any cocycle's coordinates.
+
+Cycles need no boundary reduction: over a field the Kronecker pairing of
+H^d and H_d is perfect, so H_d is the dual of H^d (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse Problems
+2011).  A cycle z thus bounds exactly when it pairs to 0 with every basis
+representative, and the bits <rep_j, z> are the coordinates of [z] in the
+dual basis.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotACocycle, NotACycle
-from .gf2 import EchelonBasis
+from .gf2 import BitMatrix, EchelonBasis
 from .simplicial import Chain, SimplicialComplex
 
 __all__ = ["HomologySummary", "mod2_homology"]
@@ -23,13 +35,47 @@ __all__ = ["HomologySummary", "mod2_homology"]
 class HomologySummary:
     """Betti numbers plus reusable elimination data for one complex."""
 
-    __slots__ = ("complex", "_cohomology")
+    __slots__ = ("complex", "_degrees")
 
     def __init__(self, complex: SimplicialComplex):
         self.complex = complex
-        self._cohomology: dict[int, tuple[list[int], EchelonBasis]] = {}
+        # per degree d: representatives of H^d, their transcript, and the
+        # image basis of delta_d
+        self._degrees: list[tuple[list[int], EchelonBasis, EchelonBasis]] = []
 
     # -------------------------------------------------------------- plumbing
+
+    def _degree(self, d: int) -> tuple[list[int], EchelonBasis, EchelonBasis]:
+        """The cohomology pass through degree d, for 0 <= d <= dim."""
+        X, degrees = self.complex, self._degrees
+        while len(degrees) <= d:
+            k = len(degrees)
+            n_k = X.n_simplices(k)
+            cleared = degrees[-1][2] if degrees else EchelonBasis(n_k)
+            # the top coboundary maps into the zero group
+            delta = (X.boundary_matrix(k + 1).transpose() if k < X.dim
+                     else BitMatrix.zeros(0, n_k))
+            kept = [j for j in range(n_k) if j not in cleared.by_pivot]
+            tagged, reps = delta.tagged_reduction(kept)
+            # drop the tags in place, so that the tagged and the untagged
+            # vectors are not all alive at once; a residue whose one tag bit
+            # is its own is its column, unreduced, and shares that column
+            image, columns = tagged.by_pivot, delta.columns
+            low = (1 << delta.rows) - 1
+            for p, v in image.items():
+                tag = v >> delta.rows
+                image[p] = (columns[kept[tag.bit_length() - 1]] if tag & (tag - 1) == 0
+                            else v & low)
+            image = EchelonBasis(delta.rows, image)
+            transcript = EchelonBasis(n_k, dict(cleared.by_pivot))
+            chain_bits = (1 << n_k) - 1
+            for j, z in enumerate(reps):
+                # a residue of tag bits only: z depends on the image and the
+                # representatives before it
+                if not transcript.insert(z | 1 << (n_k + j)) & chain_bits:
+                    raise AssertionError("fewer cohomology representatives than the betti number")
+            degrees.append((reps, transcript, image))
+        return degrees[d]
 
     def boundary_image_basis(self, d: int) -> EchelonBasis:
         """Echelon basis of im(boundary_{d+1}) inside C_d."""
@@ -38,19 +84,17 @@ class HomologySummary:
         return self.complex.boundary_matrix(d + 1).column_space()
 
     def coboundary_image_basis(self, d: int) -> EchelonBasis:
-        """Echelon basis of im(delta_{d-1}) inside C^d (= row space of boundary_d)."""
+        """Echelon basis of im(delta_{d-1}) inside C^d, from the pass's
+        nonzero residues in degree d-1."""
         if d < 1 or d > self.complex.dim:
             return EchelonBasis(self.complex.n_simplices(d))
-        return self.complex.boundary_matrix(d).row_space()
+        return self._degree(d - 1)[2]
 
     # ----------------------------------------------------------------- betti
 
     def betti(self, d: int) -> int:
-        if d < 0 or d > self.complex.dim:
-            return 0
-        X = self.complex
-        return X.n_simplices(d) - sum(X.boundary_matrix(k).transpose().rank()
-                                      for k in (d, d + 1) if 1 <= k <= X.dim)
+        """Dimension of H^d: the number of representatives the pass found."""
+        return len(self.cohomology_basis(d))
 
     @property
     def betti_vector(self) -> tuple[int, ...]:
@@ -134,24 +178,9 @@ class HomologySummary:
     def _transcript(self, d: int) -> tuple[list[int], EchelonBasis]:
         """Representatives of a basis of H^d, and the coboundary image extended
         by them with representative j tagged at bit n_simplices(d) + j."""
-        if d not in self._cohomology:
-            img = self.coboundary_image_basis(d)
-            transcript = EchelonBasis(img.ncols, dict(img.by_pivot))
-            low = (1 << img.ncols) - 1
-            betti = self.betti(d)
-            reps = []
-            # once betti(d) representatives are in, the transcript spans every
-            # cocycle, so the rest of the basis could add nothing
-            for z in self.cocycle_basis(d) if betti else ():
-                # a residue of tag bits only means z was dependent; its tag is reused
-                if transcript.insert(z | 1 << (img.ncols + len(reps))) & low:
-                    reps.append(z)
-                    if len(reps) == betti:
-                        break
-            if len(reps) != betti:
-                raise AssertionError("fewer cohomology representatives than the betti number")
-            self._cohomology[d] = reps, transcript
-        return self._cohomology[d]
+        if d < 0 or d > self.complex.dim:
+            return [], EchelonBasis(0)
+        return self._degree(d)[:2]
 
     def cohomology_basis(self, d: int) -> list[int]:
         """Cocycle representatives of a basis of H^d (mod-2)."""

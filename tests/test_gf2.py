@@ -156,6 +156,18 @@ def test_null_space_annihilates():
         assert fresh_copy(a).null_space() == basis
 
 
+def test_null_space_is_reduced_once(monkeypatch):
+    # the kernel vectors are cached on the matrix; each call hands out its
+    # own list, so a caller's edit cannot reach the cache
+    a = random_matrix(np.random.default_rng(9), 14, 22)
+    basis = a.null_space()
+    monkeypatch.setattr(BitMatrix, "tagged_reduction", None)
+    again = a.null_space()
+    assert again == basis and again is not basis
+    again.clear()
+    assert a.null_space() == basis
+
+
 def test_null_space_basis_independent():
     rng = np.random.default_rng(8)
     for rows, cols in [(14, 22)] + random_shapes(rng, 20):

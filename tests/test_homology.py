@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_gf2 import dense, dense_rank
 
 from swlab.errors import DimensionMismatch, NotACocycle, NotACycle
-from swlab.gf2 import EchelonBasis
+from swlab.corpus import corpus
+from swlab.gf2 import BitMatrix, EchelonBasis
 from swlab.homology import HomologySummary, mod2_homology
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import barycentric_subdivide
@@ -137,48 +142,99 @@ def test_transcript_leaves_no_representative_in_the_rest_of_the_basis(entries):
             assert full.by_pivot == transcript.by_pivot, (name, d)
 
 
-def test_transcript_stops_at_betti(monkeypatch):
-    # s2: nothing is reduced in degree 1 (betti 0), and in degree 2 the
-    # first unit cocycle is already a representative
-    calls = {"cocycle_basis": [], "insert": 0}
-    cocycle_basis, insert = HomologySummary.cocycle_basis, EchelonBasis.insert
+CLEARING_INPUTS = {
+    "s2": lambda: build_complex(S2_FACETS),
+    "torus": lambda: build_complex(TORUS_FACETS),
+    "rp3": lambda: corpus("rp3").complex(),
+}
 
-    def counting_cocycle_basis(self, d):
-        calls["cocycle_basis"].append(d)
-        return cocycle_basis(self, d)
+
+@pytest.mark.parametrize("name", list(CLEARING_INPUTS))
+def test_pass_reduces_each_coboundary_once_over_its_kept_columns(monkeypatch, name):
+    """Clearing: in degree d the pass inserts the n_d - rank delta_{d-1}
+    columns of delta_d that are no pivot of im delta_{d-1}, in one tagged
+    reduction, and later Betti and class queries insert nothing."""
+    X = CLEARING_INPUTS[name]()
+    n = X.dim
+    reducing, inserts = [], []   # the matrix under reduction at each insert
+    tagged, insert = BitMatrix.tagged_reduction, EchelonBasis.insert
+
+    def counting_tagged(self, kept=None):
+        reducing.append(self)
+        try:
+            return tagged(self, kept)
+        finally:
+            reducing.pop()
 
     def counting_insert(self, v):
-        calls["insert"] += 1
+        inserts.append(reducing[-1] if reducing else None)
         return insert(self, v)
 
-    H = mod2_homology(build_complex(S2_FACETS))
-    # the image bases are reductions of their own, made before counting
-    for d in range(3):
-        H.betti(d), H.coboundary_image_basis(d)
-    monkeypatch.setattr(HomologySummary, "cocycle_basis", counting_cocycle_basis)
+    monkeypatch.setattr(BitMatrix, "tagged_reduction", counting_tagged)
     monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
-    assert H.cohomology_basis(1) == []
-    assert calls == {"cocycle_basis": [], "insert": 0}
-    assert H.cohomology_basis(2) == [1]
-    assert calls == {"cocycle_basis": [2], "insert": 1}
-
-
-def test_kernel_bases_are_reduced_once(monkeypatch):
-    # the kernel vectors are cached on the boundary matrix; each call hands
-    # out its own list, so a caller's edit cannot reach the cache
-    X = build_complex(TORUS_FACETS)
     H = mod2_homology(X)
-    cocycles, cycles = H.cocycle_basis(1), H.cycle_basis(1)
-    inserts = []
-    insert = EchelonBasis.insert
-    monkeypatch.setattr(EchelonBasis, "insert",
-                        lambda self, v: inserts.append(v) or insert(self, v))
-    again = H.cocycle_basis(1)
-    assert again == cocycles and again is not cocycles
-    again.clear()
-    assert H.cocycle_basis(1) == cocycles
-    assert H.cycle_basis(1) == cycles
+    betti = H.betti_vector
+    # delta_n maps into the zero group: the pass reduces an empty-row matrix
+    deltas = [X.boundary_matrix(d + 1).transpose() for d in range(n)]
+    per_degree = [sum(m is delta for m in inserts) for delta in deltas]
+    per_degree.append(sum(m is not None and m.rows == 0 for m in inserts))
+    # the rest are the representatives' insertions into the transcripts
+    assert inserts.count(None) == sum(betti)
+    assert len(inserts) == sum(per_degree) + sum(betti)
+
+    inserts.clear()
+    assert H.betti_vector == betti
+    for d in range(-1, n + 2):
+        H.betti(d), H.coboundary_image_basis(d)
+        for bits in H.cohomology_basis(d):
+            H.cohomology_coordinates(Chain(X, d, bits))
+    H.homology_coordinates(Chain.all_ones(X, n))
     assert inserts == []
+
+    monkeypatch.undo()
+    ranks = [0] + [X.boundary_matrix(d).rank() for d in range(1, n + 1)]
+    assert per_degree == [X.n_simplices(d) - ranks[d] for d in range(n + 1)]
+
+
+SIMPLEX_FACES = [face for k in range(1, 7) for face in combinations(range(6), k)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(SIMPLEX_FACES), min_size=1, max_size=6, unique=True))
+@example([(0,), (2,), (5,)])
+@example([(0, 1, 2), (2, 3), (4,)])
+@example([(0, 1, 2, 3), (2, 4, 5), (1, 5)])
+@example([(0, 1, 2, 3, 4, 5)])
+def test_pass_matches_the_dense_reference(facets):
+    """Any subcomplex of the 5-simplex, pure or not, connected or not: Betti
+    numbers from dense ranks, the representatives are cocycles independent
+    modulo the image, and the image spans the row space of the boundary."""
+    X = build_complex(facets)
+    H = HomologySummary(X)
+    n = X.dim
+    # rank[k] = rank of boundary_k = rank of delta_{k-1}; zero at 0 and n + 1
+    rank = [0] + [dense_rank(dense(X.boundary_matrix(k))) for k in range(1, n + 1)] + [0]
+    for d in range(n + 1):
+        n_d = X.n_simplices(d)
+        assert H.betti(d) == n_d - rank[d] - rank[d + 1], (facets, d)
+        reps = H.cohomology_basis(d)
+        assert all(Chain(X, d, z).coboundary().is_zero() for z in reps)
+        image = H.coboundary_image_basis(d)
+        assert image.rank == rank[d]
+        vectors = reps + list(image.by_pivot.values())
+        assert dense_rank(dense(BitMatrix(n_d, len(vectors), vectors))) == H.betti(d) + rank[d]
+        reference = X.boundary_matrix(d).row_space() if d else EchelonBasis(n_d)
+        if d <= 1:
+            # delta_0 has no cleared column: the same reduction, bit for bit
+            assert image.by_pivot == reference.by_pivot
+        # above, a cleared column hands its pivot to a later one: the
+        # pivots and the span are the same, the pivot vectors may not be
+        assert image.by_pivot.keys() == reference.by_pivot.keys()
+        assert all(reference.contains(v) for v in image.by_pivot.values())
+    for d in (-1, n + 1):
+        assert H.betti(d) == 0 and H.cohomology_basis(d) == []
+        assert H.coboundary_image_basis(d).rank == 0
+        assert H.cohomology_coordinates(Chain(X, d, 0)) == 0
 
 
 def test_top_cocycle_basis_is_unit_vectors():
