@@ -289,11 +289,12 @@ def wu_classes(X: SimplicialComplex, order: VertexOrder | None = None) -> WuData
             for jcol, y in enumerate(ys):
                 if cup(X, order, y, x).pairing(gamma):
                     entries.append((irow, jcol))
-        pairing = BitMatrix.from_entries(len(xs), len(ys), entries)
-        if pairing.rank() < len(ys):
+        basis, kernel = BitMatrix.from_entries(
+            len(xs), len(ys), entries).tagged_reduction()
+        if kernel:
             raise PairingDegenerate(
                 f"cup pairing H^{k} x H^{n - k} -> H^{n} is singular")
-        coords = pairing.solve(targets)
+        coords = basis.tags(targets)
         assert coords is not None
         rep = Chain.zero(X, k)
         for jcol, y in enumerate(ys):

@@ -33,8 +33,10 @@ Stiefel-Whitney homology classes", Proc. AMS 1976).
   = d (mod 2); gap g is the open interval after the first g vertices of rho,
   so gap 0 lies below v_0.
 
-The pairing diagnostic reads the ridge -> two-facets table of K, which is
-all the partner involution on flag dual cells swaps by.
+The pairing diagnostic is `ridges_ok` of the pseudomanifold check: the
+partner of a flag dual cell swaps its top facet for the other facet around
+its ridge, so it is a fixed-point-free involution exactly when every ridge
+lies in exactly two facets.
 """
 from __future__ import annotations
 
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
-from .simplicial import Chain, SimplicialComplex
-from .subdivision import SubdividedComplex, all_ones_chains, ridge_pairing_ok, ridge_swaps
+from .simplicial import Chain, PseudomanifoldReport, SimplicialComplex
+from .subdivision import SubdividedComplex, all_ones_chains
 
 
 def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
@@ -91,8 +93,9 @@ class SWReport:
     `rows[i]` is the degree-i record; `k_level_cocycle[i]` reports whether
     the all-ones cochain is already a cocycle on the dual cells of K
     itself (generally it is not; the subdivision is what makes it one);
-    `pairing_ok` certifies, from the ridge table of K, the fixed-point-free
-    partner involution on flag dual cells in every degree >= 1.  `timings`
+    `pairing_ok` certifies the fixed-point-free partner involution on flag
+    dual cells in every degree >= 1; it is read from the pseudomanifold
+    check's count of facets around each ridge of K.  `timings`
     holds wall-clock phase durations and is deliberately left out of
     `as_dict` so that reports are byte-identical across runs.
     """
@@ -122,12 +125,24 @@ class SWReport:
         return all(row.matches_oracle for row in self.rows)
 
 
+def _first_failure(pm: PseudomanifoldReport) -> str:
+    """The first closed-pseudomanifold condition that pm fails, in words."""
+    if not pm.pure:
+        facet = pm.impure_facets[0]
+        return f"facet {facet} has dimension {len(facet) - 1}, not {pm.dimension}"
+    if not pm.ridges_ok:
+        ridge, count = pm.bad_ridges[0]
+        return f"ridge {ridge} lies in {count} facets, not 2"
+    return f"{pm.n_components} components, not 1"
+
+
 def compute_report(K: SimplicialComplex) -> SWReport:
     """Run the full dual-cell vs Wu-oracle comparison on K."""
     pm = K.is_closed_pseudomanifold()
     if not pm.passed:
-        raise NotPseudomanifold("input is not a closed pseudomanifold",
-                                report=pm)
+        raise NotPseudomanifold(
+            f"input is not a closed pseudomanifold: {_first_failure(pm)}",
+            report=pm)
     timings: dict[str, float] = {}
     n = K.dim
 
@@ -163,7 +178,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     timings["degrees"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pairing_ok = ridge_pairing_ok(ridge_swaps(K))
+    pairing_ok = pm.ridges_ok
     k_level = tuple(Chain.all_ones(K, n - i).boundary().is_zero()
                     for i in range(n + 1))
     timings["pairing"] = time.perf_counter() - t0

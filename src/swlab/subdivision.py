@@ -10,8 +10,7 @@ dual cells read it.
 
 What the verification report needs from the subdivision is counted on the
 base without listing a flag: the cycle flags and last-vertex images of the
-all-ones chains (`all_ones_chains`), and the ridge table that the partner
-involution swaps by (`ridge_swaps`, checked by `ridge_pairing_ok`).
+all-ones chains (`all_ones_chains`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (
     NotPseudomanifold,
     SimplexNotInComplex,
 )
-from .gf2 import BitMatrix, set_bits
+from .gf2 import BitMatrix
 from .simplicial import Chain, Simplex, SimplicialComplex
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "barycentric_subdivide",
     "flag_dual_cells",
     "flag_partner",
-    "ridge_pairing_ok",
-    "ridge_swaps",
 ]
 
 
@@ -143,11 +140,11 @@ class SubdividedComplex:
 
         ``ids`` is a derived simplex whose flag runs through dimensions n,
         n-1, ..., n-i with i >= 1.  Its top is swapped for the other facet
-        around the ridge ``ids[1]``, read from the base's cofacets as in
-        `ridge_swaps`; facets carry the smallest ids, so the result is still
-        sorted.  Raises NotPseudomanifold unless the base is a closed
-        pseudomanifold, and NotAFlagCell unless ``ids`` is a derived simplex
-        that starts with a facet and a ridge of it.
+        around the ridge ``ids[1]``, read from the base's cofacets; facets
+        carry the smallest ids, so the result is still sorted.  Raises
+        NotPseudomanifold unless the base is a closed pseudomanifold, and
+        NotAFlagCell unless ``ids`` is a derived simplex that starts with a
+        facet and a ridge of it.
         """
         _require_closed(self.base)
         chain = self._flags.get(ids, ())
@@ -171,42 +168,6 @@ def _require_closed(base: SimplicialComplex):
     report = base.is_closed_pseudomanifold()
     if not report.passed:
         raise NotPseudomanifold("base complex is not a closed pseudomanifold", report)
-
-
-def ridge_swaps(base: SimplicialComplex) -> dict[Simplex, dict[Simplex, Simplex]]:
-    """Each ridge of a closed pseudomanifold, with {facet: the other facet}
-    over its two facets.
-
-    The partner of a flag dual cell that starts facet > ridge swaps the facet
-    as this table does and keeps the rest of the flag, so the table describes
-    the whole partner involution.  The two facets of ridge r are the support
-    of column r of the transposed n-boundary.  Raises NotPseudomanifold on
-    any other base.
-    """
-    _require_closed(base)
-    n = base.dim
-    if n < 1:
-        return {}
-    facets = base.skeleton(n)
-    pairs = ((facets[i] for i in set_bits(c)) for c in base.boundary_matrix(n).transpose().columns)
-    return {r: {a: b, b: a} for r, (a, b) in zip(base.skeleton(n - 1), pairs)}
-
-
-def ridge_pairing_ok(swaps: dict[Simplex, dict[Simplex, Simplex]]) -> bool:
-    """Whether a ridge table pairs the flag dual cells in orbits of size two.
-
-    Every ridge must swap exactly two distinct facets, each containing it,
-    and each swap must undo the other.  Then the partner map is a
-    fixed-point-free involution on the flag dual cells of every degree >= 1,
-    and it keeps the bottom of a flag, so each orbit lies in one cell.
-    """
-    for ridge, swap in swaps.items():
-        if len(swap) != 2:
-            return False
-        for facet, other in swap.items():
-            if other == facet or swap.get(other) != facet or not set(ridge) < set(facet):
-                return False
-    return True
 
 
 def _gap_patterns(size: int) -> list[tuple[int, ...]]:

@@ -213,7 +213,7 @@ def test_cli_two_points_are_not_connected(tmp_path, capsys):
     assert exc_info.value.report.n_components == 2
 
 
-def test_cli_verification_failure_exit(tmp_path, capsys):
+def test_cli_verification_failure_exit(tmp_path, capsys, pinched_sphere):
     # suspension of the projective plane: closed pseudomanifold, but the
     # Wu solve hits a degenerate pairing -> verification exit code
     rp2 = corpus("rp2-6").complex()
@@ -226,6 +226,34 @@ def test_cli_verification_failure_exit(tmp_path, capsys):
     assert cli.main(["classes", str(path)]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err
+    # the pinched sphere passes the Betti check; its cup pairing is singular
+    pinched = tmp_path / "pinched.facets"
+    write_complex_file(str(pinched), pinched_sphere)
+    assert cli.main(["classes", str(pinched)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed: cup pairing H^1 x H^1 -> H^2 is singular" in err
+
+
+def _two_spheres():
+    s2 = corpus("s2").complex().facets
+    return list(s2) + [tuple(v + 4 for v in f) for f in s2]
+
+
+@pytest.mark.parametrize("facets,reason", [
+    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], "ridge (0, 1) lies in 3 facets, not 2"),
+    ([(0, 1, 2), (2, 3)], "facet (2, 3) has dimension 1, not 2"),
+    (_two_spheres(), "2 components, not 1"),
+], ids=["three-triangles-on-an-edge", "loose-edge", "two-spheres"])
+def test_cli_names_the_failed_pseudomanifold_condition(tmp_path, capsys,
+                                                       facets, reason):
+    path = tmp_path / "bad.facets"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    assert cli.main(["classes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: input is not a closed pseudomanifold: {reason}\n"
+    with pytest.raises(NotPseudomanifold) as exc_info:
+        compute_report(parse_complex_file(str(path)))
+    assert not exc_info.value.report.passed
 
 
 @pytest.mark.parametrize("fault", [

@@ -33,8 +33,6 @@ from swlab.subdivision import (
     all_ones_chains,
     barycentric_subdivide,
     flag_dual_cells,
-    ridge_pairing_ok,
-    ridge_swaps,
 )
 
 
@@ -146,53 +144,18 @@ def test_all_ones_cocycle_on_derived_but_not_on_base():
     assert not Chain.all_ones(base, 1).boundary().is_zero()
 
 
-def _first_ridge(swaps):
-    ridge = next(iter(swaps))
-    a, b = swaps[ridge]
-    return ridge, a, b
-
-
-def _fixed_point(swaps, facets):
-    # the ridge names no facet, names one facet twice, or swaps each facet
-    # with itself
-    ridge, a, b = _first_ridge(swaps)
-    return [{**swaps, ridge: table} for table in ({}, {a: a}, {a: a, b: b})]
-
-
-def _cyclic_shift(swaps, facets):
-    # the swap out of b does not lead back to a
-    ridge, a, b = _first_ridge(swaps)
-    c = next(f for f in facets if f not in (a, b))
-    return [{**swaps, ridge: {a: b, b: c}}]
-
-
-def _other_cell(swaps, facets):
-    # a symmetric swap with a facet that does not contain the ridge
-    ridge, a, b = _first_ridge(swaps)
-    c = next(f for f in facets if not set(ridge) < set(f))
-    return [{**swaps, ridge: {a: c, c: a}}]
-
-
-@pytest.mark.parametrize("broken", [_fixed_point, _cyclic_shift, _other_cell])
-def test_broken_partner_map_fails_pairing(monkeypatch, broken):
-    X = corpus("s2").complex()
-    swaps = ridge_swaps(X)
-    assert ridge_pairing_ok(swaps)
-    for table in broken(swaps, X.facets):
-        assert not ridge_pairing_ok(table)
-        monkeypatch.setattr("swlab.pipeline.ridge_swaps", lambda complex: table)
-        report = compute_report(X)
-        assert not report.pairing_ok
-        assert report.all_matched
-
-
-def test_ridge_pairing_matches_the_flag_reference(entries):
-    # the partner map swaps by the same table, so on every entry the check
-    # of the table and the orbit check over all flag dual cells agree
+def test_ridge_pairing_matches_the_flag_reference(entries, reports,
+                                                  pinched_sphere):
+    # the partner map swaps a flag's top facet around its ridge, so the
+    # ridge count of the pseudomanifold check, the orbit check over all flag
+    # dual cells and the report's diagnostic agree
     for name, entry in entries.items():
         X = entry.complex()
-        assert ridge_pairing_ok(ridge_swaps(X)), name
+        assert X.is_closed_pseudomanifold().ridges_ok, name
         assert ref_pairing_ok(barycentric_subdivide(X)), name
+        assert reports[name].pairing_ok, name
+    assert pinched_sphere.is_closed_pseudomanifold().ridges_ok
+    assert ref_pairing_ok(barycentric_subdivide(pinched_sphere))
 
 
 def test_report_euler_characteristic(entries, reports):
@@ -254,18 +217,25 @@ def suspension(X):
     return build_complex(facets)
 
 
-def test_degenerate_pairing_is_reported():
+def test_degenerate_pairing_is_reported(pinched_sphere):
     """The suspension of the projective plane is a closed pseudomanifold
     whose mod-2 Betti numbers break Poincare duality, so the Wu solve has
-    no solution and must say so instead of emitting junk classes."""
+    no solution and must say so instead of emitting junk classes.  The
+    pinched sphere passes the Betti check, but its cup pairing on H^1 is
+    singular."""
     sus = suspension(corpus("rp2-6").complex())
     assert sus.is_closed_pseudomanifold().passed
     betti = tuple(
         np.array([1, 0, 1, 1]))  # b1 != b2: duality fails mod 2
-    from swlab.homology import mod2_homology
     assert mod2_homology(sus).betti_vector == tuple(betti)
-    with pytest.raises(PairingDegenerate):
+    with pytest.raises(PairingDegenerate, match="betti"):
         compute_report(sus)
+    assert pinched_sphere.f_vector == (13, 36, 24)
+    assert pinched_sphere.is_closed_pseudomanifold().passed
+    assert mod2_homology(pinched_sphere).betti_vector == (1, 1, 1)
+    with pytest.raises(PairingDegenerate,
+                       match=r"cup pairing H\^1 x H\^1 -> H\^2 is singular"):
+        compute_report(pinched_sphere)
 
 
 def test_wrong_oracle_triggers_conflict(monkeypatch):

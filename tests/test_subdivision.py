@@ -20,7 +20,6 @@ from swlab.subdivision import (
     barycentric_subdivide,
     flag_dual_cells,
     flag_partner,
-    ridge_swaps,
 )
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -222,16 +221,6 @@ def test_flag_dual_cells_requires_closed_base():
     S = barycentric_subdivide(build_complex([(0, 1, 2)]))
     with pytest.raises(NotPseudomanifold):
         flag_dual_cells(S, 1)
-
-
-def test_ridge_swaps_table():
-    swaps = ridge_swaps(build_complex(S2_FACETS))
-    assert len(swaps) == 6
-    assert swaps[(0, 1)] == {(0, 1, 2): (0, 1, 3), (0, 1, 3): (0, 1, 2)}
-    # a point is a closed 0-manifold without ridges; a disk has a free edge
-    assert ridge_swaps(build_complex([(0,)])) == {}
-    with pytest.raises(NotPseudomanifold):
-        ridge_swaps(build_complex([(0, 1, 2)]))
 
 
 def test_subdivision_of_torus_counts():
