@@ -29,15 +29,13 @@ from .oracle import (
     steenrod_sq,
     wu_classes,
 )
-from .pipeline import DegreeRow, SWReport, compute_report, ht_chain
+from .pipeline import DegreeRow, SWReport, compute_report
 from .simplicial import Chain, SimplicialComplex, build_complex, \
     canonical_simplex
 from .subdivision import (
-    FlagSimplex,
     SubdividedComplex,
     barycentric_subdivide,
     flag_dual_cells,
-    flag_partner,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +46,6 @@ __all__ = [
     "CohomologyClass",
     "CorpusEntry",
     "DegreeRow",
-    "FlagSimplex",
     "HomologySummary",
     "SWReport",
     "SimplicialComplex",
@@ -67,9 +64,7 @@ __all__ = [
     "cup_i",
     "errors",
     "flag_dual_cells",
-    "flag_partner",
     "fundamental_cycle",
-    "ht_chain",
     "mod2_homology",
     "parse_complex_file",
     "parse_complex_text",

@@ -25,7 +25,6 @@ from .errors import (
     EmptyInput,
     MalformedFacet,
     NotPseudomanifold,
-    OracleConflict,
     OutOfDomain,
     ParseError,
     SWLabError,
@@ -100,7 +99,10 @@ def _cmd_classes(args) -> int:
 
     try:
         report = compute_report(complex)
-    except OracleConflict as exc:
+    except _INPUT_ERRORS:
+        raise
+    except SWLabError as exc:
+        # a failed run replaces OUT, so no earlier report survives it
         if args.report is not None:
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -108,8 +110,9 @@ def _cmd_classes(args) -> int:
                 "sha256": sha,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
-            if exc.report is not None:
-                payload["partial"] = exc.report.as_dict()
+            partial = getattr(exc, "report", None)
+            if partial is not None:
+                payload["partial"] = partial.as_dict()
             _json_dump(payload, args.report)
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -47,28 +47,18 @@ from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
 from .simplicial import Chain, PseudomanifoldReport, SimplicialComplex
-from .subdivision import SubdividedComplex, all_ones_chains
-
-
-def ht_chain(subdivision: SubdividedComplex, i: int) -> Chain:
-    """The sum of all i-simplices of the derived complex.
-
-    This is the Halperin-Toledo chain: the Poincare dual of the all-ones
-    cochain on the dual (n-i)-cells.  It builds the derived complex, so
-    compute_report counts the same facts on the base instead, and the tests
-    keep this chain as their reference.
-    """
-    base = subdivision.base
-    if not base.is_closed_pseudomanifold().passed:
-        raise NotPseudomanifold(
-            "dual cells need a closed pseudomanifold base",
-            report=base.is_closed_pseudomanifold())
-    return Chain.all_ones(subdivision.derived, i)
+from .subdivision import all_ones_chains
 
 
 @dataclass(frozen=True)
 class DegreeRow:
-    """Verification record for one cohomological degree."""
+    """Verification record for one cohomological degree.
+
+    `ht_chain_is_cycle` (the name of the JSON key) says whether the
+    all-ones chain of K' in the dual degree, the Halperin-Toledo chain, is
+    a cycle; it always equals `all_ones_is_cocycle`, since that chain is the
+    Poincare dual of the all-ones cochain.
+    """
 
     degree: int
     all_ones_is_cocycle: bool

@@ -4,9 +4,10 @@ A derived vertex is a base simplex (its barycenter); a derived k-simplex is a
 flag: a chain of k+1 base simplices each a proper face of the previous one.
 Derived vertex ids are assigned by decreasing base dimension (ties broken
 lexicographically), so the id tuple of a flag is automatically increasing and
-canonical.  The flag behind every derived simplex is stored at build time,
-and the derived complex (built on first access), the chain maps and the flag
-dual cells read it.
+canonical.  A derived simplex is its id tuple, and `simplices[v]` maps a
+derived vertex back to its base simplex; the derived complex (built on first
+access), the chain maps, the flag dual cells and the partner involution read
+them.
 
 What the verification report needs from the subdivision is counted on the
 base without listing a flag: the cycle flags and last-vertex images of the
@@ -16,86 +17,45 @@ all-ones chains (`all_ones_chains`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 
-from .errors import (
-    DimensionOutOfRange,
-    NotAFlagCell,
-    NotPseudomanifold,
-    SimplexNotInComplex,
-)
+from .errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
 from .gf2 import BitMatrix
 from .simplicial import Chain, Simplex, SimplicialComplex
 
 __all__ = [
-    "FlagSimplex",
     "SubdividedComplex",
     "all_ones_chains",
     "barycentric_subdivide",
     "flag_dual_cells",
-    "flag_partner",
 ]
-
-
-def _is_proper_face(a: Simplex, b: Simplex) -> bool:
-    return len(a) < len(b) and set(a) <= set(b)
-
-
-@dataclass(frozen=True)
-class FlagSimplex:
-    """Descending chain of base simplices (each a proper face of the previous)."""
-
-    chain: tuple[Simplex, ...]
-
-    def __post_init__(self):
-        if not self.chain:
-            raise NotAFlagCell("empty flag")
-        for a, b in zip(self.chain, self.chain[1:]):
-            if not _is_proper_face(b, a):
-                raise NotAFlagCell(f"{b} is not a proper face of {a}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.chain) - 1
-
-    @property
-    def top(self) -> Simplex:
-        return self.chain[0]
-
-    @property
-    def bottom(self) -> Simplex:
-        return self.chain[-1]
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(s) - 1 for s in self.chain)
 
 
 class SubdividedComplex:
     """Base complex, its barycentric subdivision, and the flag bookkeeping."""
 
-    __slots__ = ("base", "vertex_id", "_flags", "_derived", "_chain_maps")
+    __slots__ = ("base", "simplices", "vertex_id", "_flags", "_derived")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
-        order = sorted(base.simplices(), key=lambda s: (-len(s), s))
-        self.vertex_id: dict[Simplex, int] = {s: i for i, s in enumerate(order)}
-        flags: dict[tuple[int, ...], tuple[Simplex, ...]] = {}
+        self.simplices: list[Simplex] = sorted(base.simplices(),
+                                               key=lambda s: (-len(s), s))
+        self.vertex_id: dict[Simplex, int] = {
+            s: i for i, s in enumerate(self.simplices)}
+        flags: set[tuple[int, ...]] = set()
         vid = self.vertex_id
 
-        def extend(ids: tuple[int, ...], chain: tuple[Simplex, ...]):
-            flags[ids] = chain
-            last = chain[-1]
+        def extend(ids: tuple[int, ...], last: Simplex):
+            flags.add(ids)
             for k in range(1, len(last)):
                 for face in combinations(last, k):
-                    extend(ids + (vid[face],), chain + (face,))
+                    extend(ids + (vid[face],), face)
 
-        for s in order:
-            extend((vid[s],), (s,))
+        for s in self.simplices:
+            extend((vid[s],), s)
         self._flags = flags
         self._derived: SimplicialComplex | None = None
-        self._chain_maps: dict[int, BitMatrix] = {}
 
     @property
     def derived(self) -> SimplicialComplex:
@@ -108,13 +68,6 @@ class SubdividedComplex:
             self._derived = SimplicialComplex(skeletons)
         return self._derived
 
-    def flag_of(self, derived_simplex) -> FlagSimplex:
-        t = tuple(derived_simplex)
-        chain = self._flags.get(t)
-        if chain is None:
-            raise NotAFlagCell(f"{t} is not a derived simplex")
-        return FlagSimplex(chain)
-
     def chain_map(self, d: int) -> BitMatrix:
         """Mod-2 subdivision chain map C_d(base) -> C_d(derived).
 
@@ -123,17 +76,14 @@ class SubdividedComplex:
         """
         if not 0 <= d <= self.base.dim:
             raise DimensionOutOfRange(f"dimension {d} outside 0..{self.base.dim}")
-        if d not in self._chain_maps:
-            col = self.base._index[d]
-            entries = []
-            for i, t in enumerate(self.derived.skeleton(d)):
-                top = self._flags[t][0]
-                if len(top) == d + 1:
-                    entries.append((i, col[top]))
-            self._chain_maps[d] = BitMatrix.from_entries(
-                self.derived.n_simplices(d), self.base.n_simplices(d), entries
-            )
-        return self._chain_maps[d]
+        col = self.base._index[d]
+        entries = []
+        for i, t in enumerate(self.derived.skeleton(d)):
+            top = self.simplices[t[0]]
+            if len(top) == d + 1:
+                entries.append((i, col[top]))
+        return BitMatrix.from_entries(
+            self.derived.n_simplices(d), self.base.n_simplices(d), entries)
 
     def partner(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         """The partner of a flag dual cell, as derived vertex ids.
@@ -147,11 +97,14 @@ class SubdividedComplex:
         facet and a ridge of it.
         """
         _require_closed(self.base)
-        chain = self._flags.get(ids, ())
-        if len(chain) < 2 or len(chain[1]) != self.base.dim:
+        # the top of a flag is a proper coface of its second member, so a
+        # ridge in second place puts a facet on top
+        if (ids not in self._flags or len(ids) < 2
+                or len(self.simplices[ids[1]]) != self.base.dim):
             raise NotAFlagCell(f"{ids} does not start with a facet and its ridge")
-        a, b = self.base.cofacets(chain[1])
-        return (self.vertex_id[b if a == chain[0] else a],) + ids[1:]
+        top, ridge = self.simplices[ids[0]], self.simplices[ids[1]]
+        a, b = self.base.cofacets(ridge)
+        return (self.vertex_id[b if a == top else a],) + ids[1:]
 
     def __repr__(self):
         # counted from the flag table, so repr never builds the derived complex
@@ -232,27 +185,9 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     groups: dict[Simplex, list[tuple[int, ...]]] = {
         s: [] for s in subdivision.base.skeleton(n - i)
     }
-    flags = subdivision._flags
-    for t in sorted(t for t, chain in flags.items() if len(t) == i + 1
-                    and len(chain[0]) == n + 1 and len(chain[-1]) == n - i + 1):
-        groups[flags[t][-1]].append(t)
+    simplices = subdivision.simplices
+    for t in sorted(t for t in subdivision._flags if len(t) == i + 1
+                    and len(simplices[t[0]]) == n + 1
+                    and len(simplices[t[-1]]) == n - i + 1):
+        groups[simplices[t[-1]]].append(t)
     return groups
-
-
-def flag_partner(subdivision: SubdividedComplex, cell: FlagSimplex) -> FlagSimplex:
-    """Swap the top simplex for the other facet around the same ridge.
-
-    Defined for cells of degree >= 1 whose flag starts at a top-dimensional
-    simplex with consecutive dimensions; a fixed-point-free involution on
-    closed pseudomanifolds.  Any other base raises NotPseudomanifold for
-    every cell, even one whose ridge lies in exactly two facets.
-    """
-    n = subdivision.base.dim
-    dims = cell.dims()
-    if cell.degree < 1 or dims != tuple(range(n, n - cell.degree - 1, -1)):
-        raise NotAFlagCell(f"flag dimensions {dims} are not consecutive from {n}")
-    missing = [s for s in cell.chain if s not in subdivision.vertex_id]
-    if missing:
-        raise SimplexNotInComplex(f"{missing[0]} not in complex")
-    ids = tuple(subdivision.vertex_id[s] for s in cell.chain)
-    return subdivision.flag_of(subdivision.partner(ids))

@@ -23,9 +23,9 @@ from swlab.metric import (
     w3_limit,
 )
 from swlab.oracle import VertexOrder, cap, cup, fundamental_cycle, steenrod_sq, wu_classes
-from swlab.pipeline import compute_report, ht_chain
+from swlab.pipeline import compute_report
 from swlab.simplicial import Chain
-from swlab.subdivision import barycentric_subdivide, flag_dual_cells, flag_partner
+from swlab.subdivision import barycentric_subdivide, flag_dual_cells
 
 
 def _report(capsys, num: int, problems: list, detail: str = "") -> None:
@@ -101,7 +101,7 @@ def test_criterion_03_halperin_toledo_chains(capsys):
         wu = wu_classes(X, order)
         gamma = fundamental_cycle(X)
         for i in range(n + 1):
-            ht = ht_chain(S, i)
+            ht = Chain.all_ones(Kp, i)
             if not ht.boundary().is_zero():
                 problems.append(f"{name} i={i}: not a cycle")
                 continue
@@ -121,15 +121,12 @@ def test_criterion_04_odd_cell_pairing(capsys):
             for base, ids in flag_dual_cells(S, i).items():
                 members = set(ids)
                 for id_tuple in ids:
-                    flag = S.flag_of(id_tuple)
-                    partner = flag_partner(S, flag)
-                    partner_ids = tuple(sorted(
-                        S.vertex_id[s] for s in partner.chain))
+                    partner_ids = S.partner(id_tuple)
                     if partner_ids == id_tuple:
                         problems.append(f"{name} i={i}: fixed point {id_tuple}")
                     elif partner_ids not in members:
                         problems.append(f"{name} i={i}: partner left the cell")
-                    elif flag_partner(S, partner) != flag:
+                    elif S.partner(partner_ids) != id_tuple:
                         problems.append(f"{name} i={i}: not an involution")
     _report(capsys, 4, problems,
             "fixed-point-free involution in all degrees >= 1")

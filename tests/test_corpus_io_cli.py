@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -223,15 +224,27 @@ def test_cli_verification_failure_exit(tmp_path, capsys, pinched_sphere):
         lines.append(" ".join(str(v) for v in facet + (7,)))
     path = tmp_path / "sus.facets"
     path.write_text("\n".join(lines) + "\n")
-    assert cli.main(["classes", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "verification failed" in err
     # the pinched sphere passes the Betti check; its cup pairing is singular
     pinched = tmp_path / "pinched.facets"
     write_complex_file(str(pinched), pinched_sphere)
-    assert cli.main(["classes", str(pinched)]) == 1
-    err = capsys.readouterr().err
-    assert "verification failed: cup pairing H^1 x H^1 -> H^2 is singular" in err
+    out = tmp_path / "out.json"
+    for source, message in [
+        (path, "betti 2 != betti 1; no mod-2 duality in degree 1"),
+        (pinched, "cup pairing H^1 x H^1 -> H^2 is singular"),
+    ]:
+        # a failed run replaces a report left by an earlier one
+        out.write_text('{"stale": true}\n')
+        assert cli.main(["classes", str(source), "--report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"verification failed: {message}" in err
+        payload = json.loads(out.read_text())
+        assert payload == {
+            "schema": cli.SCHEMA_VERSION,
+            "source": str(source),
+            "sha256": hashlib.sha256(serialize_complex(
+                parse_complex_file(str(source))).encode()).hexdigest(),
+            "error": {"type": "PairingDegenerate", "message": message},
+        }
 
 
 def _two_spheres():

@@ -26,7 +26,7 @@ from swlab.fileio import write_complex_file
 from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
-from swlab.pipeline import SWReport, compute_report, ht_chain
+from swlab.pipeline import SWReport, compute_report
 from swlab.simplicial import Chain, build_complex
 from swlab.subdivision import (
     SubdividedComplex,
@@ -45,11 +45,11 @@ def ref_all_ones_chains(S):
     zero when two of them coincide."""
     odd_faces = [set() for _ in range(S.base.dim + 1)]
     odd_images = [set() for _ in range(S.base.dim + 1)]
-    for ids, flag in S._flags.items():
+    for ids in S._flags:
         d = len(ids) - 1
         odd_faces[d].symmetric_difference_update(
             ids[:k] + ids[k + 1 :] for k in range(d + 1) if d)
-        last = tuple(s[-1] for s in reversed(flag))
+        last = tuple(S.simplices[v][-1] for v in reversed(ids))
         if len(set(last)) == d + 1:
             odd_images[d].symmetric_difference_update((last,))
     index = S.base._index
@@ -67,21 +67,6 @@ def ref_pairing_ok(S):
                 if other == id_tuple or partner.get(other) != id_tuple:
                     return False
     return True
-
-
-def test_ht_chain_is_all_ones_on_derived():
-    X = corpus("s2").complex()
-    S = barycentric_subdivide(X)
-    for i in range(X.dim + 1):
-        ht = ht_chain(S, i)
-        assert ht == Chain.all_ones(S.derived, i)
-
-
-def test_ht_chain_rejects_open_base():
-    disk = build_complex([(0, 1, 2), (0, 1, 3)])
-    S = barycentric_subdivide(disk)
-    with pytest.raises(NotPseudomanifold):
-        ht_chain(S, 1)
 
 
 def test_report_rows_match_patterns(entries, reports):

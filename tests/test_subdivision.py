@@ -6,21 +6,10 @@ import numpy as np
 import pytest
 
 from swlab.corpus import CORPUS_NAMES, corpus
-from swlab.errors import (
-    DimensionOutOfRange,
-    NotAFlagCell,
-    NotPseudomanifold,
-    SimplexNotInComplex,
-)
+from swlab.errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
 from swlab.oracle import fundamental_cycle
 from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import (
-    FlagSimplex,
-    all_ones_chains,
-    barycentric_subdivide,
-    flag_dual_cells,
-    flag_partner,
-)
+from swlab.subdivision import all_ones_chains, barycentric_subdivide, flag_dual_cells
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -46,19 +35,16 @@ def test_vertex_ids_cover_base_simplices():
 
 
 def test_flag_roundtrip():
+    # every derived simplex reads through `simplices` as a strictly
+    # descending flag of proper faces, and back through `vertex_id`
     S = sub_sphere()
-    for t in S.derived.skeleton(1):
-        flag = S.flag_of(t)
-        assert tuple(S.vertex_id[s] for s in flag.chain) == t
-        assert flag.bottom == flag.chain[-1]
-        assert flag.top == flag.chain[0]
-    with pytest.raises(NotAFlagCell):
-        S.flag_of((0, 999))
-
-
-def test_flag_simplex_rejects_non_flags():
-    with pytest.raises(NotAFlagCell):
-        FlagSimplex(((0, 1), (2,)))  # (2,) is not a face of (0, 1)
+    assert [S.vertex_id[s] for s in S.simplices] == list(range(len(S.simplices)))
+    for d in range(S.derived.dim + 1):
+        for t in S.derived.skeleton(d):
+            chain = [S.simplices[v] for v in t]
+            for a, b in zip(chain, chain[1:]):
+                assert len(b) < len(a) and set(b) <= set(a), t
+            assert tuple(S.vertex_id[s] for s in chain) == t
 
 
 def test_chain_map_commutes_with_boundary():
@@ -100,7 +86,7 @@ def last_vertex_map(S, chain):
     flag, and to zero when two of those vertices coincide."""
     image = 0
     for t in chain.support():
-        last = {s[-1] for s in S.flag_of(t).chain}
+        last = {S.simplices[v][-1] for v in t}
         if len(last) == len(t):
             image ^= 1 << S.base.index(last)
     return Chain(S.base, chain.dimension, image)
@@ -165,29 +151,15 @@ def test_flag_dual_cells_grouping():
         assert len(ids) == count
 
 
-def test_flag_partner_is_fixed_point_free_involution():
+def test_partner_is_fixed_point_free_involution():
     S = sub_sphere()
     for i in (1, 2):
         for ids in flag_dual_cells(S, i).values():
             for t in ids:
-                flag = S.flag_of(t)
-                partner = flag_partner(S, flag)
-                assert partner != flag
-                assert partner.bottom == flag.bottom
-                assert flag_partner(S, partner) == flag
-
-
-def test_flag_partner_rejects_degree_zero_and_skew_flags():
-    S = sub_sphere()
-    vertex_flag = S.flag_of((S.vertex_id[(0, 1, 2)],))
-    with pytest.raises(NotAFlagCell):
-        flag_partner(S, vertex_flag)
-    # edge barycenter -> vertex flag skips the facet level
-    skew = S.flag_of((S.vertex_id[(0, 1)], S.vertex_id[(0,)]))
-    with pytest.raises(NotAFlagCell):
-        flag_partner(S, skew)
-    with pytest.raises(SimplexNotInComplex):
-        flag_partner(S, FlagSimplex(((0, 1, 9), (0, 1))))
+                partner = S.partner(t)
+                assert partner != t
+                assert S.simplices[partner[-1]] == S.simplices[t[-1]]
+                assert S.partner(partner) == t
 
 
 def test_partner_rejects_ids_that_are_not_facet_ridge_flags():
@@ -198,6 +170,8 @@ def test_partner_rejects_ids_that_are_not_facet_ridge_flags():
         (vid[(0, 1)], vid[(0,)]),                            # ridge is a vertex
         (vid[(0, 2, 3)], vid[(0, 1)]),                       # facet misses ridge
         (vid[(0, 1, 2)], vid[(0, 1)], vid[(2,)]),            # not a flag
+        (vid[(0, 1, 2)], 10**6),                             # no such vertex
+        (vid[(0,)], vid[(0, 1)]),                            # not sorted
     ]
     for ids in bad:
         with pytest.raises(NotAFlagCell):
@@ -206,15 +180,14 @@ def test_partner_rejects_ids_that_are_not_facet_ridge_flags():
     assert S.partner(ids) == (vid[(0, 1, 3)],) + ids[1:]
 
 
-def test_flag_partner_requires_closed_base():
+def test_partner_requires_closed_base():
     # an open disk of two triangles glued along (0, 1): every flag raises,
     # the one around the boundary edge (0, 2) as well as the one around the
     # interior edge (0, 1), which has two facets
     S = barycentric_subdivide(build_complex([(0, 1, 2), (0, 1, 3)]))
     for ridge in ((0, 2), (0, 1)):
-        flag = S.flag_of((S.vertex_id[(0, 1, 2)], S.vertex_id[ridge]))
         with pytest.raises(NotPseudomanifold):
-            flag_partner(S, flag)
+            S.partner((S.vertex_id[(0, 1, 2)], S.vertex_id[ridge]))
 
 
 def test_flag_dual_cells_requires_closed_base():
