@@ -47,6 +47,19 @@ def test_flag_roundtrip():
             assert tuple(S.vertex_id[s] for s in chain) == t
 
 
+def test_flag_simplex_rejects_non_flags():
+    # (2,) is not a face of (0, 1): the pair is no derived simplex, and
+    # partner refuses it after a facet as well as after nothing
+    S = sub_sphere()
+    vid = S.vertex_id
+    non_flag = tuple(sorted((vid[(0, 1)], vid[(2,)])))
+    assert not S.derived.contains(non_flag)
+    with pytest.raises(NotAFlagCell):
+        S.partner((vid[(0, 1, 2)], vid[(0, 1)], vid[(2,)]))
+    with pytest.raises(NotAFlagCell):
+        S.partner((vid[(0, 1)], vid[(2,)]))
+
+
 def test_chain_map_commutes_with_boundary():
     for S in (sub_sphere(), barycentric_subdivide(corpus("s3").complex())):
         for d in range(1, S.base.dim + 1):
