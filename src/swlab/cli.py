@@ -88,32 +88,33 @@ def _cmd_classes(args) -> int:
     from .fileio import parse_complex_file, serialize_complex
     from .pipeline import compute_report
 
-    if args.corpus is not None:
-        entry = corpus(args.corpus)
-        complex = entry.complex()
-        source = f"corpus:{entry.name}"
-    else:
-        complex = parse_complex_file(args.path)
-        source = args.path
-    sha = hashlib.sha256(serialize_complex(complex).encode()).hexdigest()
-
+    source = args.path if args.corpus is None else f"corpus:{args.corpus}"
+    sha = None
     try:
+        if args.corpus is not None:
+            complex = corpus(args.corpus).complex()
+        else:
+            complex = parse_complex_file(args.path)
+        sha = hashlib.sha256(serialize_complex(complex).encode()).hexdigest()
         report = compute_report(complex)
-    except _INPUT_ERRORS:
-        raise
-    except SWLabError as exc:
-        # a failed run replaces OUT, so no earlier report survives it
+    except (SWLabError, OSError) as exc:
+        # a failed or rejected run replaces OUT, so no earlier report
+        # survives it
+        rejected = isinstance(exc, _INPUT_ERRORS)
         if args.report is not None:
             payload = {
                 "schema": SCHEMA_VERSION,
                 "source": source,
-                "sha256": sha,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
-            partial = getattr(exc, "report", None)
+            if sha is not None:
+                payload["sha256"] = sha
+            partial = None if rejected else getattr(exc, "report", None)
             if partial is not None:
                 payload["partial"] = partial.as_dict()
             _json_dump(payload, args.report)
+        if rejected:
+            raise
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

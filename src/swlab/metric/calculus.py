@@ -1,13 +1,18 @@
-"""Finite-difference Riemannian calculus on a chart.
+"""Riemannian calculus on a chart.
 
-Derivatives of the metric use central differences with step H1; the outer
-derivatives of the Christoffel symbols in the curvature use H2 scaled by
-the chart's characteristic length.  Geodesics integrate with fixed-step
-RK4.  Everything is batched over points so the probes can drive tens of
-thousands of rays through numpy at once: tensor contractions are batched
-matmuls on reshaped or transposed views, and the metric inverse is the
-closed-form adjugate over the determinant (charts have dimension 1..3), so
-the per-step path calls no einsum and no LAPACK routine.
+The metric's first derivatives come from the chart's closed-form jet where
+it has one (the generic charts of every built-in model) and otherwise from
+central differences with step H1 (the polar charts, `restricted_chart` and
+user charts built without a jet).  Either way `MetricChart` checks the
+domain and positive definiteness of every g the calculus sees.  The outer
+derivatives of the Christoffel symbols in the curvature are always central
+differences, with H2 scaled by the chart's characteristic length.
+Geodesics integrate with fixed-step RK4.  Everything is batched over
+points so the probes can drive tens of thousands of rays through numpy at
+once: tensor contractions are batched matmuls on reshaped or transposed
+views, and the metric inverse is the closed-form adjugate over the
+determinant (charts have dimension 1..3), so the per-step path calls no
+einsum and no LAPACK routine.
 """
 from __future__ import annotations
 
@@ -45,10 +50,10 @@ def _central_differences(values: np.ndarray, n: int, h: float):
 
 def _inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of symmetric (N, d, d) matrices, d <= 3: the adjugate over
-    the determinant, read from the upper triangle.  MetricChart.metric has
-    checked every g finite with positive leading minors, and the
-    determinant here is the same expansion as its last minor, so it is
-    positive."""
+    the determinant, read from the upper triangle.  MetricChart.metric or
+    MetricChart.jet has checked every g finite with positive leading
+    minors, and the determinant here is the same expansion as the last
+    minor, so it is positive."""
     d = g.shape[-1]
     if d == 1:
         return 1.0 / g
@@ -68,8 +73,12 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 def metric_jet(chart: MetricChart, points: np.ndarray):
     """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
-    dg[:, a, i, j] = d g_ij / d x_a."""
+    dg[:, a, i, j] = d g_ij / d x_a.  The chart's closed-form jet where it
+    has one, else central differences of its metric with step H1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    jet = chart.jet(pts)
+    if jet is not None:
+        return jet
     return _central_differences(chart.metric(_stencil(pts, H1)), len(pts), H1)
 
 

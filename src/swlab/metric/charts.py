@@ -3,7 +3,10 @@
 Each model ships two charts.  The polar chart makes the closed-form
 reference quantities easy to derive; the generic chart (stereographic,
 Poincare disk, or cartesian) is where the honest numerical probes run, so
-the comparisons in the tests are not circular.
+the comparisons in the tests are not circular.  The generic charts also
+carry closed-form metric jets, so the probes' geodesic equations evaluate
+the metric once per point; the polar charts are differentiated
+numerically.
 """
 from __future__ import annotations
 
@@ -22,11 +25,19 @@ class MetricChart:
     symmetric matrices, validating the domain predicate and positive
     definiteness (leading principal minors) at every call.  The minors are
     expanded up to order 3, so `dim` must lie in 1..3.
+
+    A chart may also carry a closed-form jet: `jet_fn(pts)` returns g and
+    dg[:, a, i, j] = d g_ij / d x_a, with g computed by the same expression
+    as `metric_fn`.  The generic charts of the built-in models carry one;
+    the polar charts, `restricted_chart` and user charts built without one
+    are differentiated by the calculus's central-difference stencil.
     """
 
-    __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn")
+    __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn",
+                 "_jet_fn")
 
-    def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0):
+    def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0,
+                 jet_fn=None):
         if dim not in (1, 2, 3):
             raise DimensionOutOfRange(
                 f"{name}: chart dimension {dim} is outside 1..3")
@@ -35,6 +46,7 @@ class MetricChart:
         self.scale = scale
         self._metric_fn = metric_fn
         self._domain_fn = domain_fn
+        self._jet_fn = jet_fn
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -42,7 +54,9 @@ class MetricChart:
             return np.ones(len(pts), dtype=bool)
         return np.asarray(self._domain_fn(pts), dtype=bool)
 
-    def metric(self, points) -> np.ndarray:
+    def _domain_points(self, points) -> np.ndarray:
+        """The points as an (N, dim) float array; raises OutOfDomain for a
+        wrong width or the first point outside the domain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise OutOfDomain(
@@ -52,9 +66,24 @@ class MetricChart:
             bad = pts[~inside][0]
             raise OutOfDomain(f"{self.name}: point {bad} outside the domain",
                               point=bad)
+        return pts
+
+    def metric(self, points) -> np.ndarray:
+        pts = self._domain_points(points)
         g = np.asarray(self._metric_fn(pts), dtype=float)
         self._check_spd(g, pts)
         return g
+
+    def jet(self, points):
+        """(g, dg) from the closed-form jet, with the domain and SPD checks
+        of `metric`; None for a chart built without one."""
+        if self._jet_fn is None:
+            return None
+        pts = self._domain_points(points)
+        g, dg = self._jet_fn(pts)
+        g = np.asarray(g, dtype=float)
+        self._check_spd(g, pts)
+        return g, dg
 
     def _check_spd(self, g, pts):
         """Every entry finite and all leading principal minors positive
@@ -121,28 +150,82 @@ def _diag_metric(values_fn):
     return lambda pts: _diag(values_fn(pts), len(pts))
 
 
-def _conformal_metric(factor_fn, dim):
-    return lambda pts: _diag((factor_fn(pts),) * dim, len(pts))
+def _diag_map(dim):
+    """The (dim, dim^3) matrix taking v to v_a delta_ij in the layout of
+    dg[:, a, i, j], so that a jet term linear in a per-point vector is one
+    matmul: filling the diagonals one slice at a time, or broadcasting over
+    length-3 axes, is slower."""
+    eye = np.eye(dim)
+    return np.einsum("ka,ij->kaij", eye, eye).reshape(dim, dim ** 3)
 
 
-def _warped_cartesian(c: float):
+def _conformal_chart(name, dim, factor, domain_fn=None):
+    """The chart g = phi I, where factor(rho2) returns phi and
+    d phi / d rho2 as functions of rho2 = |x|^2, so d_a g = 2 phi' x_a I."""
+    diag_map = _diag_map(dim)
+
+    def metric_fn(pts):
+        return _diag((factor(_norm2(pts))[0],) * dim, len(pts))
+
+    def jet_fn(pts):
+        phi, slope = factor(_norm2(pts))
+        dg = ((2.0 * slope)[:, None] * pts) @ diag_map
+        return _diag((phi,) * dim, len(pts)), dg.reshape((-1,) + (dim,) * 3)
+
+    return MetricChart(name, dim, metric_fn, domain_fn, jet_fn=jet_fn)
+
+
+def _flat(rho2):
+    return np.ones_like(rho2), np.zeros_like(rho2)
+
+
+def _stereographic(rho2):
+    phi = 4.0 / (1.0 + rho2) ** 2
+    return phi, -2.0 * phi / (1.0 + rho2)
+
+
+def _poincare(rho2):
+    phi = 4.0 / (1.0 - rho2) ** 2
+    return phi, 2.0 * phi / (1.0 - rho2)
+
+
+def _warped_chart(name, c: float):
     """dr^2 + f(r)^2 dOmega^2 with f(r) = r + c r^3, written in cartesian
-    coordinates: g = (1 + c rho^2)^2 I - (2c + c^2 rho^2) x x^T.
+    coordinates: g = (1 + c rho^2)^2 I - (2c + c^2 rho^2) x x^T, so
+
+        d_a g_ij = 4c (1 + c rho^2) x_a d_ij - 2c^2 x_a x_i x_j
+                   - (2c + c^2 rho^2)(d_ai x_j + d_aj x_i).
 
     Polynomial in the coordinates, hence smooth through the origin; the
     radial eigenvalue is identically 1 and the tangential one (1+c rho^2)^2.
-    The entries are filled one coordinate pair at a time: broadcasting the
-    outer product over a length-3 axis costs over twice as much.
+    The terms linear in x are one matmul with constant maps; x_i x_j is one
+    product, so g is exactly symmetric.
     """
-    def metric_fn(pts):
+    eye = np.eye(3)
+    swap_map = (np.einsum("ai,kj->kaij", eye, eye)
+                + np.einsum("aj,ki->kaij", eye, eye)).reshape(3, 27)
+    linear_map = np.concatenate([(4.0 * c) * _diag_map(3), -swap_map])
+
+    def metric_parts(pts):
         rho2 = _norm2(pts)
-        out = _diag(((1.0 + c * rho2) ** 2,) * pts.shape[1], len(pts))
-        rx = (2.0 * c + c * c * rho2)[:, None] * pts
-        for i, j in zip(*np.triu_indices(pts.shape[1])):
-            out[:, i, j] -= rx[:, i] * pts[:, j]
-            out[:, j, i] = out[:, i, j]
-        return out
-    return metric_fn
+        xx = (pts[:, :, None] * pts[:, None, :]).reshape(-1, 9)
+        g = (((1.0 + c * rho2) ** 2)[:, None] * eye.reshape(9)
+             - (2.0 * c + c * c * rho2)[:, None] * xx)
+        return rho2, xx, g.reshape(-1, 3, 3)
+
+    def metric_fn(pts):
+        return metric_parts(pts)[2]
+
+    def jet_fn(pts):
+        rho2, xx, g = metric_parts(pts)
+        linear = np.concatenate([(1.0 + c * rho2)[:, None] * pts,
+                                 (2.0 * c + c * c * rho2)[:, None] * pts],
+                                axis=1)
+        dg = ((linear @ linear_map).reshape(-1, 3, 9)
+              + ((-2.0 * c * c) * pts)[:, :, None] * xx[:, None, :])
+        return g, dg.reshape(-1, 3, 3, 3)
+
+    return MetricChart(name, 3, metric_fn, jet_fn=jet_fn)
 
 
 _POLAR_EPS = 0.05
@@ -175,9 +258,8 @@ def _build_models() -> dict:
     models["flat-2"] = ModelGeometry(
         name="flat-2", dim=2,
         charts={
-            "generic": MetricChart(
-                "flat-2/cartesian", 2, _conformal_metric(
-                    lambda pts: np.ones(len(pts)), 2)),
+            "generic": _conformal_chart(
+                "flat-2/cartesian", 2, _flat),
             "polar": MetricChart(
                 "flat-2/polar", 2,
                 _diag_metric(lambda pts: (np.ones(len(pts)), pts[:, 0] ** 2)),
@@ -195,9 +277,8 @@ def _build_models() -> dict:
     models["round-s2"] = ModelGeometry(
         name="round-s2", dim=2,
         charts={
-            "generic": MetricChart(
-                "round-s2/stereographic", 2, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 + _norm2(pts)) ** 2, 2)),
+            "generic": _conformal_chart(
+                "round-s2/stereographic", 2, _stereographic),
             "polar": MetricChart(
                 "round-s2/polar", 2,
                 _diag_metric(lambda pts: (np.ones(len(pts)),
@@ -216,9 +297,8 @@ def _build_models() -> dict:
     models["hyperbolic-2"] = ModelGeometry(
         name="hyperbolic-2", dim=2,
         charts={
-            "generic": MetricChart(
-                "hyperbolic-2/disk", 2, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 - _norm2(pts)) ** 2, 2),
+            "generic": _conformal_chart(
+                "hyperbolic-2/disk", 2, _poincare,
                 domain_fn=lambda pts: _norm2(pts) < (1.0 - 1e-9)),
             "polar": MetricChart(
                 "hyperbolic-2/polar", 2,
@@ -238,9 +318,8 @@ def _build_models() -> dict:
     models["flat-3"] = ModelGeometry(
         name="flat-3", dim=3,
         charts={
-            "generic": MetricChart(
-                "flat-3/cartesian", 3, _conformal_metric(
-                    lambda pts: np.ones(len(pts)), 3)),
+            "generic": _conformal_chart(
+                "flat-3/cartesian", 3, _flat),
             "polar": MetricChart(
                 "flat-3/spherical", 3,
                 _diag_metric(lambda pts: (
@@ -259,9 +338,8 @@ def _build_models() -> dict:
     models["round-s3"] = ModelGeometry(
         name="round-s3", dim=3,
         charts={
-            "generic": MetricChart(
-                "round-s3/stereographic", 3, _conformal_metric(
-                    lambda pts: 4.0 / (1.0 + _norm2(pts)) ** 2, 3)),
+            "generic": _conformal_chart(
+                "round-s3/stereographic", 3, _stereographic),
             "polar": MetricChart(
                 "round-s3/polar", 3,
                 _diag_metric(lambda pts: (
@@ -280,8 +358,7 @@ def _build_models() -> dict:
     models["warped-3"] = ModelGeometry(
         name="warped-3", dim=3,
         charts={
-            "generic": MetricChart(
-                "warped-3/cartesian", 3, _warped_cartesian(c)),
+            "generic": _warped_chart("warped-3/cartesian", c),
             "polar": MetricChart(
                 "warped-3/polar", 3,
                 _diag_metric(lambda pts: (

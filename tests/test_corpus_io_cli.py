@@ -269,6 +269,37 @@ def test_cli_names_the_failed_pseudomanifold_condition(tmp_path, capsys,
     assert not exc_info.value.report.passed
 
 
+def test_cli_rejected_input_replaces_report(tmp_path, capsys):
+    # an input rejected with exit 2 replaces a report left by an earlier
+    # run; the hash is there only when the file parsed
+    bad = tmp_path / "bad.facets"
+    bad.write_text("0 1 2\n0 1 3\n0 1 4\n")
+    garbled = tmp_path / "garbled.facets"
+    garbled.write_text("0 1 x\n")
+    out = tmp_path / "out.json"
+    sha = hashlib.sha256(serialize_complex(
+        parse_complex_file(str(bad))).encode()).hexdigest()
+    for argv, source, kind, message, extra in [
+        ([str(bad)], str(bad), "NotPseudomanifold",
+         "input is not a closed pseudomanifold: "
+         "ridge (0, 1) lies in 3 facets, not 2", {"sha256": sha}),
+        ([str(garbled)], str(garbled), "ParseError",
+         "line 1: non-integer vertex id in '0 1 x'", {}),
+        (["--corpus", "nope"], "corpus:nope", "UnknownCorpusEntry",
+         f"unknown corpus entry 'nope'; available: {', '.join(CORPUS_NAMES)}",
+         {}),
+    ]:
+        out.write_text('{"stale": true}\n')
+        assert cli.main(["classes", *argv, "--report", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert json.loads(out.read_text()) == {
+            "schema": cli.SCHEMA_VERSION,
+            "source": source,
+            "error": {"type": kind, "message": message},
+            **extra,
+        }
+
+
 @pytest.mark.parametrize("fault", [
     AssertionError("pivot lost\nin degree 2"),
     MemoryError(),

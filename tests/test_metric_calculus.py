@@ -120,6 +120,42 @@ def test_metric_jet_against_closed_form():
             assert np.max(np.abs(dg[n, a] - want)) < 1e-8
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_closed_form_jet_against_central_differences(name):
+    # every generic chart carries a closed-form jet; its g is the chart's
+    # metric bit for bit, and its dg the central differences of that metric
+    chart = get_model(name).chart("generic")
+    pts = np.random.default_rng(36).uniform(-0.5, 0.5, size=(16, chart.dim))
+    assert chart.jet(pts) is not None
+    g, dg = metric_jet(chart, pts)
+    assert np.array_equal(g, chart.metric(pts))
+    h = 1e-5
+    want = np.stack([(chart.metric(pts + h * e) - chart.metric(pts - h * e))
+                     / (2.0 * h) for e in np.eye(chart.dim)], axis=1)
+    assert dg.shape == want.shape
+    assert np.max(np.abs(dg - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def test_closed_form_jet_checks_domain_and_metric():
+    disk = get_model("hyperbolic-2").chart("generic")
+    with pytest.raises(OutOfDomain) as exc_info:
+        metric_jet(disk, [(0.0, 0.0), (0.8, 0.8)])
+    assert np.array_equal(exc_info.value.point, [0.8, 0.8])
+    with pytest.raises(OutOfDomain):
+        metric_jet(disk, [(0.0, 0.0, 0.0)])  # wrong width
+
+    def lorentz(pts):
+        return np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))
+
+    chart = MetricChart("lorentz", 2, lorentz,
+                        jet_fn=lambda pts: (lorentz(pts),
+                                            np.zeros((len(pts), 2, 2, 2))))
+    with pytest.raises(SingularMetric):
+        metric_jet(chart, [(0.0, 0.0)])
+    with pytest.raises(SingularMetric):
+        geodesic_shoot_many(chart, [(0.0, 0.0)], [(1.0, 0.0)], 0.1, h=0.05)
+
+
 def test_equator_geodesic_closes():
     chart = get_model("round-s2").chart("generic")
     x0, v0 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
@@ -221,18 +257,31 @@ def test_non_finite_metric_rejected(entry):
 
 def test_curvature_evaluates_metric_once(monkeypatch):
     # g and its inverse at the points come from the centre block of the
-    # Christoffel stencil: one batched call of (2d+1)^2 = 25 points each
+    # Christoffel stencil.  A chart with a closed-form jet takes one jet
+    # call on the (2d+1) N = 50 stencil points and no metric call; a chart
+    # without one takes one metric call on (2d+1)^2 N = 250 points
     calls = []
-    metric = MetricChart.metric
+    metric, jet = MetricChart.metric, MetricChart.jet
 
-    def recording(self, points):
-        calls.append(len(points))
-        return metric(self, points)
+    def recording(name, method):
+        # a jet call on a chart without a closed form returns None and
+        # evaluates nothing
+        def wrapper(self, points):
+            out = method(self, points)
+            if out is not None:
+                calls.append((name, len(points)))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(MetricChart, "metric", recording)
+    monkeypatch.setattr(MetricChart, "metric", recording("metric", metric))
+    monkeypatch.setattr(MetricChart, "jet", recording("jet", jet))
     pts = np.random.default_rng(34).uniform(-0.5, 0.5, size=(10, 2))
     curvature_many(get_model("round-s2").chart("generic"), pts)
-    assert calls == [250]
+    assert calls == [("jet", 50)]
+    calls.clear()
+    polar = np.random.default_rng(35).uniform(0.4, 1.2, size=(10, 2))
+    curvature_many(get_model("round-s2").chart("polar"), polar)
+    assert calls == [("metric", 250)]
 
 
 @pytest.mark.parametrize("dim", [0, 4, 5])

@@ -9,6 +9,7 @@ from swlab.errors import GridTooCoarse, NonConvergent, OutOfDomain
 from swlab.metric import (
     MetricChart,
     ModelGeometry,
+    curvature_many,
     gauss_bonnet_disk,
     get_model,
     sphere_area_probe,
@@ -71,6 +72,25 @@ def test_area_ratio_tracks_curvature_sign():
     assert sphere_area_probe(get_model("warped-3"), eps).ratio > 1.0
     flat = sphere_area_probe(get_model("flat-3"), eps).ratio
     assert abs(flat - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("name,want", [("warped-3", 0.2),
+                                       ("round-s3", -1.0 / 3.0)])
+def test_area_ratio_slope_is_gray_curvature_term(name, want):
+    # Gray: area / (4 pi eps^2) = 1 - scal / 18 eps^2 + O(eps^4) in
+    # dimension 3.  The eps^2 coefficient of the probes' ratio, fitted
+    # through three radii, must match the scalar curvature from the
+    # Christoffel symbols at the center; the constant term absorbs the
+    # coarse grid's quadrature bias
+    model = get_model(name)
+    radii = np.array([0.2, 0.1, 0.05])
+    ratios = [sphere_area_probe(model, eps, grid=(16, 32)).ratio
+              for eps in radii]
+    _, slope, _ = np.linalg.solve(np.vander(radii ** 2, 3, increasing=True),
+                                  ratios)
+    scal = curvature_many(model.chart("generic"), [model.center]).scalar[0]
+    assert abs(-scal / 18.0 - want) < 1e-6
+    assert abs(slope - (-scal / 18.0)) < 1e-4
 
 
 def test_probe_chart_independence_off_axis():
