@@ -1,11 +1,14 @@
 """Model geometries: charts with batched metric evaluators.
 
-Each model ships two charts.  The polar chart makes the closed-form
-reference quantities easy to derive; the generic chart (stereographic,
-Poincare disk, or cartesian) is where the honest numerical probes run, so
-the comparisons in the tests are not circular.  The generic charts also
+Every model is a warped product dr^2 + f(r)^2 dOmega^2 around the origin
+of its generic chart (stereographic, Poincare disk, or cartesian), and is
+built from one row: the generic chart, the warp f and its slope f', and
+the model's constants.  The polar chart and the closed-form reference
+quantities (sphere measure, Gauss-Bonnet parts) are derived from f.  The
+generic charts are written out independently of f, so the probes that run
+there are honest checks of those closed forms, not circular ones; they
 carry closed-form metric jets, so the probes' geodesic equations evaluate
-the metric once per point; the polar charts are differentiated
+the metric once per point.  The polar charts are differentiated
 numerically.
 """
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DimensionOutOfRange, OutOfDomain, SingularMetric
+from .constants import sphere_volume
 
 
 class MetricChart:
@@ -117,9 +121,12 @@ class MetricChart:
 class ModelGeometry:
     """A named model with paired charts and analytic reference data.
 
-    `analytic` maps quantity names to closed forms derived in the polar
-    chart; `injectivity_guard` bounds probe radii; `center` is the default
-    probe center in the generic chart.
+    `analytic` maps quantity names to closed forms derived from the warp
+    f: `sphere_area(eps)`, in 2-D `gauss_bonnet_interior(eps)` and
+    `gauss_bonnet_boundary(eps)`, the constant `scalar` curvature (None
+    when it varies) and `polar_radius(r)`, the generic-chart radius of the
+    geodesic radius r.  `injectivity_guard` bounds probe radii; `center` is
+    the default probe center, the origin of the generic chart.
     """
 
     name: str
@@ -144,10 +151,6 @@ def _diag(vals, n):
     for i, v in enumerate(vals):
         g[:, i, i] = v
     return g
-
-
-def _diag_metric(values_fn):
-    return lambda pts: _diag(values_fn(pts), len(pts))
 
 
 def _diag_map(dim):
@@ -231,153 +234,80 @@ def _warped_chart(name, c: float):
 _POLAR_EPS = 0.05
 
 
-def _polar_domain_2d(r_max):
-    def domain(pts):
-        return (pts[:, 0] > _POLAR_EPS) & (pts[:, 0] < r_max)
-    return domain
+def _polar_chart(name, dim, f, r_max):
+    """Geodesic polar coordinates (r, theta) or (r, theta, phi) of the
+    warped product dr^2 + f(r)^2 dOmega^2: g = diag(1, f^2) respectively
+    diag(1, f^2, f^2 sin^2 theta), kept _POLAR_EPS away from the
+    coordinate singularities."""
+    def metric_fn(pts):
+        f2 = f(pts[:, 0]) ** 2
+        if dim == 2:
+            return _diag((np.ones(len(pts)), f2), len(pts))
+        return _diag((np.ones(len(pts)), f2, f2 * np.sin(pts[:, 1]) ** 2),
+                     len(pts))
+
+    lo = np.array([_POLAR_EPS, _POLAR_EPS])[:dim - 1]
+    hi = np.array([r_max, math.pi - _POLAR_EPS])[:dim - 1]
+
+    def domain_fn(pts):
+        return ((pts[:, :dim - 1] > lo) & (pts[:, :dim - 1] < hi)).all(axis=1)
+
+    return MetricChart(name, dim, metric_fn, domain_fn)
 
 
-def _polar_domain_3d(r_max):
-    def domain(pts):
-        return ((pts[:, 0] > _POLAR_EPS) & (pts[:, 0] < r_max)
-                & (pts[:, 1] > _POLAR_EPS) & (pts[:, 1] < math.pi - _POLAR_EPS))
-    return domain
-
-
-def _warp(c):
-    return lambda r: r + c * r ** 3
+def _model(generic, f, df, r_max, guard, scalar, polar_radius, **extra):
+    """A warped-product model dr^2 + f(r)^2 dOmega^2 around the origin of
+    its generic chart.  The polar chart and the closed forms come from f:
+    the geodesic sphere of radius eps has measure omega_{d-1} f(eps)^(d-1),
+    and in 2-D the boundary of the geodesic disk turns by 2 pi f'(eps), so
+    by Gauss-Bonnet its interior curvature is 2 pi (1 - f'(eps))."""
+    name, dim = generic.name.split("/")[0], generic.dim
+    omega = sphere_volume(dim - 1)
+    analytic = {"scalar": scalar,
+                "sphere_area": lambda eps: omega * float(f(eps)) ** (dim - 1),
+                "polar_radius": polar_radius, **extra}
+    if dim == 2:
+        analytic["gauss_bonnet_boundary"] = \
+            lambda eps: 2.0 * math.pi * float(df(eps))
+        analytic["gauss_bonnet_interior"] = \
+            lambda eps: 2.0 * math.pi * (1.0 - float(df(eps)))
+    return ModelGeometry(
+        name=name, dim=dim,
+        charts={"generic": generic,
+                "polar": _polar_chart(name + "/polar", dim, f, r_max)},
+        center=(0.0,) * dim, injectivity_guard=guard, analytic=analytic)
 
 
 def _build_models() -> dict:
-    big = 1e9
-    c = 0.1
-    f = _warp(c)
+    big, c, pole = 1e9, 0.1, math.pi - _POLAR_EPS
 
-    models = {}
+    def identity(r):
+        return r
 
-    models["flat-2"] = ModelGeometry(
-        name="flat-2", dim=2,
-        charts={
-            "generic": _conformal_chart(
-                "flat-2/cartesian", 2, _flat),
-            "polar": MetricChart(
-                "flat-2/polar", 2,
-                _diag_metric(lambda pts: (np.ones(len(pts)), pts[:, 0] ** 2)),
-                domain_fn=_polar_domain_2d(big)),
-        },
-        center=(0.0, 0.0), injectivity_guard=big,
-        analytic={
-            "scalar": 0.0,
-            "sphere_area": lambda eps: 2.0 * math.pi * eps,
-            "gauss_bonnet_interior": lambda eps: 0.0,
-            "gauss_bonnet_boundary": lambda eps: 2.0 * math.pi,
-            "polar_radius": lambda r: r,
-        })
+    def half_tan(r):
+        return math.tan(r / 2.0)
 
-    models["round-s2"] = ModelGeometry(
-        name="round-s2", dim=2,
-        charts={
-            "generic": _conformal_chart(
-                "round-s2/stereographic", 2, _stereographic),
-            "polar": MetricChart(
-                "round-s2/polar", 2,
-                _diag_metric(lambda pts: (np.ones(len(pts)),
-                                          np.sin(pts[:, 0]) ** 2)),
-                domain_fn=_polar_domain_2d(math.pi - _POLAR_EPS)),
-        },
-        center=(0.0, 0.0), injectivity_guard=1.5,
-        analytic={
-            "scalar": 2.0,
-            "sphere_area": lambda eps: 2.0 * math.pi * math.sin(eps),
-            "gauss_bonnet_interior": lambda eps: 2.0 * math.pi * (1.0 - math.cos(eps)),
-            "gauss_bonnet_boundary": lambda eps: 2.0 * math.pi * math.cos(eps),
-            "polar_radius": lambda r: math.tan(r / 2.0),
-        })
-
-    models["hyperbolic-2"] = ModelGeometry(
-        name="hyperbolic-2", dim=2,
-        charts={
-            "generic": _conformal_chart(
-                "hyperbolic-2/disk", 2, _poincare,
-                domain_fn=lambda pts: _norm2(pts) < (1.0 - 1e-9)),
-            "polar": MetricChart(
-                "hyperbolic-2/polar", 2,
-                _diag_metric(lambda pts: (np.ones(len(pts)),
-                                          np.sinh(pts[:, 0]) ** 2)),
-                domain_fn=_polar_domain_2d(big)),
-        },
-        center=(0.0, 0.0), injectivity_guard=6.0,
-        analytic={
-            "scalar": -2.0,
-            "sphere_area": lambda eps: 2.0 * math.pi * math.sinh(eps),
-            "gauss_bonnet_interior": lambda eps: -2.0 * math.pi * (math.cosh(eps) - 1.0),
-            "gauss_bonnet_boundary": lambda eps: 2.0 * math.pi * math.cosh(eps),
-            "polar_radius": lambda r: math.tanh(r / 2.0),
-        })
-
-    models["flat-3"] = ModelGeometry(
-        name="flat-3", dim=3,
-        charts={
-            "generic": _conformal_chart(
-                "flat-3/cartesian", 3, _flat),
-            "polar": MetricChart(
-                "flat-3/spherical", 3,
-                _diag_metric(lambda pts: (
-                    np.ones(len(pts)),
-                    pts[:, 0] ** 2,
-                    pts[:, 0] ** 2 * np.sin(pts[:, 1]) ** 2)),
-                domain_fn=_polar_domain_3d(big)),
-        },
-        center=(0.0, 0.0, 0.0), injectivity_guard=big,
-        analytic={
-            "scalar": 0.0,
-            "sphere_area": lambda eps: 4.0 * math.pi * eps ** 2,
-            "polar_radius": lambda r: r,
-        })
-
-    models["round-s3"] = ModelGeometry(
-        name="round-s3", dim=3,
-        charts={
-            "generic": _conformal_chart(
-                "round-s3/stereographic", 3, _stereographic),
-            "polar": MetricChart(
-                "round-s3/polar", 3,
-                _diag_metric(lambda pts: (
-                    np.ones(len(pts)),
-                    np.sin(pts[:, 0]) ** 2,
-                    np.sin(pts[:, 0]) ** 2 * np.sin(pts[:, 1]) ** 2)),
-                domain_fn=_polar_domain_3d(math.pi - _POLAR_EPS)),
-        },
-        center=(0.0, 0.0, 0.0), injectivity_guard=1.5,
-        analytic={
-            "scalar": 6.0,
-            "sphere_area": lambda eps: 4.0 * math.pi * math.sin(eps) ** 2,
-            "polar_radius": lambda r: math.tan(r / 2.0),
-        })
-
-    models["warped-3"] = ModelGeometry(
-        name="warped-3", dim=3,
-        charts={
-            "generic": _warped_chart("warped-3/cartesian", c),
-            "polar": MetricChart(
-                "warped-3/polar", 3,
-                _diag_metric(lambda pts: (
-                    np.ones(len(pts)),
-                    (pts[:, 0] + c * pts[:, 0] ** 3) ** 2,
-                    (pts[:, 0] + c * pts[:, 0] ** 3) ** 2
-                    * np.sin(pts[:, 1]) ** 2)),
-                domain_fn=_polar_domain_3d(big)),
-        },
-        center=(0.0, 0.0, 0.0), injectivity_guard=2.0,
-        analytic={
-            "scalar": None,  # not constant; -36c at the center
-            "scalar_at_center": -36.0 * c,
-            "warp_coefficient": c,
-            "sphere_area": lambda eps: 4.0 * math.pi * f(eps) ** 2,
-            "polar_radius": lambda r: r,
-        })
-
-    return models
+    models = (
+        # generic chart, f, f', polar r_max, guard, scalar, polar_radius
+        _model(_conformal_chart("flat-2/cartesian", 2, _flat),
+               identity, np.ones_like, big, big, 0.0, identity),
+        _model(_conformal_chart("round-s2/stereographic", 2, _stereographic),
+               np.sin, np.cos, pole, 1.5, 2.0, half_tan),
+        _model(_conformal_chart("hyperbolic-2/disk", 2, _poincare,
+                                lambda pts: _norm2(pts) < 1.0 - 1e-9),
+               np.sinh, np.cosh, big, 6.0, -2.0,
+               lambda r: math.tanh(r / 2.0)),
+        _model(_conformal_chart("flat-3/cartesian", 3, _flat),
+               identity, np.ones_like, big, big, 0.0, identity),
+        _model(_conformal_chart("round-s3/stereographic", 3, _stereographic),
+               np.sin, np.cos, pole, 1.5, 6.0, half_tan),
+        # scalar curvature not constant; -36c at the center
+        _model(_warped_chart("warped-3/cartesian", c),
+               lambda r: r + c * r ** 3, lambda r: 1.0 + 3.0 * c * r ** 2,
+               big, 2.0, None, identity,
+               scalar_at_center=-36.0 * c, warp_coefficient=c),
+    )
+    return {model.name: model for model in models}
 
 
 MODELS = _build_models()

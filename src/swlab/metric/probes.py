@@ -8,10 +8,13 @@ too-coarse grid or step is detected instead of silently trusted.  The
 error has three parts: quadrature (a lower-order comparison on the same
 rays), integration (the step-doubling difference against a companion
 shoot at twice the RK4 step) and drift (the g-speed drift of the rays).
+The disk probe adds a fourth, curvature (the truncation error of the
+curvature stencil, by Richardson on the boundary circle).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -108,9 +111,10 @@ def _circle_fan(grid):
     """The ray count (default 512) and the unit directions of a planar
     fan of rays."""
     try:
-        nrays = int(grid) if grid is not None else 512
+        nrays = operator.index(grid) if grid is not None else 512
     except TypeError:
-        raise OutOfDomain(f"a 2-D probe takes one ray count, not {grid!r}") from None
+        raise OutOfDomain(
+            f"a 2-D probe takes one integer ray count, not {grid!r}") from None
     if nrays < MIN_GRID:
         raise OutOfDomain(f"a 2-D probe needs at least {MIN_GRID} rays, "
                           f"not {nrays}")
@@ -136,24 +140,26 @@ def _shoot_pair(chart, center, dirs, eps: float, h: float,
     return fine, coarse, 2 * half
 
 
+_ADVICE = {"quadrature": "refine the grid",
+           "integration": "shorten the step",
+           "drift": "shorten the step",
+           "curvature": "probe nearer the chart's center"}
+
+
 def _error_budget(name: str, eps: float, max_error: float | None,
-                  quadrature: float, integration: float, drift: float):
+                  **parts: float):
     """Sum the error parts; raise GridTooCoarse naming the dominant part
     when the sum exceeds max_error.  Returns (error, parts).
 
     `integration` is the full step-doubling difference, not divided by 15,
     so it bounds the RK4 error of the fine shoot conservatively."""
-    parts = {"quadrature": quadrature, "integration": integration,
-             "drift": drift}
-    error = quadrature + integration + drift
+    error = sum(parts.values())
     if max_error is not None and error > max_error:
         worst = max(parts, key=parts.get)
-        advice = ("refine the grid" if worst == "quadrature"
-                  else "shorten the step")
         raise GridTooCoarse(
             f"{name}: estimated error {error:.3e} exceeds "
             f"{max_error:.3e} at eps={eps}; the {worst} part "
-            f"({parts[worst]:.3e}) dominates: {advice}")
+            f"({parts[worst]:.3e}) dominates: {_ADVICE[worst]}")
     return error, parts
 
 
@@ -221,10 +227,11 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
         flat = sphere_volume(1) * eps
     elif chart.dim == 3:
         try:
-            nlat, nlon = grid if grid is not None else (48, 96)
+            nlat, nlon = map(operator.index,
+                             grid if grid is not None else (48, 96))
         except (TypeError, ValueError):
-            raise OutOfDomain(
-                f"a 3-D probe takes a LAT,LON grid pair, not {grid!r}") from None
+            raise OutOfDomain(f"a 3-D probe takes an integer LAT,LON grid "
+                              f"pair, not {grid!r}") from None
         grid = (nlat, nlon)
         if min(grid) < MIN_GRID:
             raise OutOfDomain(f"a 3-D probe needs at least {MIN_GRID} "
@@ -249,9 +256,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     (x, v), (x2, _), steps = _shoot_pair(chart, center, dirs, eps, h)
     drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
     value, quadrature = measure(x)
-    error, parts = _error_budget(model.name, eps, max_error, quadrature,
-                                 abs(value - measure(x2)[0]),
-                                 drift * abs(value))
+    error, parts = _error_budget(
+        model.name, eps, max_error, quadrature=quadrature,
+        integration=abs(value - measure(x2)[0]), drift=drift * abs(value))
     params = {"model": model.name, "chart": chart.name, "eps": eps,
               "grid": grid, "h": h, "steps": steps, "drift": drift,
               "error_parts": parts}
@@ -276,9 +283,14 @@ def _simpson(values: np.ndarray, dx: float) -> float:
                              + 2.0 * values[2:-1:2].sum()) + tail)
 
 
-def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
+def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
+                stencil: bool = False):
     """Interior curvature and boundary turning of the disk swept by the
-    recorded rays (steps+1, nrays, 2), and the quadrature error of both."""
+    recorded rays (steps+1, nrays, 2), the quadrature error of both and,
+    with `stencil`, the curvature stencil's truncation error (else 0): the
+    stencil is second order in h2, so by Richardson the largest
+    4/3 |K(h2) - K(h2/2)| on the boundary circle, nearest the chart's edge,
+    times the disk's area."""
     steps, nrays = traj_x.shape[0] - 1, traj_x.shape[1]
 
     # Interior: f(s) = integral of K * |d_theta exp(s v)| over theta,
@@ -289,16 +301,22 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     jac = _fft_derivative(pos, axis=1)
     jnorm = g_norms(chart, pos.reshape(-1, 2),
                     jac.reshape(-1, 2)).reshape(len(shells), nrays)
-    # A short outer step keeps the curvature truncation bias well under
-    # the 1e-6 budget of the total; roundoff stays negligible here.
-    gauss = 0.5 * curvature_many(chart, pos.reshape(-1, 2),
-                                 h2=2.5e-4 * chart.scale).scalar \
+    # A short outer step keeps the curvature truncation bias of the total
+    # well under 1e-6 near the chart's center; roundoff stays negligible.
+    h2 = 2.5e-4 * chart.scale
+    gauss = 0.5 * curvature_many(chart, pos.reshape(-1, 2), h2=h2).scalar \
         .reshape(len(shells), nrays)
     f_vals = np.concatenate([[0.0], (gauss * jnorm).mean(axis=1)
                              * 2.0 * math.pi])
     ds = eps / steps * stride
     interior = _simpson(f_vals, ds)
     interior_tz = float(np.trapezoid(f_vals, dx=ds))
+    curvature = 0.0
+    if stencil:
+        half = 0.5 * curvature_many(chart, pos[-1], h2=h2 / 2.0).scalar
+        area = _simpson(np.concatenate([[0.0], jnorm.mean(axis=1)])
+                        * 2.0 * math.pi, ds)
+        curvature = 4.0 / 3.0 * float(np.max(np.abs(gauss[-1] - half))) * area
 
     # Boundary: geodesic curvature of the boundary circle against the
     # inward normal (minus the outgoing ray velocity).
@@ -324,7 +342,7 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
         / g_norms(chart, curve, tang_fd))) * 2.0 * math.pi
 
     return interior, boundary, \
-        abs(interior - interior_tz) + abs(boundary - boundary_fd)
+        abs(interior - interior_tz) + abs(boundary - boundary_fd), curvature
 
 
 def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
@@ -349,13 +367,14 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
                                                      eps, h, record=True)
     drift = float(np.max(np.abs(
         g_norms(chart, traj_x[-1], traj_v[-1]) - 1.0)))
-    interior, boundary, quadrature = _disk_total(chart, traj_x, traj_v, eps)
-    interior2, boundary2, _ = _disk_total(chart, *companion, eps)
+    interior, boundary, quadrature, curvature = _disk_total(
+        chart, traj_x, traj_v, eps, stencil=True)
+    interior2, boundary2, _, _ = _disk_total(chart, *companion, eps)
     total = interior + boundary
     error, parts = _error_budget(
-        model.name, eps, max_error, quadrature,
-        abs(total - interior2 - boundary2),
-        drift * (abs(interior) + abs(boundary)))
+        model.name, eps, max_error, quadrature=quadrature,
+        integration=abs(total - interior2 - boundary2),
+        drift=drift * (abs(interior) + abs(boundary)), curvature=curvature)
     params = {"model": model.name, "chart": chart.name, "eps": eps,
               "grid": nrays, "h": h, "steps": steps, "drift": drift,
               "error_parts": parts}

@@ -12,6 +12,7 @@ import numpy as np
 from swlab.corpus import CORPUS_NAMES, corpus
 from swlab.homology import mod2_homology
 from swlab.metric import (
+    MODEL_NAMES,
     cgb_constant,
     frame_det_w1,
     frame_gram_det,
@@ -183,8 +184,7 @@ def test_criterion_07_frame_determinant(capsys):
     rng = np.random.default_rng(2718)
     t0 = time.perf_counter()
     n_charts = 0
-    for name in ("flat-2", "round-s2", "hyperbolic-2",
-                 "flat-3", "round-s3", "warped-3"):
+    for name in MODEL_NAMES:
         model = get_model(name)
         for kind in ("generic", "polar"):
             chart = model.chart(kind)

@@ -167,6 +167,18 @@ def test_grid_shape_guard():
         sphere_area_probe(get_model("round-s3"), 0.2, grid=16)
     with pytest.raises(OutOfDomain):
         sphere_area_probe(get_model("round-s3"), 0.2, grid=(8, 9))  # odd longitudes
+    # counts must be integers: a float pair failed inside numpy, and 16.7
+    # rays silently ran 16
+    for name, grid in (("flat-3", (16.0, 32.0)), ("flat-3", (16, 32.5)),
+                       ("round-s2", 16.7), ("round-s2", 16.0),
+                       ("round-s2", "16")):
+        with pytest.raises(OutOfDomain, match="integer"):
+            sphere_area_probe(get_model(name), 0.2, grid=grid)
+    with pytest.raises(OutOfDomain, match="integer"):
+        gauss_bonnet_disk(get_model("round-s2"), 0.2, grid=16.7)
+    res = sphere_area_probe(get_model("flat-3"), 0.2,
+                            grid=(np.int64(8), np.int64(16)))
+    assert res.params["grid"] == (8, 16)
 
 
 @pytest.mark.parametrize("name,grid", [
@@ -287,6 +299,28 @@ def test_disk_error_covers_coarse_step(eps):
     assert res.params["steps"] == 2
 
 
+@pytest.mark.parametrize("center", ((0.9, 0.0), (0.99, 0.0), (0.999, 0.0),
+                                    (0.0, -0.9995)))
+def test_disk_error_covers_curvature_stencil_near_chart_edge(center):
+    # the curvature stencil's outer step is fixed in chart coordinates,
+    # but the Poincare metric varies on the scale 1 - rho^2: at 0.999 the
+    # total missed 2 pi by 8.7e-3 while the error read 7.9e-5
+    res = gauss_bonnet_disk(get_model("hyperbolic-2"), 0.2, center=center)
+    miss = abs(res.total - 2.0 * math.pi)
+    assert res.error >= miss
+    assert res.params["error_parts"]["curvature"] >= 0.5 * miss
+    with pytest.raises(GridTooCoarse,
+                       match="curvature .* nearer the chart's center"):
+        gauss_bonnet_disk(get_model("hyperbolic-2"), 0.2, center=(0.999, 0.0),
+                          max_error=1e-3)
+
+
+def test_disk_curvature_part_is_small_at_the_center():
+    for name in MODELS_2D:
+        res = gauss_bonnet_disk(get_model(name), 0.5, grid=64)
+        assert res.params["error_parts"]["curvature"] < 1e-7, name
+
+
 @pytest.mark.parametrize("probe", (sphere_area_probe, gauss_bonnet_disk))
 def test_integration_part_is_fourth_order(probe):
     # RK4 step doubling: halving h shrinks the difference about 16-fold
@@ -327,7 +361,8 @@ def test_default_probe_step_count(monkeypatch):
             eps / MAX_STEPS,
             min(eps / MIN_STEPS, get_model(name).chart().scale / SCALE_STEPS))
         parts = res.params["error_parts"]
-        assert set(parts) == {"quadrature", "integration", "drift"}
+        assert set(parts) == {"quadrature", "integration", "drift"} | (
+            {"curvature"} if probe is gauss_bonnet_disk else set())
         assert min(parts.values()) >= 0.0
         assert sum(parts.values()) == pytest.approx(res.error, rel=1e-12)
 
