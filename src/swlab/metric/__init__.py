@@ -15,7 +15,14 @@ from .calculus import (
     metric_jet,
     restricted_chart,
 )
-from .charts import MODEL_NAMES, MODELS, MetricChart, ModelGeometry, get_model
+from .charts import (
+    MODEL_NAMES,
+    MODELS,
+    ConformalChart,
+    MetricChart,
+    ModelGeometry,
+    get_model,
+)
 from .constants import (
     cgb_constant,
     double_factorial,
@@ -32,6 +39,7 @@ from .probes import (
 )
 
 __all__ = [
+    "ConformalChart",
     "CurvatureData",
     "GaussBonnetResult",
     "MODELS",

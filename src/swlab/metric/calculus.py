@@ -1,12 +1,15 @@
 """Riemannian calculus on a chart.
 
-The metric's first derivatives come from the chart's closed-form jet where
-it has one (the generic charts of every built-in model) and otherwise from
-central differences with step H1 (the polar charts, `restricted_chart` and
-user charts built without a jet).  Either way `MetricChart` checks the
-domain and positive definiteness of every g the calculus sees.  The outer
-derivatives of the Christoffel symbols in the curvature are always central
-differences, with H2 scaled by the chart's characteristic length.
+On a conformal chart g = phi(|x|^2) I (the generic chart of every built-in
+model) the geodesic spray is closed form in phi and phi', O(N d) per RK4
+stage with no jet; the chart's `scalar_curvature` is closed form too.  On
+every other chart the spray contracts the metric's first derivatives: the
+chart's closed-form jet where it has one, else central differences with
+step H1 (the polar charts, `restricted_chart` and user charts built
+without a jet).  Either way the chart checks the domain and positive
+definiteness of every g the calculus sees.  `curvature_many` takes the
+outer derivatives of the Christoffel symbols by central differences on
+every chart, with H2 scaled by the chart's characteristic length.
 Geodesics integrate with fixed-step RK4.  Everything is batched over
 points so the probes can drive tens of thousands of rays through numpy at
 once: tensor contractions are batched matmuls on reshaped or transposed
@@ -23,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from ..errors import LeftDomain, OutOfDomain, SingularMetric
-from .charts import MetricChart
+from .charts import ConformalChart, MetricChart, _rowsum
 
 H1 = 1e-5
 H2 = 1e-3
@@ -162,9 +165,16 @@ def g_norms(chart: MetricChart, points, vectors) -> np.ndarray:
 
 
 def _geodesic_rhs(chart, x, v):
-    """x' = v, v' = -Gamma(v, v) without forming the symbols: with
-    P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij the geodesic equation
-    reads g v' = -(P - Q/2)."""
+    """x' = v, v' = -Gamma(v, v) without forming the symbols.  On a
+    conformal chart g = e^(2u) I, Gamma^k_ij = d_ik u_j + d_jk u_i - d_ij u_k,
+    so v' = |v|^2 grad u - 2 <grad u, v> v with grad u = (phi'/phi) x.
+    Otherwise, with P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij, the
+    geodesic equation reads g v' = -(P - Q/2)."""
+    if isinstance(chart, ConformalChart):
+        phi, slope, _ = chart.factor(x)
+        grad = (slope / phi)[:, None] * x
+        return v, _rowsum(v * v)[:, None] * grad \
+            - (2.0 * _rowsum(grad * v))[:, None] * v
     g, dg = metric_jet(chart, x)
     n, d = v.shape
     vv = (v[:, :, None] * v[:, None, :]).reshape(n, 1, d * d)

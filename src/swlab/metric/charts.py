@@ -1,20 +1,23 @@
 """Model geometries: charts with batched metric evaluators.
 
 Every model is a warped product dr^2 + f(r)^2 dOmega^2 around the origin
-of its generic chart (stereographic, Poincare disk, or cartesian), and is
-built from one row: the generic chart, the warp f and its slope f', and
-the model's constants.  The polar chart and the closed-form reference
-quantities (sphere measure, Gauss-Bonnet parts) are derived from f.  The
-generic charts are written out independently of f, so the probes that run
-there are honest checks of those closed forms, not circular ones; they
-carry closed-form metric jets, so the probes' geodesic equations evaluate
-the metric once per point.  The polar charts are differentiated
-numerically.
+of its generic chart, and is built from one row: the generic chart, the
+warp f and its slope f', and the model's constants.  The polar chart and
+the closed-form reference quantities (sphere measure, Gauss-Bonnet parts)
+are derived from f.  A rotationally symmetric metric is conformally flat,
+so every generic chart is a `ConformalChart` g = phi(|x|^2) I (cartesian,
+stereographic, Poincare disk, and (1 - c|x|^2)^-3 I for warped-3), whose
+factor phi is derived by hand, independently of f: the probes that run
+there are honest checks of the closed forms, not circular ones.  From phi
+and its first two derivatives come the metric, its jet, the geodesic spray
+and the scalar curvature in closed form.  The polar charts are
+differentiated numerically.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -32,9 +35,9 @@ class MetricChart:
 
     A chart may also carry a closed-form jet: `jet_fn(pts)` returns g and
     dg[:, a, i, j] = d g_ij / d x_a, with g computed by the same expression
-    as `metric_fn`.  The generic charts of the built-in models carry one;
-    the polar charts, `restricted_chart` and user charts built without one
-    are differentiated by the calculus's central-difference stencil.
+    as `metric_fn`.  A `ConformalChart` derives one from its factor; the
+    polar charts, `restricted_chart` and user charts built without one are
+    differentiated by the calculus's central-difference stencil.
     """
 
     __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn",
@@ -65,6 +68,8 @@ class MetricChart:
         if pts.shape[1] != self.dim:
             raise OutOfDomain(
                 f"{self.name}: points must have {self.dim} coordinates")
+        if self._domain_fn is None:
+            return pts
         inside = self.contains(pts)
         if not inside.all():
             bad = pts[~inside][0]
@@ -140,10 +145,23 @@ class ModelGeometry:
         return self.charts[kind]
 
 
+@cache
+def _ones(d):
+    ones = np.ones(d)
+    ones.flags.writeable = False  # shared by every call
+    return ones
+
+
+def _rowsum(rows):
+    """The sum of each row of an (N, d) array.  A matmul: numpy reduces
+    over a length-2 or 3 axis several times slower than BLAS contracts
+    it."""
+    return rows @ _ones(rows.shape[1])
+
+
 def _norm2(pts):
-    """|x|^2 of every point.  A matmul: numpy reduces over a length-2 or 3
-    axis several times slower than BLAS contracts it."""
-    return (pts * pts) @ np.ones(pts.shape[1])
+    """|x|^2 of every point."""
+    return _rowsum(pts * pts)
 
 
 def _diag(vals, n):
@@ -162,73 +180,85 @@ def _diag_map(dim):
     return np.einsum("ka,ij->kaij", eye, eye).reshape(dim, dim ** 3)
 
 
-def _conformal_chart(name, dim, factor, domain_fn=None):
-    """The chart g = phi I, where factor(rho2) returns phi and
-    d phi / d rho2 as functions of rho2 = |x|^2, so d_a g = 2 phi' x_a I."""
-    diag_map = _diag_map(dim)
+class ConformalChart(MetricChart):
+    """The chart g = phi(|x|^2) I, built from one function: factor(rho2)
+    returns phi and its first two derivatives in rho2 = |x|^2.  The metric
+    and its closed-form jet (d_a g = 2 phi' x_a I) come from it, and so do
+    the calculus's closed-form geodesic spray and `scalar_curvature`."""
 
-    def metric_fn(pts):
-        return _diag((factor(_norm2(pts))[0],) * dim, len(pts))
+    __slots__ = ("_factor_fn",)
 
-    def jet_fn(pts):
-        phi, slope = factor(_norm2(pts))
-        dg = ((2.0 * slope)[:, None] * pts) @ diag_map
-        return _diag((phi,) * dim, len(pts)), dg.reshape((-1,) + (dim,) * 3)
+    def __init__(self, name, dim, factor, domain_fn=None):
+        diag_map = _diag_map(dim)
 
-    return MetricChart(name, dim, metric_fn, domain_fn, jet_fn=jet_fn)
+        def metric_fn(pts):
+            return _diag((factor(_norm2(pts))[0],) * dim, len(pts))
+
+        def jet_fn(pts):
+            phi, slope, _ = factor(_norm2(pts))
+            dg = ((2.0 * slope)[:, None] * pts) @ diag_map
+            return _diag((phi,) * dim, len(pts)), \
+                dg.reshape((-1,) + (dim,) * 3)
+
+        super().__init__(name, dim, metric_fn, domain_fn, jet_fn=jet_fn)
+        self._factor_fn = factor
+
+    def factor(self, points):
+        """(phi, phi', phi'') at the points, with the domain check of
+        `metric` and phi finite and positive at every point, which is the
+        Sylvester check of phi I."""
+        pts = self._domain_points(points)
+        phi, slope, curve = self._factor_fn(_norm2(pts))
+        ok = (phi > 0.0) & (phi < math.inf)
+        if not ok.all():
+            raise SingularMetric(
+                f"{self.name}: metric not positive definite at {pts[~ok][0]}")
+        return phi, slope, curve
+
+    def scalar_curvature(self, points) -> np.ndarray:
+        """The scalar curvature of g = e^(2u) I in closed form,
+
+            R = -e^(-2u) (2 (n-1) Lap u + (n-2)(n-1) |grad u|^2),
+
+        where u = log(phi) / 2, so grad u = w x with w = phi'/phi, and
+        Lap u = n w + 2 rho2 w' with w' = dw / d rho2."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        phi, slope, curve = self.factor(pts)
+        n, rho2 = self.dim, _norm2(pts)
+        w = slope / phi
+        lap = n * w + 2.0 * rho2 * (curve / phi - w * w)
+        return -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
 
 
 def _flat(rho2):
-    return np.ones_like(rho2), np.zeros_like(rho2)
+    zero = np.zeros_like(rho2)
+    return np.ones_like(rho2), zero, zero
 
 
 def _stereographic(rho2):
     phi = 4.0 / (1.0 + rho2) ** 2
-    return phi, -2.0 * phi / (1.0 + rho2)
+    slope = -2.0 * phi / (1.0 + rho2)
+    return phi, slope, -3.0 * slope / (1.0 + rho2)
 
 
 def _poincare(rho2):
     phi = 4.0 / (1.0 - rho2) ** 2
-    return phi, 2.0 * phi / (1.0 - rho2)
+    slope = 2.0 * phi / (1.0 - rho2)
+    return phi, slope, 3.0 * slope / (1.0 - rho2)
 
 
-def _warped_chart(name, c: float):
-    """dr^2 + f(r)^2 dOmega^2 with f(r) = r + c r^3, written in cartesian
-    coordinates: g = (1 + c rho^2)^2 I - (2c + c^2 rho^2) x x^T, so
+def _warped(c: float):
+    """The factor (1 - c rho2)^-3 of dr^2 + f(r)^2 dOmega^2 with
+    f(r) = r + c r^3: |x| = exp(integral dr / f) = r / sqrt(1 + c r^2)
+    makes it e^(2u) (d|x|^2 + |x|^2 dOmega^2) with e^(2u) = (dr / d|x|)^2
+    = (1 + c r^2)^3 = (1 - c |x|^2)^-3."""
+    def factor(rho2):
+        t = 1.0 / (1.0 - c * rho2)
+        phi = t ** 3
+        slope = 3.0 * c * phi * t
+        return phi, slope, 4.0 * c * slope * t
 
-        d_a g_ij = 4c (1 + c rho^2) x_a d_ij - 2c^2 x_a x_i x_j
-                   - (2c + c^2 rho^2)(d_ai x_j + d_aj x_i).
-
-    Polynomial in the coordinates, hence smooth through the origin; the
-    radial eigenvalue is identically 1 and the tangential one (1+c rho^2)^2.
-    The terms linear in x are one matmul with constant maps; x_i x_j is one
-    product, so g is exactly symmetric.
-    """
-    eye = np.eye(3)
-    swap_map = (np.einsum("ai,kj->kaij", eye, eye)
-                + np.einsum("aj,ki->kaij", eye, eye)).reshape(3, 27)
-    linear_map = np.concatenate([(4.0 * c) * _diag_map(3), -swap_map])
-
-    def metric_parts(pts):
-        rho2 = _norm2(pts)
-        xx = (pts[:, :, None] * pts[:, None, :]).reshape(-1, 9)
-        g = (((1.0 + c * rho2) ** 2)[:, None] * eye.reshape(9)
-             - (2.0 * c + c * c * rho2)[:, None] * xx)
-        return rho2, xx, g.reshape(-1, 3, 3)
-
-    def metric_fn(pts):
-        return metric_parts(pts)[2]
-
-    def jet_fn(pts):
-        rho2, xx, g = metric_parts(pts)
-        linear = np.concatenate([(1.0 + c * rho2)[:, None] * pts,
-                                 (2.0 * c + c * c * rho2)[:, None] * pts],
-                                axis=1)
-        dg = ((linear @ linear_map).reshape(-1, 3, 9)
-              + ((-2.0 * c * c) * pts)[:, :, None] * xx[:, None, :])
-        return g, dg.reshape(-1, 3, 3, 3)
-
-    return MetricChart(name, 3, metric_fn, jet_fn=jet_fn)
+    return factor
 
 
 _POLAR_EPS = 0.05
@@ -289,22 +319,23 @@ def _build_models() -> dict:
 
     models = (
         # generic chart, f, f', polar r_max, guard, scalar, polar_radius
-        _model(_conformal_chart("flat-2/cartesian", 2, _flat),
+        _model(ConformalChart("flat-2/cartesian", 2, _flat),
                identity, np.ones_like, big, big, 0.0, identity),
-        _model(_conformal_chart("round-s2/stereographic", 2, _stereographic),
+        _model(ConformalChart("round-s2/stereographic", 2, _stereographic),
                np.sin, np.cos, pole, 1.5, 2.0, half_tan),
-        _model(_conformal_chart("hyperbolic-2/disk", 2, _poincare,
-                                lambda pts: _norm2(pts) < 1.0 - 1e-9),
+        _model(ConformalChart("hyperbolic-2/disk", 2, _poincare,
+                              lambda pts: _norm2(pts) < 1.0 - 1e-9),
                np.sinh, np.cosh, big, 6.0, -2.0,
                lambda r: math.tanh(r / 2.0)),
-        _model(_conformal_chart("flat-3/cartesian", 3, _flat),
+        _model(ConformalChart("flat-3/cartesian", 3, _flat),
                identity, np.ones_like, big, big, 0.0, identity),
-        _model(_conformal_chart("round-s3/stereographic", 3, _stereographic),
+        _model(ConformalChart("round-s3/stereographic", 3, _stereographic),
                np.sin, np.cos, pole, 1.5, 6.0, half_tan),
         # scalar curvature not constant; -36c at the center
-        _model(_warped_chart("warped-3/cartesian", c),
+        _model(ConformalChart("warped-3/conformal", 3, _warped(c),
+                              lambda pts: c * _norm2(pts) < 1.0),
                lambda r: r + c * r ** 3, lambda r: 1.0 + 3.0 * c * r ** 2,
-               big, 2.0, None, identity,
+               big, 2.0, None, lambda r: r / math.sqrt(1.0 + c * r * r),
                scalar_at_center=-36.0 * c, warp_coefficient=c),
     )
     return {model.name: model for model in models}

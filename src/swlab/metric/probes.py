@@ -9,7 +9,9 @@ error has three parts: quadrature (a lower-order comparison on the same
 rays), integration (the step-doubling difference against a companion
 shoot at twice the RK4 step) and drift (the g-speed drift of the rays).
 The disk probe adds a fourth, curvature (the truncation error of the
-curvature stencil, by Richardson on the boundary circle).
+curvature stencil, by Richardson on the boundary circle); it is 0 on a
+conformal chart, where the disk reads the scalar curvature in closed form
+and runs no stencil.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
 from .calculus import christoffel_many, curvature_many, g_norms, \
     geodesic_shoot_many, rk4_step_count
-from .charts import ModelGeometry
+from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
 
 
@@ -287,10 +289,11 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
                 stencil: bool = False):
     """Interior curvature and boundary turning of the disk swept by the
     recorded rays (steps+1, nrays, 2), the quadrature error of both and,
-    with `stencil`, the curvature stencil's truncation error (else 0): the
-    stencil is second order in h2, so by Richardson the largest
+    with `stencil`, the curvature stencil's truncation error: the stencil
+    is second order in h2, so by Richardson the largest
     4/3 |K(h2) - K(h2/2)| on the boundary circle, nearest the chart's edge,
-    times the disk's area."""
+    times the disk's area.  That part is 0 without `stencil` and on a
+    conformal chart, whose curvature is closed form."""
     steps, nrays = traj_x.shape[0] - 1, traj_x.shape[1]
 
     # Interior: f(s) = integral of K * |d_theta exp(s v)| over theta,
@@ -301,18 +304,24 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     jac = _fft_derivative(pos, axis=1)
     jnorm = g_norms(chart, pos.reshape(-1, 2),
                     jac.reshape(-1, 2)).reshape(len(shells), nrays)
-    # A short outer step keeps the curvature truncation bias of the total
-    # well under 1e-6 near the chart's center; roundoff stays negligible.
-    h2 = 2.5e-4 * chart.scale
-    gauss = 0.5 * curvature_many(chart, pos.reshape(-1, 2), h2=h2).scalar \
-        .reshape(len(shells), nrays)
+    # The Gauss curvature is half the scalar curvature: in closed form on a
+    # conformal chart, else from the stencil, whose short outer step keeps
+    # the truncation bias of the total well under 1e-6 near the chart's
+    # center; roundoff stays negligible.
+    conformal = isinstance(chart, ConformalChart)
+    if conformal:
+        scalar = chart.scalar_curvature(pos.reshape(-1, 2))
+    else:
+        h2 = 2.5e-4 * chart.scale
+        scalar = curvature_many(chart, pos.reshape(-1, 2), h2=h2).scalar
+    gauss = 0.5 * scalar.reshape(len(shells), nrays)
     f_vals = np.concatenate([[0.0], (gauss * jnorm).mean(axis=1)
                              * 2.0 * math.pi])
     ds = eps / steps * stride
     interior = _simpson(f_vals, ds)
     interior_tz = float(np.trapezoid(f_vals, dx=ds))
     curvature = 0.0
-    if stencil:
+    if stencil and not conformal:
         half = 0.5 * curvature_many(chart, pos[-1], h2=h2 / 2.0).scalar
         area = _simpson(np.concatenate([[0.0], jnorm.mean(axis=1)])
                         * 2.0 * math.pi, ds)

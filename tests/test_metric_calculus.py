@@ -101,14 +101,20 @@ def test_curvature_at_matches_batch():
     assert abs(single.scalar - batch.scalar[1]) < 1e-12
 
 
-def test_metric_jet_against_closed_form():
-    # warped model: g_ij = (1 + c r^2)^2 d_ij - (2c + c^2 r^2) x_i x_j
-    model = get_model("warped-3")
-    c = model.analytic["warp_coefficient"]
-    chart = model.chart("generic")
+def test_metric_jet_against_closed_form(cartesian_warped_chart):
+    # warped-3 in cartesian coordinates:
+    # g_ij = (1 + c r^2)^2 d_ij - (2c + c^2 r^2) x_i x_j, a non-diagonal
+    # metric whose jet the chart computes in closed form
+    c = get_model("warped-3").analytic["warp_coefficient"]
+    chart = cartesian_warped_chart
     rng = np.random.default_rng(32)
     pts = 0.4 * rng.normal(size=(4, 3))
+    assert chart.jet(pts) is not None
     _, dg = metric_jet(chart, pts)
+    h = 1e-5
+    fd = np.stack([(chart.metric(pts + h * e) - chart.metric(pts - h * e))
+                   / (2.0 * h) for e in np.eye(3)], axis=1)
+    assert np.max(np.abs(dg - fd)) < 1e-8
     eye = np.eye(3)
     for n, x in enumerate(pts):
         r2 = x @ x

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -299,25 +300,47 @@ def test_disk_error_covers_coarse_step(eps):
     assert res.params["steps"] == 2
 
 
-@pytest.mark.parametrize("center", ((0.9, 0.0), (0.99, 0.0), (0.999, 0.0),
-                                    (0.0, -0.9995)))
+EDGE_CENTERS = ((0.9, 0.0), (0.99, 0.0), (0.999, 0.0), (0.0, -0.9995))
+
+
+def _stencil_only(model):
+    """The model with its generic chart replaced by one of the same metric
+    and domain but no factor, so that its curvature runs the stencil."""
+    chart = model.chart("generic")
+    copy = MetricChart(chart.name, chart.dim, chart.metric, chart.contains,
+                       scale=chart.scale)
+    return dataclasses.replace(model, charts={**model.charts,
+                                              "generic": copy})
+
+
+@pytest.mark.parametrize("center", EDGE_CENTERS)
 def test_disk_error_covers_curvature_stencil_near_chart_edge(center):
     # the curvature stencil's outer step is fixed in chart coordinates,
     # but the Poincare metric varies on the scale 1 - rho^2: at 0.999 the
     # total missed 2 pi by 8.7e-3 while the error read 7.9e-5
-    res = gauss_bonnet_disk(get_model("hyperbolic-2"), 0.2, center=center)
+    model = _stencil_only(get_model("hyperbolic-2"))
+    res = gauss_bonnet_disk(model, 0.2, center=center)
     miss = abs(res.total - 2.0 * math.pi)
     assert res.error >= miss
     assert res.params["error_parts"]["curvature"] >= 0.5 * miss
     with pytest.raises(GridTooCoarse,
                        match="curvature .* nearer the chart's center"):
-        gauss_bonnet_disk(get_model("hyperbolic-2"), 0.2, center=(0.999, 0.0),
-                          max_error=1e-3)
+        gauss_bonnet_disk(model, 0.2, center=(0.999, 0.0), max_error=1e-3)
+
+
+@pytest.mark.parametrize("center", EDGE_CENTERS)
+def test_conformal_disk_is_accurate_near_chart_edge(center):
+    # the Poincare chart's curvature is closed form, so its disks run no
+    # stencil: at 0.999 the stencil's total missed 2 pi by 8.7e-3
+    res = gauss_bonnet_disk(get_model("hyperbolic-2"), 0.2, center=center)
+    assert abs(res.total - 2.0 * math.pi) < 1e-9
+    assert abs(res.total - 2.0 * math.pi) <= res.error
+    assert res.params["error_parts"]["curvature"] == 0.0
 
 
 def test_disk_curvature_part_is_small_at_the_center():
     for name in MODELS_2D:
-        res = gauss_bonnet_disk(get_model(name), 0.5, grid=64)
+        res = gauss_bonnet_disk(_stencil_only(get_model(name)), 0.5, grid=64)
         assert res.params["error_parts"]["curvature"] < 1e-7, name
 
 
@@ -389,6 +412,20 @@ def test_default_step_integration_part_is_far_below_quadrature(name, radii):
             else:
                 actual = abs(res.value - model.analytic["sphere_area"](eps))
             assert actual <= res.error, (probe.__name__, eps)
+
+
+@pytest.mark.parametrize("name", MODELS_2D + MODELS_3D)
+def test_every_probe_is_within_its_error_at_every_radius(name):
+    # on the benchmark's grids, from the smallest criterion radius to 1
+    model = get_model(name)
+    grid = 256 if model.dim == 2 else (16, 32)
+    for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
+        res = sphere_area_probe(model, eps, grid=grid)
+        assert abs(res.value - model.analytic["sphere_area"](eps)) \
+            <= res.error, eps
+        if model.dim == 2:
+            res = gauss_bonnet_disk(model, eps, grid=grid)
+            assert abs(res.total - 2.0 * math.pi) <= res.error, eps
 
 
 @pytest.mark.parametrize("eps", (1.25, 1.5))

@@ -40,7 +40,9 @@ CONSTANTS = {
     "flat-3": ("flat-3/cartesian", 0.0, BIG, lambda r: r),
     "round-s3": ("round-s3/stereographic", 6.0, 1.5,
                  lambda r: math.tan(r / 2.0)),
-    "warped-3": ("warped-3/cartesian", None, 2.0, lambda r: r),
+    # the conformal chart (1 - C |x|^2)^-3 I: |x| = r / sqrt(1 + C r^2)
+    "warped-3": ("warped-3/conformal", None, 2.0,
+                 lambda r: r / math.sqrt(1.0 + C * r * r)),
 }
 
 # name: (polar metric diagonal, polar r_max)
