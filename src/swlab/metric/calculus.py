@@ -3,10 +3,10 @@
 On a conformal chart g = phi(|x|^2) I (the generic chart of every built-in
 model) the geodesic spray is closed form in phi and phi', O(N d) per RK4
 stage with no jet; the chart's `scalar_curvature` is closed form too.  On
-every other chart the spray contracts the metric's first derivatives: the
-chart's closed-form jet where it has one, else central differences with
-step H1 (the polar charts, `restricted_chart` and user charts built
-without a jet).  Either way the chart checks the domain and positive
+every other chart (the polar charts, `restricted_chart`, user charts) the
+spray contracts the metric's first derivatives, which are central
+differences with step H1: one stencil differentiates the metric wherever
+a closed form is not used.  The chart checks the domain and positive
 definiteness of every g the calculus sees.  `curvature_many` takes the
 outer derivatives of the Christoffel symbols by central differences on
 every chart, with H2 scaled by the chart's characteristic length.
@@ -53,10 +53,10 @@ def _central_differences(values: np.ndarray, n: int, h: float):
 
 def _inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of symmetric (N, d, d) matrices, d <= 3: the adjugate over
-    the determinant, read from the upper triangle.  MetricChart.metric or
-    MetricChart.jet has checked every g finite with positive leading
-    minors, and the determinant here is the same expansion as the last
-    minor, so it is positive."""
+    the determinant, read from the upper triangle.  MetricChart.metric has
+    checked every g finite with positive leading minors, and the
+    determinant here is the same expansion as the last minor, so it is
+    positive."""
     d = g.shape[-1]
     if d == 1:
         return 1.0 / g
@@ -76,12 +76,9 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 def metric_jet(chart: MetricChart, points: np.ndarray):
     """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
-    dg[:, a, i, j] = d g_ij / d x_a.  The chart's closed-form jet where it
-    has one, else central differences of its metric with step H1."""
+    dg[:, a, i, j] = d g_ij / d x_a, by central differences of the metric
+    with step H1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jet = chart.jet(pts)
-    if jet is not None:
-        return jet
     return _central_differences(chart.metric(_stencil(pts, H1)), len(pts), H1)
 
 
@@ -125,11 +122,15 @@ class CurvatureData:
 def curvature_many(chart: MetricChart, points: np.ndarray,
                    h2: float | None = None) -> CurvatureData:
     """Curvature from central differences of the Christoffel symbols with
-    the outer step h2 (default H2 times the chart's scale)."""
+    the outer step h2 (default H2 times the chart's scale).  Raises
+    OutOfDomain for an h2 that is not positive and finite."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     if h2 is None:
         h2 = H2 * chart.scale
+    if not (math.isfinite(h2) and h2 > 0):
+        raise OutOfDomain(
+            f"curvature step h2 must be positive and finite, got {h2}")
     # The first block of the stencil is the points themselves, so g and
     # its inverse there come with the symbols.
     symbols, g, ginv = _christoffel(chart, _stencil(pts, h2))
@@ -187,11 +188,12 @@ def _geodesic_rhs(chart, x, v):
 def rk4_step_count(length: float, h: float) -> int:
     """The number of RK4 steps of about h that cover length, at least one.
     Raises OutOfDomain for a step that is not positive and finite, a
-    length that is not finite, or a step too short to count."""
+    length that is negative or not finite, or a step too short to count."""
     if not (math.isfinite(h) and h > 0):
         raise OutOfDomain(f"RK4 step must be positive and finite, got {h}")
-    if not math.isfinite(length):
-        raise OutOfDomain(f"geodesic length must be finite, got {length}")
+    if not (math.isfinite(length) and length >= 0):
+        raise OutOfDomain(
+            f"geodesic length must be non-negative and finite, got {length}")
     if not math.isfinite(length / h):
         raise OutOfDomain(f"RK4 step {h} is too short for length {length}")
     return max(1, int(round(length / h)))

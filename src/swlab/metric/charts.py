@@ -9,9 +9,9 @@ so every generic chart is a `ConformalChart` g = phi(|x|^2) I (cartesian,
 stereographic, Poincare disk, and (1 - c|x|^2)^-3 I for warped-3), whose
 factor phi is derived by hand, independently of f: the probes that run
 there are honest checks of the closed forms, not circular ones.  From phi
-and its first two derivatives come the metric, its jet, the geodesic spray
-and the scalar curvature in closed form.  The polar charts are
-differentiated numerically.
+and its first two derivatives come the metric, and the geodesic spray and
+the scalar curvature in closed form.  Every other derivative of the
+metric, on every chart, is the calculus's central-difference stencil.
 """
 from __future__ import annotations
 
@@ -31,20 +31,13 @@ class MetricChart:
     `metric` takes an (N, dim) array of points and returns (N, dim, dim)
     symmetric matrices, validating the domain predicate and positive
     definiteness (leading principal minors) at every call.  The minors are
-    expanded up to order 3, so `dim` must lie in 1..3.
-
-    A chart may also carry a closed-form jet: `jet_fn(pts)` returns g and
-    dg[:, a, i, j] = d g_ij / d x_a, with g computed by the same expression
-    as `metric_fn`.  A `ConformalChart` derives one from its factor; the
-    polar charts, `restricted_chart` and user charts built without one are
-    differentiated by the calculus's central-difference stencil.
+    expanded up to order 3, so `dim` must lie in 1..3.  The calculus
+    differentiates the metric by central differences.
     """
 
-    __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn",
-                 "_jet_fn")
+    __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn")
 
-    def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0,
-                 jet_fn=None):
+    def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0):
         if dim not in (1, 2, 3):
             raise DimensionOutOfRange(
                 f"{name}: chart dimension {dim} is outside 1..3")
@@ -53,7 +46,6 @@ class MetricChart:
         self.scale = scale
         self._metric_fn = metric_fn
         self._domain_fn = domain_fn
-        self._jet_fn = jet_fn
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -82,17 +74,6 @@ class MetricChart:
         g = np.asarray(self._metric_fn(pts), dtype=float)
         self._check_spd(g, pts)
         return g
-
-    def jet(self, points):
-        """(g, dg) from the closed-form jet, with the domain and SPD checks
-        of `metric`; None for a chart built without one."""
-        if self._jet_fn is None:
-            return None
-        pts = self._domain_points(points)
-        g, dg = self._jet_fn(pts)
-        g = np.asarray(g, dtype=float)
-        self._check_spd(g, pts)
-        return g, dg
 
     def _check_spd(self, g, pts):
         """Every entry finite and all leading principal minors positive
@@ -171,36 +152,19 @@ def _diag(vals, n):
     return g
 
 
-def _diag_map(dim):
-    """The (dim, dim^3) matrix taking v to v_a delta_ij in the layout of
-    dg[:, a, i, j], so that a jet term linear in a per-point vector is one
-    matmul: filling the diagonals one slice at a time, or broadcasting over
-    length-3 axes, is slower."""
-    eye = np.eye(dim)
-    return np.einsum("ka,ij->kaij", eye, eye).reshape(dim, dim ** 3)
-
-
 class ConformalChart(MetricChart):
     """The chart g = phi(|x|^2) I, built from one function: factor(rho2)
     returns phi and its first two derivatives in rho2 = |x|^2.  The metric
-    and its closed-form jet (d_a g = 2 phi' x_a I) come from it, and so do
-    the calculus's closed-form geodesic spray and `scalar_curvature`."""
+    comes from it, and so do the calculus's closed-form geodesic spray and
+    `scalar_curvature`."""
 
     __slots__ = ("_factor_fn",)
 
     def __init__(self, name, dim, factor, domain_fn=None):
-        diag_map = _diag_map(dim)
-
         def metric_fn(pts):
             return _diag((factor(_norm2(pts))[0],) * dim, len(pts))
 
-        def jet_fn(pts):
-            phi, slope, _ = factor(_norm2(pts))
-            dg = ((2.0 * slope)[:, None] * pts) @ diag_map
-            return _diag((phi,) * dim, len(pts)), \
-                dg.reshape((-1,) + (dim,) * 3)
-
-        super().__init__(name, dim, metric_fn, domain_fn, jet_fn=jet_fn)
+        super().__init__(name, dim, metric_fn, domain_fn)
         self._factor_fn = factor
 
     def factor(self, points):

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
-from .calculus import christoffel_many, curvature_many, g_norms, \
+from .calculus import _geodesic_rhs, curvature_many, g_norms, \
     geodesic_shoot_many, rk4_step_count
 from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
@@ -328,12 +328,12 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
         curvature = 4.0 / 3.0 * float(np.max(np.abs(gauss[-1] - half))) * area
 
     # Boundary: geodesic curvature of the boundary circle against the
-    # inward normal (minus the outgoing ray velocity).
+    # inward normal (minus the outgoing ray velocity).  The covariant
+    # acceleration adds Gamma(t, t), which is minus the geodesic spray at t.
     curve = traj_x[-1]
     tang = _fft_derivative(curve, axis=0)
     accel = _fft_derivative(tang, axis=0)
-    gam = christoffel_many(chart, curve)
-    cov = accel + np.einsum("nkij,ni,nj->nk", gam, tang, tang)
+    cov = accel - _geodesic_rhs(chart, curve, tang)[1]
     normal_in = -traj_v[-1] / g_norms(chart, curve, traj_v[-1])[:, None]
     g_bnd = chart.metric(curve)
     sigma = g_norms(chart, curve, tang)
@@ -345,7 +345,7 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
         / (2.0 * dtheta)
     accel_fd = (np.roll(curve, -1, axis=0) - 2.0 * curve
                 + np.roll(curve, 1, axis=0)) / dtheta ** 2
-    cov_fd = accel_fd + np.einsum("nkij,ni,nj->nk", gam, tang_fd, tang_fd)
+    cov_fd = accel_fd - _geodesic_rhs(chart, curve, tang_fd)[1]
     boundary_fd = float(np.mean(
         np.einsum("nij,ni,nj->n", g_bnd, cov_fd, normal_in)
         / g_norms(chart, curve, tang_fd))) * 2.0 * math.pi

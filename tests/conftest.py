@@ -39,14 +39,12 @@ def cartesian_warped_chart():
     """warped-3, dr^2 + f(r)^2 dOmega^2 with f(r) = r + c r^3, written in
     cartesian coordinates x = r * direction:
 
-        g = (1 + c rho^2)^2 I - (2c + c^2 rho^2) x x^T,
-        d_a g_ij = 4c (1 + c rho^2) x_a d_ij - 2c^2 x_a x_i x_j
-                   - (2c + c^2 rho^2)(d_ai x_j + d_aj x_i).
+        g = (1 + c rho^2)^2 I - (2c + c^2 rho^2) x x^T.
 
     The radial eigenvalue is 1 and the tangential one (1 + c rho^2)^2.  The
-    metric is not conformal and its jet is closed form, so on this chart
-    the calculus runs the general jet contraction; the model's own generic
-    chart is conformal, with |x| = r / sqrt(1 + c r^2)."""
+    metric is not conformal, so on this chart the calculus runs the
+    general jet contraction on its central-difference jet; the model's own
+    generic chart is conformal, with |x| = r / sqrt(1 + c r^2)."""
     c = get_model("warped-3").analytic["warp_coefficient"]
     eye = np.eye(3)
 
@@ -56,14 +54,4 @@ def cartesian_warped_chart():
                 - (2.0 * c + c * c * rho2)[:, None, None]
                 * np.einsum("ni,nj->nij", pts, pts))
 
-    def jet_fn(pts):
-        rho2 = np.einsum("ni,ni->n", pts, pts)
-        swap = (np.einsum("ai,nj->naij", eye, pts)
-                + np.einsum("aj,ni->naij", eye, pts))
-        dg = ((4.0 * c * (1.0 + c * rho2))[:, None, None, None]
-              * np.einsum("na,ij->naij", pts, eye)
-              - 2.0 * c * c * np.einsum("na,ni,nj->naij", pts, pts, pts)
-              - (2.0 * c + c * c * rho2)[:, None, None, None] * swap)
-        return metric_fn(pts), dg
-
-    return MetricChart("warped-3/cartesian", 3, metric_fn, jet_fn=jet_fn)
+    return MetricChart("warped-3/cartesian", 3, metric_fn)

@@ -104,12 +104,11 @@ def test_curvature_at_matches_batch():
 def test_metric_jet_against_closed_form(cartesian_warped_chart):
     # warped-3 in cartesian coordinates:
     # g_ij = (1 + c r^2)^2 d_ij - (2c + c^2 r^2) x_i x_j, a non-diagonal
-    # metric whose jet the chart computes in closed form
+    # metric whose stencil jet is held against its closed form
     c = get_model("warped-3").analytic["warp_coefficient"]
     chart = cartesian_warped_chart
     rng = np.random.default_rng(32)
     pts = 0.4 * rng.normal(size=(4, 3))
-    assert chart.jet(pts) is not None
     _, dg = metric_jet(chart, pts)
     h = 1e-5
     fd = np.stack([(chart.metric(pts + h * e) - chart.metric(pts - h * e))
@@ -128,16 +127,15 @@ def test_metric_jet_against_closed_form(cartesian_warped_chart):
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_closed_form_jet_against_central_differences(name):
-    # every generic chart carries a closed-form jet; its g is the chart's
-    # metric bit for bit, and its dg the central differences of that metric
+    # the jet of a generic chart g = phi(|x|^2) I is d_a g = 2 phi' x_a I in
+    # closed form, from the factor's hand-derived slope; metric_jet's
+    # stencil must agree with it, and its g is the chart's metric bit for bit
     chart = get_model(name).chart("generic")
     pts = np.random.default_rng(36).uniform(-0.5, 0.5, size=(16, chart.dim))
-    assert chart.jet(pts) is not None
     g, dg = metric_jet(chart, pts)
     assert np.array_equal(g, chart.metric(pts))
-    h = 1e-5
-    want = np.stack([(chart.metric(pts + h * e) - chart.metric(pts - h * e))
-                     / (2.0 * h) for e in np.eye(chart.dim)], axis=1)
+    slope = chart.factor(pts)[1]
+    want = np.einsum("n,na,ij->naij", 2.0 * slope, pts, np.eye(chart.dim))
     assert dg.shape == want.shape
     assert np.max(np.abs(dg - want)) <= 1e-7 * np.max(np.abs(want))
 
@@ -153,9 +151,7 @@ def test_closed_form_jet_checks_domain_and_metric():
     def lorentz(pts):
         return np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))
 
-    chart = MetricChart("lorentz", 2, lorentz,
-                        jet_fn=lambda pts: (lorentz(pts),
-                                            np.zeros((len(pts), 2, 2, 2))))
+    chart = MetricChart("lorentz", 2, lorentz)
     with pytest.raises(SingularMetric):
         metric_jet(chart, [(0.0, 0.0)])
     with pytest.raises(SingularMetric):
@@ -213,11 +209,12 @@ def test_geodesic_left_domain():
 
 @pytest.mark.parametrize("length,h", [
     (0.4, -0.1), (0.4, 0.0), (0.4, math.nan), (0.4, math.inf),
-    (math.nan, 0.05), (math.inf, 0.05), (-math.inf, 0.05), (0.4, 1e-320)])
+    (math.nan, 0.05), (math.inf, 0.05), (-math.inf, 0.05), (0.4, 1e-320),
+    (-0.4, 0.05)])
 def test_geodesic_step_and_length_are_validated(length, h):
-    # a negative step took one RK4 step over the full length, a zero or
-    # NaN one raised a bare ZeroDivisionError or ValueError, a subnormal
-    # one an OverflowError
+    # a negative step or length took one RK4 step over the full length, a
+    # zero or NaN step raised a bare ZeroDivisionError or ValueError, a
+    # subnormal one an OverflowError
     chart = get_model("flat-2").chart()
     with pytest.raises(OutOfDomain):
         geodesic_shoot_many(chart, [(0.0, 0.0)], [(1.0, 0.0)], length, h)
@@ -263,31 +260,32 @@ def test_non_finite_metric_rejected(entry):
 
 def test_curvature_evaluates_metric_once(monkeypatch):
     # g and its inverse at the points come from the centre block of the
-    # Christoffel stencil.  A chart with a closed-form jet takes one jet
-    # call on the (2d+1) N = 50 stencil points and no metric call; a chart
-    # without one takes one metric call on (2d+1)^2 N = 250 points
+    # Christoffel stencil, so every chart takes one metric call on the
+    # (2d+1)^2 N = 250 points of the nested stencil
     calls = []
-    metric, jet = MetricChart.metric, MetricChart.jet
+    metric = MetricChart.metric
 
-    def recording(name, method):
-        # a jet call on a chart without a closed form returns None and
-        # evaluates nothing
-        def wrapper(self, points):
-            out = method(self, points)
-            if out is not None:
-                calls.append((name, len(points)))
-            return out
-        return wrapper
+    def recording(self, points):
+        calls.append(len(points))
+        return metric(self, points)
 
-    monkeypatch.setattr(MetricChart, "metric", recording("metric", metric))
-    monkeypatch.setattr(MetricChart, "jet", recording("jet", jet))
+    monkeypatch.setattr(MetricChart, "metric", recording)
     pts = np.random.default_rng(34).uniform(-0.5, 0.5, size=(10, 2))
     curvature_many(get_model("round-s2").chart("generic"), pts)
-    assert calls == [("jet", 50)]
+    assert calls == [250]
     calls.clear()
     polar = np.random.default_rng(35).uniform(0.4, 1.2, size=(10, 2))
     curvature_many(get_model("round-s2").chart("polar"), polar)
-    assert calls == [("metric", 250)]
+    assert calls == [250]
+
+
+@pytest.mark.parametrize("h2", [0.0, -1e-3, math.nan, math.inf])
+def test_curvature_step_is_validated(h2):
+    # h2 = 0 gave a NaN scalar curvature, a NaN or infinite h2 a
+    # SingularMetric at a stencil point instead of a usage error
+    chart = get_model("round-s2").chart("generic")
+    with pytest.raises(OutOfDomain, match="h2"):
+        curvature_many(chart, [(0.0, 0.1)], h2=h2)
 
 
 @pytest.mark.parametrize("dim", [0, 4, 5])

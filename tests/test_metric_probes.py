@@ -123,6 +123,32 @@ def test_gauss_bonnet_flat_interior_is_zero():
     assert res.interior == 0.0
 
 
+@pytest.mark.parametrize("name", MODELS_2D)
+@pytest.mark.parametrize("kind,bound", [("polar", 1e-12), ("generic", 1e-7)])
+def test_disk_boundary_reads_gamma_from_the_spray(name, kind, bound):
+    # the disk's covariant boundary acceleration adds Gamma(t, t) as minus
+    # the geodesic spray at t; christoffel_many is the reference, to the
+    # bound relative to |Gamma| |t|^2.  On the polar charts both contract
+    # the same stencil jet; on the generic charts the spray is closed form
+    # and the symbols come from the stencil, whose truncation error grows
+    # towards the Poincare disk's edge.
+    chart = get_model(name).chart(kind)
+    rng = np.random.default_rng(61)
+    r, theta = rng.uniform(0.0, 1.0, 64), rng.uniform(0.0, 2.0 * math.pi, 64)
+    if kind == "polar":
+        x = np.column_stack([0.2 + 1.2 * r, theta])
+    else:
+        radius = 0.9 if name == "hyperbolic-2" else 2.0
+        x = (radius * np.sqrt(r))[:, None] \
+            * np.column_stack([np.cos(theta), np.sin(theta)])
+    t = rng.normal(size=x.shape)
+    got = -calculus._geodesic_rhs(chart, x, t)[1]
+    gam = calculus.christoffel_many(chart, x)
+    want = np.einsum("nkij,ni,nj->nk", gam, t, t)
+    scale = np.abs(gam).max(axis=(1, 2, 3)) * np.einsum("ni,ni->n", t, t)
+    assert np.all(np.abs(got - want).max(axis=1) <= bound * scale)
+
+
 def test_w3_limit_coarse_grid_all_models():
     # the extrapolated limit absorbs the curvature deficit; what remains
     # is the quadrature bias of the coarse grid, identical across models
