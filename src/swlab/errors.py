@@ -85,7 +85,13 @@ class NotACycle(SWLabError):
 
 
 class NotACocycle(SWLabError):
-    """A cochain argument is not a mod-2 cocycle."""
+    """A cochain argument is not a mod-2 cocycle; ``which`` and
+    ``failed_simplex`` (the first odd cofacet) as for NotACycle."""
+
+    def __init__(self, message: str, which: str = "", failed_simplex=None):
+        super().__init__(message)
+        self.which = which
+        self.failed_simplex = failed_simplex
 
 
 class DegreeOverflow(SWLabError):

@@ -17,10 +17,10 @@ carries a kernel vector in its tag bits, and `EchelonBasis.tags` reads a
 solution off them.  `BitMatrix.tagged_reduction` may leave out columns known
 to add nothing; `swlab.homology` leaves out the cleared ones, so that one
 tagged pass per coboundary gives its rank, image and kernel.  Each `BitMatrix`
-owns and caches its transpose and its column space.  `row_space` (the
-transpose's column space) and the cached `null_space` are references that
-the tests compare against; no rank, image or kernel of a report goes
-through them.
+owns and caches its transpose and its column space.  The transpose serves
+only the references: `row_space` (the transpose's column space), the
+boundary matrices and the cached `null_space` are what the tests compare
+against; no rank, image or kernel of a report goes through them.
 
 Columns are reduced in index order, so every basis, rank, solution and kernel
 basis is reproducible bit for bit.

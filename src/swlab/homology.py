@@ -26,7 +26,7 @@ dual basis.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotACocycle, NotACycle
-from .gf2 import BitMatrix, EchelonBasis
+from .gf2 import EchelonBasis
 from .simplicial import Chain, SimplicialComplex
 
 __all__ = ["HomologySummary", "mod2_homology"]
@@ -52,9 +52,7 @@ class HomologySummary:
             k = len(degrees)
             n_k = X.n_simplices(k)
             cleared = degrees[-1][2] if degrees else EchelonBasis(n_k)
-            # the top coboundary maps into the zero group
-            delta = (X.boundary_matrix(k + 1).transpose() if k < X.dim
-                     else BitMatrix.zeros(0, n_k))
+            delta = X.coboundary_matrix(k)
             kept = [j for j in range(n_k) if j not in cleared.by_pivot]
             tagged, reps = delta.tagged_reduction(kept)
             # drop the tags in place, so that the tagged and the untagged
@@ -107,11 +105,11 @@ class HomologySummary:
             raise DimensionMismatch("chain lives on a different complex")
         b = chain.boundary()
         if not b.is_zero():
-            i = (b.bits & -b.bits).bit_length() - 1
+            face = b.complex.skeleton(b.dimension)[(b.bits & -b.bits).bit_length() - 1]
             raise NotACycle(
-                f"{which} has nonzero boundary (first odd face {b.complex.skeleton(b.dimension)[i]})",
+                f"{which} has nonzero boundary (first odd face {face})",
                 which=which,
-                failed_simplex=b.complex.skeleton(b.dimension)[i],
+                failed_simplex=face,
             )
 
     def is_cycle(self, chain: Chain) -> bool:
@@ -148,10 +146,11 @@ class HomologySummary:
             raise DimensionMismatch("cochain lives on a different complex")
         cb = cochain.coboundary()
         if not cb.is_zero():
-            i = (cb.bits & -cb.bits).bit_length() - 1
+            cofacet = cb.complex.skeleton(cb.dimension)[(cb.bits & -cb.bits).bit_length() - 1]
             raise NotACocycle(
-                f"{which} has nonzero coboundary "
-                f"(first odd cofacet {cb.complex.skeleton(cb.dimension)[i]})"
+                f"{which} has nonzero coboundary (first odd cofacet {cofacet})",
+                which=which,
+                failed_simplex=cofacet,
             )
 
     def is_cocycle(self, cochain: Chain) -> bool:
@@ -171,9 +170,7 @@ class HomologySummary:
         """Kernel basis of the coboundary out of degree d."""
         if d < 0 or d > self.complex.dim:
             return []
-        if d == self.complex.dim:
-            return [1 << i for i in range(self.complex.n_simplices(d))]
-        return self.complex.boundary_matrix(d + 1).transpose().null_space()
+        return self.complex.coboundary_matrix(d).null_space()
 
     def _transcript(self, d: int) -> tuple[list[int], EchelonBasis]:
         """Representatives of a basis of H^d, and the coboundary image extended

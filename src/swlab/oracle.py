@@ -31,7 +31,6 @@ from .errors import (
     DegreeOverflow,
     DimensionMismatch,
     IndexOutOfRange,
-    NotACocycle,
     NotPseudomanifold,
     PairingDegenerate,
 )

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .errors import NotPseudomanifold, OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
-from .simplicial import Chain, PseudomanifoldReport, SimplicialComplex
+from .simplicial import PseudomanifoldReport, SimplicialComplex
 from .subdivision import all_ones_chains
 
 
@@ -169,8 +169,9 @@ def compute_report(K: SimplicialComplex) -> SWReport:
 
     t0 = time.perf_counter()
     pairing_ok = pm.ridges_ok
-    k_level = tuple(Chain.all_ones(K, n - i).boundary().is_zero()
-                    for i in range(n + 1))
+    # the all-ones d-chain is a cycle when each column of delta_{d-1} is even
+    k_level = tuple(d == 0 or not any(c.bit_count() & 1 for c in K.coboundary_matrix(d - 1).columns)
+                    for d in range(n, -1, -1))
     timings["pairing"] = time.perf_counter() - t0
 
     report = SWReport(

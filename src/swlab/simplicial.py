@@ -5,10 +5,10 @@ complex stores, per dimension, the lexicographically sorted tuple of its
 simplices plus an index map, so every chain group has a fixed basis order and
 mod-2 chains can be plain int bit vectors (bit ``i`` = simplex ``skeleton(d)[i]``).
 
-Complexes are immutable after construction; derived data (boundary matrices
-and their transposes, the pseudomanifold diagnostic) is computed once and
-cached.  The boundary matrices are the one incidence record: cofacets and the
-pseudomanifold check read their columns and those of their transposes.
+Complexes are immutable after construction; derived data (coboundary
+matrices, the pseudomanifold diagnostic) is computed once and cached.  The
+coboundary matrices are the one incidence record: column i of delta_d holds
+the cofacets of d-simplex i, and every incidence query reads these columns.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class SimplicialComplex:
         "_skeletons",
         "_index",
         "_facets",
-        "_boundary",
+        "_coboundary",
         "_pm_report",
         "_extra",
     )
@@ -89,7 +89,7 @@ class SimplicialComplex:
         # trusted constructor: skeletons must already be closed and sorted
         self._skeletons = skeletons
         self._index = tuple({s: i for i, s in enumerate(sk)} for sk in skeletons)
-        self._boundary: dict[int, BitMatrix] = {}
+        self._coboundary: dict[int, BitMatrix] = {}
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
         # a facet is a face of no simplex one dimension up; walking the
@@ -181,24 +181,32 @@ class SimplicialComplex:
 
     def cofacets(self, simplex) -> tuple[Simplex, ...]:
         """Cofaces of codimension one, in skeleton order: the support of the
-        simplex's column in the transposed (d+1)-boundary."""
+        simplex's column of the coboundary."""
         d, i = self._locate(simplex)
-        if d == self.dim:
-            return ()
-        up = self._skeletons[d + 1]
-        column = self.boundary_matrix(d + 1).transpose().columns[i]
-        return tuple(up[j] for j in set_bits(column))
+        return tuple(self._skeletons[d + 1][j]
+                     for j in set_bits(self.coboundary_matrix(d).columns[i]))
+
+    def coboundary_matrix(self, d: int) -> BitMatrix:
+        """Mod-2 coboundary, built once from the skeletons: rows =
+        (d+1)-simplices (none at d = dim), columns = d-simplices."""
+        if not 0 <= d <= self.dim:
+            raise DimensionOutOfRange(f"coboundary dimension {d} outside 0..{self.dim}")
+        if d not in self._coboundary:
+            up = self._skeletons[d + 1] if d < self.dim else ()
+            rows, cofacets = self._index[d], [[] for _ in self._skeletons[d]]
+            for j, t in enumerate(up):
+                for k in range(len(t)):
+                    cofacets[rows[t[:k] + t[k + 1 :]]].append(j)
+            self._coboundary[d] = BitMatrix(len(up), len(cofacets),
+                                            [sum(1 << j for j in js) for js in cofacets])
+        return self._coboundary[d]
 
     def boundary_matrix(self, d: int) -> BitMatrix:
-        """Mod-2 boundary: rows = (d-1)-simplices, columns = d-simplices."""
+        """Mod-2 boundary: rows = (d-1)-simplices, columns = d-simplices.
+        The transpose of coboundary_matrix(d - 1), for the references."""
         if not 1 <= d <= self.dim:
             raise DimensionOutOfRange(f"boundary dimension {d} outside 1..{self.dim}")
-        if d not in self._boundary:
-            rows = self._index[d - 1]
-            columns = [sum(1 << rows[t[:k] + t[k + 1 :]] for k in range(len(t)))
-                       for t in self._skeletons[d]]
-            self._boundary[d] = BitMatrix(len(rows), len(columns), columns)
-        return self._boundary[d]
+        return self.coboundary_matrix(d - 1).transpose()
 
     def link(self, simplex) -> SimplicialComplex:
         """All tau disjoint from sigma with tau + sigma in the complex."""
@@ -226,29 +234,25 @@ class SimplicialComplex:
             return self._pm_report
         n = self.dim
         impure = tuple(f for f in self._facets if len(f) != n + 1)
-        # column j of the n-boundary holds the ridges of top simplex j, column
-        # r of its transpose the top simplices of ridge r; points have no ridge
+        # column r of delta_{n-1} holds the top simplices of ridge r; points
+        # have no ridge.  Union-find joins the tops of each ridge into the
+        # components of the facet graph.
         tops = self._skeletons[n] if n >= 0 else ()
-        ridges_of, tops_of, bad_ridges = [0] * len(tops), [], []
-        if n >= 1:
-            top_boundary = self.boundary_matrix(n)
-            ridges_of, tops_of = top_boundary.columns, top_boundary.transpose().columns
-            bad_ridges = [(r, c) for r, c in zip(self._skeletons[n - 1],
-                                                 map(int.bit_count, tops_of)) if c != 2]
-        # components of the graph of top simplices adjacent across a ridge
-        n_comp = 0
-        seen = [False] * len(tops)
-        for start in range(len(tops)):
-            if not seen[start]:
-                n_comp += 1
-                seen[start] = True
-                stack = [start]
-                while stack:
-                    for r in set_bits(ridges_of[stack.pop()]):
-                        for j in set_bits(tops_of[r]):
-                            if not seen[j]:
-                                seen[j] = True
-                                stack.append(j)
+        ridges, tops_of = ((self._skeletons[n - 1], self.coboundary_matrix(n - 1).columns)
+                           if n >= 1 else ((), []))
+        bad_ridges = [(r, c) for r, c in zip(ridges, map(int.bit_count, tops_of)) if c != 2]
+        root = list(range(len(tops)))
+
+        def find(j):
+            while root[j] != j:
+                root[j] = j = root[root[j]]  # path halving
+            return j
+
+        for column in tops_of:
+            heads = [find(j) for j in set_bits(column)]
+            for h in heads[1:]:
+                root[find(h)] = heads[0]
+        n_comp = sum(root[j] == j for j in range(len(tops)))
         self._pm_report = PseudomanifoldReport(
             dimension=n,
             pure=not impure,
@@ -315,18 +319,21 @@ class Chain:
         return (self.bits & other.bits).bit_count() & 1
 
     def boundary(self) -> Chain:
-        d = self.dimension
-        if d <= 0 or d > self.complex.dim:
-            return Chain(self.complex, d - 1, 0)
-        return Chain(self.complex, d - 1, self.complex.boundary_matrix(d).matvec(self.bits))
+        """Bit r is the parity of the chain on the cofacets of (d-1)-simplex r."""
+        d, X, bits = self.dimension, self.complex, self.bits
+        if d <= 0 or d > X.dim:
+            return Chain(X, d - 1, 0)
+        columns = X.coboundary_matrix(d - 1).columns
+        # one digit per row, highest first, read as one int
+        digits = ["01"[(c & bits).bit_count() & 1] for c in reversed(columns)]
+        return Chain(X, d - 1, int("".join(digits), 2))
 
     def coboundary(self) -> Chain:
-        """Cochain coboundary: transpose of the (d+1)-boundary."""
+        """Cochain coboundary: delta_d applied to the bits."""
         d = self.dimension
-        if d < 0 or d + 1 > self.complex.dim:
+        if not 0 <= d <= self.complex.dim:
             return Chain(self.complex, d + 1, 0)
-        return Chain(self.complex, d + 1,
-                     self.complex.boundary_matrix(d + 1).transpose().matvec(self.bits))
+        return Chain(self.complex, d + 1, self.complex.coboundary_matrix(d).matvec(self.bits))
 
     @classmethod
     def zero(cls, complex: SimplicialComplex, dimension: int) -> Chain:

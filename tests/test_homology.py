@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_gf2 import dense, dense_rank
 
-from swlab.errors import DimensionMismatch, NotACocycle, NotACycle
+from swlab.errors import DimensionMismatch, DimensionOutOfRange, NotACocycle, NotACycle
 from swlab.corpus import corpus
 from swlab.gf2 import BitMatrix, EchelonBasis
 from swlab.homology import HomologySummary, mod2_homology
@@ -206,12 +206,43 @@ SIMPLEX_FACES = [face for k in range(1, 7) for face in combinations(range(6), k)
 @example([(0, 1, 2, 3), (2, 4, 5), (1, 5)])
 @example([(0, 1, 2, 3, 4, 5)])
 def test_pass_matches_the_dense_reference(facets):
-    """Any subcomplex of the 5-simplex, pure or not, connected or not: Betti
-    numbers from dense ranks, the representatives are cocycles independent
-    modulo the image, and the image spans the row space of the boundary."""
+    """Any subcomplex of the 5-simplex, pure or not, connected or not: each
+    coboundary matrix is the dense incidence of the faces, zero columns of
+    maximal simplices included, and each boundary matrix its transpose;
+    chain boundaries and coboundaries are the dense products; Betti
+    numbers come from dense ranks, the representatives are cocycles
+    independent modulo the image, and the image spans the row space of the
+    boundary."""
     X = build_complex(facets)
     H = HomologySummary(X)
     n = X.dim
+    rng = random.Random(repr(facets))
+    deltas = []   # dense delta_d: rows = (d+1)-simplices, columns = d-simplices
+    for d in range(n + 1):
+        up = X.skeleton(d + 1) if d < n else ()
+        want = np.zeros((len(up), X.n_simplices(d)), dtype=np.int64)
+        for j, t in enumerate(up):
+            for face in combinations(t, len(t) - 1):
+                want[j, X.index(face)] = 1
+        delta = X.coboundary_matrix(d)
+        assert (delta.rows, delta.cols) == want.shape, (facets, d)
+        assert (dense(delta) == want).all(), (facets, d)
+        assert all(delta.columns[X.index(f)] == 0 for f in X.facets if len(f) == d + 1)
+        if d:
+            assert X.boundary_matrix(d).transpose() is X.coboundary_matrix(d - 1)
+        deltas.append(want)
+    for d in range(n + 1):
+        n_d = X.n_simplices(d)
+        for bits in (0, (1 << n_d) - 1, rng.getrandbits(n_d), rng.getrandbits(n_d)):
+            x = np.array([bits >> i & 1 for i in range(n_d)], dtype=np.int64)
+            products = [(Chain(X, d, bits).coboundary(), deltas[d] @ x)]
+            if d:
+                products.append((Chain(X, d, bits).boundary(), deltas[d - 1].T @ x))
+            for chain, want in products:
+                assert chain.bits == sum(int(b) % 2 << i for i, b in enumerate(want)), (facets, d)
+    for d in (-1, n + 1):
+        with pytest.raises(DimensionOutOfRange):
+            X.coboundary_matrix(d)
     # rank[k] = rank of boundary_k = rank of delta_{k-1}; zero at 0 and n + 1
     rank = [0] + [dense_rank(dense(X.boundary_matrix(k))) for k in range(1, n + 1)] + [0]
     for d in range(n + 1):
@@ -337,10 +368,14 @@ def test_homology_coordinates_reject_a_chain_that_is_not_a_cycle():
     with pytest.raises(NotACycle):
         H.same_class(Chain(X, 1, 0), edge)
     with pytest.raises(NotACocycle) as alone:
-        H.check_cocycle(edge)
+        H.check_cocycle(edge, which="probe")
+    # the coboundary of one edge is its cofacets: the first is the first odd one
+    first = X.cofacets(X.skeleton(1)[0])[0]
+    assert (alone.value.which, alone.value.failed_simplex) == ("probe", first)
     # the second cochain is checked through the sum: same cofacet, its own label
     cofacet = str(alone.value).split("coboundary ", 1)[1]
     for pair, label in (((edge, Chain(X, 1, 0)), "first"), ((Chain(X, 1, 0), edge), "second")):
         with pytest.raises(NotACocycle) as err:
             H.same_cocycle_class(*pair)
         assert str(err.value) == f"{label} cocycle has nonzero coboundary {cofacet}"
+        assert (err.value.which, err.value.failed_simplex) == (f"{label} cocycle", first)

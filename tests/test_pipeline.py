@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swlab
+from swlab import cli
 from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus
 from swlab.errors import (
     NotACycle,
@@ -27,7 +28,7 @@ from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
 from swlab.pipeline import SWReport, compute_report
-from swlab.simplicial import Chain, build_complex
+from swlab.simplicial import Chain, SimplicialComplex, build_complex
 from swlab.subdivision import (
     SubdividedComplex,
     all_ones_chains,
@@ -279,9 +280,9 @@ def test_all_ones_image_that_is_not_a_cycle_is_rejected(monkeypatch):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
     """Every class is read as coordinates over the cohomology transcripts,
-    so the report reduces coboundaries (transposed boundary matrices) and
-    the Wu pairing matrices only, none of them twice the same way, and each
-    coboundary once in all."""
+    so the report reduces the coboundary matrices and the Wu pairing
+    matrices only, none of them twice the same way, and each coboundary
+    once in all."""
     reductions = []
     column_space, tagged = BitMatrix.column_space, BitMatrix.tagged_reduction
 
@@ -305,6 +306,44 @@ def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
     assert len({(kind, id(m)) for kind, m in reductions}) == len(reductions)
     reduced = [id(m) for _, m in reductions]
     assert all(reduced.count(id(b.transpose())) == 1 for b in boundaries)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_report_paths_build_each_coboundary_once_and_no_boundary(monkeypatch, tmp_path,
+                                                                  name):
+    """The coboundaries are the report's one incidence record: compute_report
+    and `swlab classes FILE --report OUT`, each on a fresh complex, build
+    every coboundary_matrix(d) once and call neither boundary_matrix nor
+    BitMatrix.transpose."""
+    entry = corpus(name)
+    path = tmp_path / f"{name}.facets"
+    write_complex_file(str(path), entry.complex())
+    X = entry.complex()
+    calls = []
+    coboundary = SimplicialComplex.coboundary_matrix
+
+    def counting_coboundary(self, d):
+        if d not in self._coboundary:
+            calls.append(("build", self, d))
+        return coboundary(self, d)
+
+    def recording(label, method):
+        def wrapper(self, *args):
+            calls.append((label, self, args))
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix", counting_coboundary)
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix",
+                        recording("boundary", SimplicialComplex.boundary_matrix))
+    monkeypatch.setattr(BitMatrix, "transpose", recording("transpose", BitMatrix.transpose))
+    assert compute_report(X).all_matched
+    assert cli.main(["classes", str(path), "--report", str(tmp_path / "out.json")]) == 0
+    assert [call for call in calls if call[0] != "build"] == []
+    complexes = {id(c): c for _, c, _ in calls}
+    assert X in complexes.values() and len(complexes) == 2
+    for c in complexes.values():
+        assert sorted(d for _, k, d in calls if k is c) == list(range(c.dim + 1)), name
 
 
 def test_report_classes_match_derived_homology(entries, reports):
