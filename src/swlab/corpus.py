@@ -8,11 +8,12 @@ loudly with CorpusValidationFailed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .errors import CorpusValidationFailed, UnknownCorpusEntry
 from .homology import mod2_homology
 from .simplicial import Simplex, SimplicialComplex, build_complex
+from .subdivision import derived_facets
 
 # Antipodal quotient of the icosahedron: the 6-vertex projective plane.
 _RP2_FACETS = [
@@ -56,8 +57,10 @@ def _rpn_facets(n: int) -> list[Simplex]:
     so the antipodal map is v -> (v + n + 1) mod (2n + 2).  It acts freely
     on the simplices of the cross-polytope boundary (no face contains an
     antipodal pair), hence the quotient of the subdivision is again
-    simplicial.  A facet of the subdivision is a full flag inside one facet
-    of the cross-polytope: a sign per coordinate and an order of them.
+    simplicial.  A derived vertex is an antipodal pair of cells, numbered
+    by (len, s) of its smaller member, and a facet is the class of a full
+    flag inside one facet of the cross-polytope (a sign per coordinate and
+    an order of them), listed by `derived_facets`.
     """
     m = n + 1
 
@@ -75,13 +78,7 @@ def _rpn_facets(n: int) -> list[Simplex]:
             for face in combinations(top, k):
                 cells.add(canon(face))
     vid = {s: k for k, s in enumerate(sorted(cells, key=lambda s: (len(s), s)))}
-
-    facets = set()
-    for top in tops:
-        for perm in permutations(top):
-            flag = [tuple(sorted(perm[:k + 1])) for k in range(m)]
-            facets.add(tuple(sorted(vid[canon(s)] for s in flag)))
-    return sorted(facets)
+    return sorted(derived_facets(tops, lambda s: vid[canon(s)]))
 
 
 @dataclass(frozen=True)

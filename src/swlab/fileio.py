@@ -8,7 +8,7 @@ round-trips are stable.
 from __future__ import annotations
 
 from .errors import EmptyInput, MalformedFacet, ParseError
-from .simplicial import SimplicialComplex, build_complex, canonical_simplex
+from .simplicial import SimplicialComplex, canonical_simplex
 
 
 def parse_complex_text(text: str) -> SimplicialComplex:
@@ -29,7 +29,7 @@ def parse_complex_text(text: str) -> SimplicialComplex:
             raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
     if not facets:
         raise EmptyInput("no facets found in input")
-    return build_complex(facets)
+    return SimplicialComplex.from_canonical_facets(facets)
 
 
 def parse_complex_file(path) -> SimplicialComplex:

@@ -31,7 +31,6 @@ from .errors import (
     DegreeOverflow,
     DimensionMismatch,
     IndexOutOfRange,
-    NotPseudomanifold,
     PairingDegenerate,
 )
 from .gf2 import BitMatrix
@@ -206,10 +205,7 @@ def steenrod_sq(X: SimplicialComplex, order: VertexOrder, k: int,
 
 def fundamental_cycle(X: SimplicialComplex) -> Chain:
     """The sum of all top simplices, checked to be a nonzero cycle class."""
-    report = X.is_closed_pseudomanifold()
-    if not report.passed:
-        raise NotPseudomanifold(
-            "fundamental cycle needs a closed pseudomanifold", report=report)
+    X.require_closed_pseudomanifold()
     gamma = Chain.all_ones(X, X.dim)
     if mod2_homology(X).homology_coordinates(gamma, which="fundamental chain") == 0:
         raise AssertionError("fundamental cycle bounds; homology is broken")

@@ -43,10 +43,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import NotPseudomanifold, OracleConflict
+from .errors import OracleConflict
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, fundamental_cycle, wu_classes
-from .simplicial import PseudomanifoldReport, SimplicialComplex
+from .simplicial import SimplicialComplex
 from .subdivision import all_ones_chains
 
 
@@ -115,24 +115,9 @@ class SWReport:
         return all(row.matches_oracle for row in self.rows)
 
 
-def _first_failure(pm: PseudomanifoldReport) -> str:
-    """The first closed-pseudomanifold condition that pm fails, in words."""
-    if not pm.pure:
-        facet = pm.impure_facets[0]
-        return f"facet {facet} has dimension {len(facet) - 1}, not {pm.dimension}"
-    if not pm.ridges_ok:
-        ridge, count = pm.bad_ridges[0]
-        return f"ridge {ridge} lies in {count} facets, not 2"
-    return f"{pm.n_components} components, not 1"
-
-
 def compute_report(K: SimplicialComplex) -> SWReport:
     """Run the full dual-cell vs Wu-oracle comparison on K."""
-    pm = K.is_closed_pseudomanifold()
-    if not pm.passed:
-        raise NotPseudomanifold(
-            f"input is not a closed pseudomanifold: {_first_failure(pm)}",
-            report=pm)
+    pm = K.require_closed_pseudomanifold()
     timings: dict[str, float] = {}
     n = K.dim
 

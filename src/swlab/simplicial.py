@@ -21,6 +21,7 @@ from .errors import (
     DimensionOutOfRange,
     EmptyInput,
     MalformedFacet,
+    NotPseudomanifold,
     SimplexNotInComplex,
 )
 from .gf2 import BitMatrix, set_bits
@@ -105,17 +106,21 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets) -> SimplicialComplex:
+        """Validate each facet (MalformedFacet; EmptyInput if there is none)
+        and close the list downward."""
         facet_list = [canonical_simplex(f) for f in facets]
         if not facet_list:
             raise EmptyInput("at least one facet is required")
-        by_dim: dict[int, set[Simplex]] = {}
-        for f in facet_list:
-            for k in range(1, len(f) + 1):
-                for face in combinations(f, k):
-                    by_dim.setdefault(k - 1, set()).add(face)
-        dim = max(by_dim)
-        skeletons = tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(dim + 1))
-        return cls(skeletons)
+        return cls.from_canonical_facets(facet_list)
+
+    @classmethod
+    def from_canonical_facets(cls, facets) -> SimplicialComplex:
+        """Downward closure of facets that are already canonical simplices,
+        trusted as they are; no facet gives the empty complex."""
+        facets = list(facets)
+        size = max(map(len, facets), default=0)
+        return cls(tuple(tuple(sorted({face for f in facets for face in combinations(f, k)}))
+                         for k in range(1, size + 1)))
 
     @classmethod
     def empty(cls) -> SimplicialComplex:
@@ -228,6 +233,22 @@ class SimplicialComplex:
         return SimplicialComplex(skeletons)
 
     # ---------------------------------------------------------- pseudomanifold
+
+    def require_closed_pseudomanifold(self) -> PseudomanifoldReport:
+        """The pseudomanifold report, or NotPseudomanifold naming the first
+        condition it fails."""
+        pm = self.is_closed_pseudomanifold()
+        if not pm.pure:
+            facet = pm.impure_facets[0]
+            reason = f"facet {facet} has dimension {len(facet) - 1}, not {pm.dimension}"
+        elif not pm.ridges_ok:
+            ridge, count = pm.bad_ridges[0]
+            reason = f"ridge {ridge} lies in {count} facets, not 2"
+        elif not pm.connected:
+            reason = f"{pm.n_components} components, not 1"
+        else:
+            return pm
+        raise NotPseudomanifold(f"input is not a closed pseudomanifold: {reason}", report=pm)
 
     def is_closed_pseudomanifold(self) -> PseudomanifoldReport:
         if self._pm_report is not None:

@@ -2,12 +2,13 @@
 
 A derived vertex is a base simplex (its barycenter); a derived k-simplex is a
 flag: a chain of k+1 base simplices each a proper face of the previous one.
-Derived vertex ids are assigned by decreasing base dimension (ties broken
+`derived_facets` lists the full flags, one per facet and order of its
+vertices, and the derived complex is their downward closure.  Derived vertex
+ids are assigned by decreasing base dimension (ties broken
 lexicographically), so the id tuple of a flag is automatically increasing and
 canonical.  A derived simplex is its id tuple, and `simplices[v]` maps a
-derived vertex back to its base simplex; the derived complex (built on first
-access), the chain maps, the flag dual cells and the partner involution read
-them.
+derived vertex back to its base simplex; the chain maps, the flag dual cells
+and the partner involution read them.
 
 What the verification report needs from the subdivision is counted on the
 base without listing a flag: the cycle flags and last-vertex images of the
@@ -17,10 +18,10 @@ all-ones chains (`all_ones_chains`).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import itemgetter
 
-from .errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
+from .errors import DimensionOutOfRange, NotAFlagCell
 from .gf2 import BitMatrix
 from .simplicial import Chain, Simplex, SimplicialComplex
 
@@ -28,14 +29,29 @@ __all__ = [
     "SubdividedComplex",
     "all_ones_chains",
     "barycentric_subdivide",
+    "derived_facets",
     "flag_dual_cells",
 ]
 
 
-class SubdividedComplex:
-    """Base complex, its barycentric subdivision, and the flag bookkeeping."""
+def derived_facets(facets, vertex) -> set[Simplex]:
+    """Facets of the barycentric subdivision of the complex with these facets.
 
-    __slots__ = ("base", "simplices", "vertex_id", "_flags", "_derived")
+    Each facet F and order p of F's vertices give the flag of p's initial
+    segments, as the sorted tuple of their ids ``vertex(segment)``.  `vertex`
+    numbers the derived vertices; under a quotient's numbering two flags may
+    share an id tuple, and the set keeps one.
+    """
+    return {tuple(sorted(vertex(tuple(sorted(p[:k]))) for k in range(1, len(p) + 1)))
+            for f in facets for p in permutations(f)}
+
+
+class SubdividedComplex:
+    """Base complex and its barycentric subdivision: the derived complex,
+    built once as the closure of `derived_facets`, and the numbering of
+    derived vertices by base simplices both ways."""
+
+    __slots__ = ("base", "simplices", "vertex_id", "derived")
 
     def __init__(self, base: SimplicialComplex):
         self.base = base
@@ -43,30 +59,8 @@ class SubdividedComplex:
                                                key=lambda s: (-len(s), s))
         self.vertex_id: dict[Simplex, int] = {
             s: i for i, s in enumerate(self.simplices)}
-        flags: set[tuple[int, ...]] = set()
-        vid = self.vertex_id
-
-        def extend(ids: tuple[int, ...], last: Simplex):
-            flags.add(ids)
-            for k in range(1, len(last)):
-                for face in combinations(last, k):
-                    extend(ids + (vid[face],), face)
-
-        for s in self.simplices:
-            extend((vid[s],), s)
-        self._flags = flags
-        self._derived: SimplicialComplex | None = None
-
-    @property
-    def derived(self) -> SimplicialComplex:
-        """The derived complex, built on first access from the flag id tuples."""
-        if self._derived is None:
-            by_dim: dict[int, list[tuple[int, ...]]] = {}
-            for t in self._flags:
-                by_dim.setdefault(len(t) - 1, []).append(t)
-            skeletons = tuple(tuple(sorted(by_dim[d])) for d in range(len(by_dim)))
-            self._derived = SimplicialComplex(skeletons)
-        return self._derived
+        self.derived = SimplicialComplex.from_canonical_facets(
+            derived_facets(base.facets, self.vertex_id.__getitem__))
 
     def chain_map(self, d: int) -> BitMatrix:
         """Mod-2 subdivision chain map C_d(base) -> C_d(derived).
@@ -96,10 +90,11 @@ class SubdividedComplex:
         NotAFlagCell unless ``ids`` is a derived simplex that starts with a
         facet and a ridge of it.
         """
-        _require_closed(self.base)
+        self.base.require_closed_pseudomanifold()
+        d = len(ids) - 1
         # the top of a flag is a proper coface of its second member, so a
         # ridge in second place puts a facet on top
-        if (ids not in self._flags or len(ids) < 2
+        if (not 1 <= d <= self.derived.dim or ids not in self.derived._index[d]
                 or len(self.simplices[ids[1]]) != self.base.dim):
             raise NotAFlagCell(f"{ids} does not start with a facet and its ridge")
         top, ridge = self.simplices[ids[0]], self.simplices[ids[1]]
@@ -107,20 +102,12 @@ class SubdividedComplex:
         return (self.vertex_id[b if a == top else a],) + ids[1:]
 
     def __repr__(self):
-        # counted from the flag table, so repr never builds the derived complex
-        sizes = [len(t) for t in self._flags]
-        derived_f = tuple(sizes.count(k) for k in range(1, self.base.dim + 2))
-        return f"SubdividedComplex(base f={self.base.f_vector}, derived f={derived_f})"
+        return (f"SubdividedComplex(base f={self.base.f_vector}, "
+                f"derived f={self.derived.f_vector})")
 
 
 def barycentric_subdivide(complex: SimplicialComplex) -> SubdividedComplex:
     return SubdividedComplex(complex)
-
-
-def _require_closed(base: SimplicialComplex):
-    report = base.is_closed_pseudomanifold()
-    if not report.passed:
-        raise NotPseudomanifold("base complex is not a closed pseudomanifold", report)
 
 
 def _gap_patterns(size: int) -> list[tuple[int, ...]]:
@@ -178,7 +165,7 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
     Returns {base (n-i)-simplex: [derived id tuples]} with keys in skeleton
     order and cells in derived skeleton order, which is sorted id order.
     """
-    _require_closed(subdivision.base)
+    subdivision.base.require_closed_pseudomanifold()
     n = subdivision.base.dim
     if not 0 <= i <= n:
         raise DimensionOutOfRange(f"cell degree {i} outside 0..{n}")
@@ -186,8 +173,7 @@ def flag_dual_cells(subdivision: SubdividedComplex, i: int):
         s: [] for s in subdivision.base.skeleton(n - i)
     }
     simplices = subdivision.simplices
-    for t in sorted(t for t in subdivision._flags if len(t) == i + 1
-                    and len(simplices[t[0]]) == n + 1
-                    and len(simplices[t[-1]]) == n - i + 1):
-        groups[simplices[t[-1]]].append(t)
+    for t in subdivision.derived.skeleton(i):
+        if len(simplices[t[0]]) == n + 1 and len(simplices[t[-1]]) == n - i + 1:
+            groups[simplices[t[-1]]].append(t)
     return groups

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from swlab import cli
-from swlab.corpus import CORPUS_NAMES, corpus, corpus_entries
+from swlab import cli, fileio, simplicial
+from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus, corpus_entries
 from swlab.errors import EmptyInput, NotPseudomanifold, ParseError, UnknownCorpusEntry
 from swlab.fileio import (
     parse_complex_file,
@@ -15,6 +15,7 @@ from swlab.fileio import (
     write_complex_file,
 )
 from swlab.pipeline import compute_report
+from swlab.simplicial import build_complex
 
 EXPECTED_F = {
     "s2": (4, 6, 4),
@@ -51,6 +52,17 @@ def test_corpus_entries_have_descriptions(entries):
 
 # ---------------------------------------------------------------- fileio
 
+@pytest.mark.parametrize("n,digest", [
+    (2, "236fe3a67a4ffe371c54cb0931369f2fc3d96a7762bafcdb745b2f42a11cd3a3"),
+    (3, "241789d3cf1a4161112af7cdd500bbd889171580cb24cc5c430688443f25e032"),
+    (4, "41dd25cdccb69dfc6215e105c2c68dfe8fdf242abdeb6fae5c5b2591a18954b0"),
+])
+def test_rpn_facets_are_frozen(n, digest):
+    # the canonical text of RP^n, vertex numbering included, is pinned
+    text = serialize_complex(build_complex(_rpn_facets(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_round_trip_all_entries(entries):
     for name, entry in entries.items():
         X = entry.complex()
@@ -69,6 +81,22 @@ def test_parse_skips_comments_and_blanks():
         "1 2 3\n"
     )
     assert parse_complex_text(text).f_vector == (4, 6, 4)
+
+
+def test_parse_validates_each_facet_once(monkeypatch):
+    # the line loop validates each facet for its line number; the closure
+    # takes the canonical tuples as they are
+    X = corpus("rp3").complex()
+    calls = []
+
+    def counting(vertices, _real=simplicial.canonical_simplex):
+        calls.append(vertices)
+        return _real(vertices)
+
+    monkeypatch.setattr(fileio, "canonical_simplex", counting)
+    monkeypatch.setattr(simplicial, "canonical_simplex", counting)
+    assert parse_complex_text(serialize_complex(X)).facets == X.facets
+    assert len(calls) == len(X.facets)
 
 
 def test_parse_error_carries_line_number():

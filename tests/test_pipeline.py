@@ -38,7 +38,7 @@ from swlab.subdivision import (
 
 
 def ref_all_ones_chains(S):
-    """One pass over the flag table of S: per degree d, whether the all-ones
+    """One pass over the derived simplices of S: per degree d, whether the all-ones
     d-chain of the derived complex is a cycle (for d >= 1: every
     (d-1)-simplex has an even number of d-cofaces), and its image on the
     base under the last-vertex map, which sends a flag to the span of its
@@ -46,7 +46,7 @@ def ref_all_ones_chains(S):
     zero when two of them coincide."""
     odd_faces = [set() for _ in range(S.base.dim + 1)]
     odd_images = [set() for _ in range(S.base.dim + 1)]
-    for ids in S._flags:
+    for ids in S.derived.simplices():
         d = len(ids) - 1
         odd_faces[d].symmetric_difference_update(
             ids[:k] + ids[k + 1 :] for k in range(d + 1) if d)

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swlab.corpus import CORPUS_NAMES, corpus
 from swlab.errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
 from swlab.oracle import fundamental_cycle
-from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import all_ones_chains, barycentric_subdivide, flag_dual_cells
+from swlab.simplicial import Chain, SimplicialComplex, build_complex
+from swlab.subdivision import (
+    all_ones_chains,
+    barycentric_subdivide,
+    derived_facets,
+    flag_dual_cells,
+)
 
 S2_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -128,19 +136,61 @@ def test_all_ones_chains_agree_with_the_derived_complex(name):
 
 
 def test_derived_complex_is_built_on_first_access():
+    # built once, with the subdivision: every access returns the same complex
     S = sub_sphere()
-    assert S._derived is None
+    first = S.derived
     S.partner(flag_dual_cells(S, 1)[(0, 1)][0])
-    assert S._derived is None
-    assert S.derived is S.derived
+    assert S.derived is first and S.derived is S.derived
     assert S.derived.f_vector == (14, 36, 24)
+    empty = barycentric_subdivide(SimplicialComplex.empty())
+    assert empty.simplices == [] and empty.derived.f_vector == ()
 
 
 def test_repr_does_not_build_the_derived_complex():
+    # repr reads the f-vector of the derived complex already built
     S = barycentric_subdivide(corpus("rp3").complex())
+    first = S.derived
     text = repr(S)
-    assert S._derived is None
+    assert S.derived is first
     assert text.endswith(f"derived f={S.derived.f_vector})")
+    assert repr(sub_sphere()) == (
+        "SubdividedComplex(base f=(4, 6, 4), derived f=(14, 36, 24))")
+    assert repr(barycentric_subdivide(SimplicialComplex.empty())) == (
+        "SubdividedComplex(base f=(), derived f=())")
+
+
+def flag_chains(X):
+    """Every strictly decreasing chain of simplices of X, by brute force."""
+    chains = [(s,) for s in X.simplices()]
+    for chain in chains:  # grows while it is read
+        chains.extend(chain + (s,) for s in X.simplices()
+                      if len(s) < len(chain[-1]) and set(s) <= set(chain[-1]))
+    return chains
+
+
+SIMPLEX_FACES = [face for k in range(1, 7) for face in combinations(range(6), k)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(SIMPLEX_FACES), min_size=1, max_size=6, unique=True))
+@example([(0,), (2,), (5,)])
+@example([(0, 1, 2), (2, 3), (4,)])
+@example([(0, 1, 2, 3), (2, 4, 5), (1, 5)])
+@example([(0, 1, 2, 3, 4, 5)])
+def test_derived_complex_holds_every_flag(facets):
+    """Any subcomplex of the 5-simplex, pure or not: the derived simplices
+    are the decreasing chains of simplices, and the derived facets are the
+    full flags inside the facets."""
+    X = build_complex(facets)
+    S = barycentric_subdivide(X)
+    by_dim = {}
+    for chain in flag_chains(X):
+        by_dim.setdefault(len(chain) - 1, []).append(
+            tuple(sorted(S.vertex_id[s] for s in chain)))
+    assert S.derived.dim == X.dim
+    for d in range(X.dim + 1):
+        assert S.derived.skeleton(d) == tuple(sorted(by_dim[d])), (facets, d)
+    assert set(S.derived.facets) == derived_facets(X.facets, S.vertex_id.__getitem__)
 
 
 def test_chain_map_rejects_bad_dimension():
@@ -196,11 +246,18 @@ def test_partner_rejects_ids_that_are_not_facet_ridge_flags():
 def test_partner_requires_closed_base():
     # an open disk of two triangles glued along (0, 1): every flag raises,
     # the one around the boundary edge (0, 2) as well as the one around the
-    # interior edge (0, 1), which has two facets
+    # interior edge (0, 1), which has two facets; so do the flag dual cells
+    # and the fundamental cycle, each naming the first boundary edge
     S = barycentric_subdivide(build_complex([(0, 1, 2), (0, 1, 3)]))
-    for ridge in ((0, 2), (0, 1)):
-        with pytest.raises(NotPseudomanifold):
-            S.partner((S.vertex_id[(0, 1, 2)], S.vertex_id[ridge]))
+    message = "input is not a closed pseudomanifold: ridge (0, 2) lies in 1 facets, not 2"
+    calls = [lambda: fundamental_cycle(S.base), lambda: flag_dual_cells(S, 1)]
+    calls += [lambda r=ridge: S.partner((S.vertex_id[(0, 1, 2)], S.vertex_id[r]))
+              for ridge in ((0, 2), (0, 1))]
+    for call in calls:
+        with pytest.raises(NotPseudomanifold) as exc_info:
+            call()
+        assert str(exc_info.value) == message
+        assert exc_info.value.report.bad_ridges[0] == ((0, 2), 1)
 
 
 def test_flag_dual_cells_requires_closed_base():
