@@ -25,6 +25,7 @@ from .errors import (
     EmptyInput,
     MalformedFacet,
     NotPseudomanifold,
+    OracleConflict,
     OutOfDomain,
     ParseError,
     SWLabError,
@@ -97,10 +98,9 @@ def _cmd_classes(args) -> int:
             complex = parse_complex_file(args.path)
         sha = hashlib.sha256(serialize_complex(complex).encode()).hexdigest()
         report = compute_report(complex)
-    except (SWLabError, OSError) as exc:
-        # a failed or rejected run replaces OUT, so no earlier report
-        # survives it
-        rejected = isinstance(exc, _INPUT_ERRORS)
+    except Exception as exc:
+        # any failed run replaces OUT, so no earlier report survives it;
+        # main maps the exception to its exit code and stderr line
         if args.report is not None:
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -109,14 +109,10 @@ def _cmd_classes(args) -> int:
             }
             if sha is not None:
                 payload["sha256"] = sha
-            partial = None if rejected else getattr(exc, "report", None)
-            if partial is not None:
-                payload["partial"] = partial.as_dict()
+            if isinstance(exc, OracleConflict) and exc.report is not None:
+                payload["partial"] = exc.report.as_dict()
             _json_dump(payload, args.report)
-        if rejected:
-            raise
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        raise
 
     print(f"input: {source}")
     print(f"dimension {report.dimension}, "

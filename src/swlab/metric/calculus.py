@@ -9,7 +9,7 @@ differences with step H1: one stencil differentiates the metric wherever
 a closed form is not used.  The chart checks the domain and positive
 definiteness of every g the calculus sees.  `curvature_many` takes the
 outer derivatives of the Christoffel symbols by central differences on
-every chart, with H2 scaled by the chart's characteristic length.
+every chart, with the step H2 in chart coordinates.
 Geodesics integrate with fixed-step RK4.  Everything is batched over
 points so the probes can drive tens of thousands of rays through numpy at
 once: tensor contractions are batched matmuls on reshaped or transposed
@@ -120,14 +120,12 @@ class CurvatureData:
 
 
 def curvature_many(chart: MetricChart, points: np.ndarray,
-                   h2: float | None = None) -> CurvatureData:
+                   h2: float = H2) -> CurvatureData:
     """Curvature from central differences of the Christoffel symbols with
-    the outer step h2 (default H2 times the chart's scale).  Raises
-    OutOfDomain for an h2 that is not positive and finite."""
+    the outer step h2.  Raises OutOfDomain for an h2 that is not positive
+    and finite."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
-    if h2 is None:
-        h2 = H2 * chart.scale
     if not (math.isfinite(h2) and h2 > 0):
         raise OutOfDomain(
             f"curvature step h2 must be positive and finite, got {h2}")
@@ -277,8 +275,7 @@ def restricted_chart(chart3: MetricChart) -> MetricChart:
         pts3 = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
         return chart3.contains(pts3)
 
-    return MetricChart(chart3.name + "|x3=0", 2, metric_fn, domain_fn,
-                       scale=chart3.scale)
+    return MetricChart(chart3.name + "|x3=0", 2, metric_fn, domain_fn)
 
 
 def gauss_equation_check(model, p) -> float:

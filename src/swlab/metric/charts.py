@@ -35,15 +35,14 @@ class MetricChart:
     differentiates the metric by central differences.
     """
 
-    __slots__ = ("name", "dim", "scale", "_metric_fn", "_domain_fn")
+    __slots__ = ("name", "dim", "_metric_fn", "_domain_fn")
 
-    def __init__(self, name, dim, metric_fn, domain_fn=None, scale=1.0):
+    def __init__(self, name, dim, metric_fn, domain_fn=None):
         if dim not in (1, 2, 3):
             raise DimensionOutOfRange(
                 f"{name}: chart dimension {dim} is outside 1..3")
         self.name = name
         self.dim = dim
-        self.scale = scale
         self._metric_fn = metric_fn
         self._domain_fn = domain_fn
 

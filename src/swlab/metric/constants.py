@@ -40,7 +40,10 @@ def cgb_constant(k: int) -> float:
 
 
 def sphere_constants(d: int | None = None, k: int | None = None) -> dict:
-    """Constants keyed the way the reports print them."""
+    """The constants of the unit d-sphere (`omega_d`) and of the k-th
+    curvature integral (`omega_2k`, its double-factorial form and
+    `cgb_constant`), by name; raises ValueError when neither d nor k is
+    given."""
     out: dict[str, float] = {}
     if d is not None:
         out["omega_d"] = sphere_volume(d)

@@ -65,13 +65,15 @@ def _fft_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.irfft(spec * (1j * k.reshape(shape)), n=n, axis=axis)
 
 
-# The RK4 step when the caller passes no step: chart.scale / SCALE_STEPS,
-# clamped so that a probe takes between MIN_STEPS and MAX_STEPS steps.  The
-# probes need the sphere or disk value, not a fine trajectory: at radii up
-# to 0.5 the 16-step difference stays about 500 times below the quadrature
-# error on every model.  The scale cap keeps round-s2 disks out to its guard
-# 1.5 within 1e-6 of 2*pi, where eps/16 alone misses by 1e-5; MAX_STEPS
-# bounds the work at large radii (a flat disk of radius 1e6 takes 32 steps).
+# The RK4 step when the caller passes no step: 1 / SCALE_STEPS in chart
+# coordinates (every model's length scale is 1), clamped so that a
+# probe takes between MIN_STEPS and MAX_STEPS steps.  The probes need the
+# sphere or disk value, not a fine trajectory: at radii up to 0.5 the
+# 16-step difference stays about 500 times below the quadrature error on
+# every model.  The 1 / SCALE_STEPS cap keeps round-s2 disks out to its
+# guard 1.5 within 1e-6 of 2*pi, where eps/16 alone misses by 1e-5;
+# MAX_STEPS bounds the work at large radii (a flat disk of radius 1e6 takes
+# 32 steps).
 MIN_STEPS = 16
 MAX_STEPS = 32
 SCALE_STEPS = 32
@@ -86,8 +88,8 @@ MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
     """The chart, center and RK4 step of a probe of radius eps.  The radius
     must lie in [MIN_RADIUS, injectivity guard]; the default center is the
-    model's generic-chart center and the default step chart.scale /
-    SCALE_STEPS, clamped to between MIN_STEPS and MAX_STEPS steps."""
+    model's generic-chart center and the default step 1 / SCALE_STEPS,
+    clamped to between MIN_STEPS and MAX_STEPS steps."""
     chart = model.chart(chart_kind)
     if not math.isfinite(eps):
         raise OutOfDomain(f"{model.name}: probe radius {eps} is not finite")
@@ -104,8 +106,7 @@ def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
                 f"pass one explicitly for the {chart_kind} chart")
         center = model.center
     if h is None:
-        h = max(eps / MAX_STEPS, min(eps / MIN_STEPS,
-                                     chart.scale / SCALE_STEPS))
+        h = max(eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
     return chart, center, h
 
 
@@ -217,7 +218,7 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     In dimension 2 this is the circumference of the geodesic circle, in
     dimension 3 the area of the geodesic sphere; `ratio` divides by
     2*pi*eps respectively 4*pi*eps^2.  The rays are shot at the RK4 step
-    h (default chart.scale / SCALE_STEPS, clamped to between MIN_STEPS and
+    h (default 1 / SCALE_STEPS, clamped to between MIN_STEPS and
     MAX_STEPS steps) and once more at 2h; `params` holds the step count
     and the parts of `error`.  Raises GridTooCoarse when the
     self-estimated error exceeds `max_error`.
@@ -312,7 +313,7 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     if conformal:
         scalar = chart.scalar_curvature(pos.reshape(-1, 2))
     else:
-        h2 = 2.5e-4 * chart.scale
+        h2 = 2.5e-4
         scalar = curvature_many(chart, pos.reshape(-1, 2), h2=h2).scalar
     gauss = 0.5 * scalar.reshape(len(shells), nrays)
     f_vals = np.concatenate([[0.0], (gauss * jnorm).mean(axis=1)
@@ -330,25 +331,24 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     # Boundary: geodesic curvature of the boundary circle against the
     # inward normal (minus the outgoing ray velocity).  The covariant
     # acceleration adds Gamma(t, t), which is minus the geodesic spray at t.
+    # The quadrature error compares spectral with central-difference
+    # tangents.
     curve = traj_x[-1]
-    tang = _fft_derivative(curve, axis=0)
-    accel = _fft_derivative(tang, axis=0)
-    cov = accel - _geodesic_rhs(chart, curve, tang)[1]
     normal_in = -traj_v[-1] / g_norms(chart, curve, traj_v[-1])[:, None]
     g_bnd = chart.metric(curve)
-    sigma = g_norms(chart, curve, tang)
-    k_geod = np.einsum("nij,ni,nj->n", g_bnd, cov, normal_in) / sigma
-    boundary = float(np.mean(k_geod)) * 2.0 * math.pi
 
+    def turning(tang, accel):
+        cov = accel - _geodesic_rhs(chart, curve, tang)[1]
+        k_geod = np.einsum("nij,ni,nj->n", g_bnd, cov, normal_in) \
+            / g_norms(chart, curve, tang)
+        return float(np.mean(k_geod)) * 2.0 * math.pi
+
+    tang = _fft_derivative(curve, axis=0)
+    boundary = turning(tang, _fft_derivative(tang, axis=0))
+    ahead, behind = np.roll(curve, -1, axis=0), np.roll(curve, 1, axis=0)
     dtheta = 2.0 * math.pi / nrays
-    tang_fd = (np.roll(curve, -1, axis=0) - np.roll(curve, 1, axis=0)) \
-        / (2.0 * dtheta)
-    accel_fd = (np.roll(curve, -1, axis=0) - 2.0 * curve
-                + np.roll(curve, 1, axis=0)) / dtheta ** 2
-    cov_fd = accel_fd - _geodesic_rhs(chart, curve, tang_fd)[1]
-    boundary_fd = float(np.mean(
-        np.einsum("nij,ni,nj->n", g_bnd, cov_fd, normal_in)
-        / g_norms(chart, curve, tang_fd))) * 2.0 * math.pi
+    boundary_fd = turning((ahead - behind) / (2.0 * dtheta),
+                          (ahead - 2.0 * curve + behind) / dtheta ** 2)
 
     return interior, boundary, \
         abs(interior - interior_tz) + abs(boundary - boundary_fd), curvature
@@ -364,8 +364,8 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     polar shells, `boundary` integrates the geodesic curvature of the
     boundary circle; their sum is 2*pi for any metric, and `cochain_value`
     is the resulting Euler evaluation reduced mod 2.  The rays are shot
-    at the RK4 step h (default chart.scale / SCALE_STEPS, clamped to
-    between MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params`
+    at the RK4 step h (default 1 / SCALE_STEPS, clamped to between
+    MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params`
     holds the step count and the parts of `error`.
     """
     chart, center, h = _probe_setup(model, eps, center, h, chart_kind)

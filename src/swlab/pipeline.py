@@ -41,7 +41,7 @@ lies in exactly two facets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import OracleConflict
 from .homology import mod2_homology
@@ -67,13 +67,7 @@ class DegreeRow:
     matches_oracle: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "all_ones_is_cocycle": self.all_ones_is_cocycle,
-            "ht_chain_is_cycle": self.ht_chain_is_cycle,
-            "class_nonzero": self.class_nonzero,
-            "matches_oracle": self.matches_oracle,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,13 @@ import pytest
 
 from swlab import cli, fileio, simplicial
 from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus, corpus_entries
-from swlab.errors import EmptyInput, NotPseudomanifold, ParseError, UnknownCorpusEntry
+from swlab.errors import (
+    EmptyInput,
+    NotPseudomanifold,
+    OracleConflict,
+    ParseError,
+    UnknownCorpusEntry,
+)
 from swlab.fileio import (
     parse_complex_file,
     parse_complex_text,
@@ -332,7 +338,7 @@ def test_cli_rejected_input_replaces_report(tmp_path, capsys):
     AssertionError("pivot lost\nin degree 2"),
     MemoryError(),
 ])
-def test_cli_internal_error_exit(monkeypatch, capsys, fault):
+def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys, fault):
     def broken(complex):
         raise fault
 
@@ -341,6 +347,37 @@ def test_cli_internal_error_exit(monkeypatch, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("internal error: " + type(fault).__name__)
     assert err.count("\n") == 1
+    # an internal error replaces a report left by an earlier run too
+    out = tmp_path / "out.json"
+    out.write_text('{"stale": true}\n')
+    argv = ["classes", "--corpus", "s2", "--report", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == err
+    assert json.loads(out.read_text()) == {
+        "schema": cli.SCHEMA_VERSION,
+        "source": "corpus:s2",
+        "sha256": hashlib.sha256(serialize_complex(
+            corpus("s2").complex()).encode()).hexdigest(),
+        "error": {"type": type(fault).__name__, "message": str(fault)},
+    }
+
+
+def test_cli_oracle_conflict_keeps_partial_report(tmp_path, monkeypatch,
+                                                  capsys):
+    # a conflict is a result: its report rides along as "partial"
+    report = compute_report(corpus("s2").complex())
+
+    def conflicting(complex):
+        raise OracleConflict("w2 disagrees", report=report)
+
+    monkeypatch.setattr("swlab.pipeline.compute_report", conflicting)
+    out = tmp_path / "out.json"
+    assert cli.main(["classes", "--corpus", "s2", "--report", str(out)]) == 1
+    assert capsys.readouterr().err == "verification failed: w2 disagrees\n"
+    payload = json.loads(out.read_text())
+    assert payload["error"] == {"type": "OracleConflict",
+                                "message": "w2 disagrees"}
+    assert payload["partial"] == json.loads(json.dumps(report.as_dict()))
 
 
 def test_cli_corpus_list(capsys):

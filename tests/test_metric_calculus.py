@@ -245,6 +245,24 @@ def test_non_positive_metric_rejected():
         lorentz.metric([(0.0, 0.0)])
 
 
+@pytest.mark.parametrize("diag", [(1.0, -1.0, -1.0), (-1.0, -1.0, 1.0),
+                                  (-1.0, -1.0)])
+def test_indefinite_metric_with_positive_determinant_rejected(diag):
+    # det g = 1 in each case, so only the first or second leading minor
+    # shows that g is not positive definite
+    dim = len(diag)
+    chart = MetricChart(
+        "indefinite", dim,
+        lambda pts: np.tile(np.diag(diag), (len(pts), 1, 1)))
+    x, v = np.zeros((1, dim)), np.eye(dim)[:1]
+    with pytest.raises(SingularMetric):
+        chart.metric(x)
+    with pytest.raises(SingularMetric):
+        metric_jet(chart, x)
+    with pytest.raises(SingularMetric):
+        geodesic_shoot_many(chart, x, v, 0.1, h=0.05)
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
 def test_non_finite_metric_rejected(entry):
     # NaN fails every comparison, so a sign test alone passes it; an inf

@@ -333,8 +333,7 @@ def _stencil_only(model):
     """The model with its generic chart replaced by one of the same metric
     and domain but no factor, so that its curvature runs the stencil."""
     chart = model.chart("generic")
-    copy = MetricChart(chart.name, chart.dim, chart.metric, chart.contains,
-                       scale=chart.scale)
+    copy = MetricChart(chart.name, chart.dim, chart.metric, chart.contains)
     return dataclasses.replace(model, charts={**model.charts,
                                               "generic": copy})
 
@@ -380,7 +379,7 @@ def test_integration_part_is_fourth_order(probe):
 
 
 def test_default_probe_step_count(monkeypatch):
-    # a default probe shoots chart.scale / SCALE_STEPS, clamped to between
+    # a default probe shoots 1 / SCALE_STEPS, clamped to between
     # MIN_STEPS and MAX_STEPS steps, plus a companion at half as many
     # steps, four right-hand sides per step; a silent return to a finer
     # default step fails here rather than on a timing gate
@@ -397,7 +396,7 @@ def test_default_probe_step_count(monkeypatch):
             (sphere_area_probe, "round-s2", 0.5, None, 16),
             (gauss_bonnet_disk, "round-s2", 0.5, None, 16),
             (sphere_area_probe, "round-s3", 0.2, (8, 16), 16),
-            # the scale cap: 0.75 / 16 is longer than scale / 32
+            # the 1 / SCALE_STEPS cap: 0.75 / 16 is longer than 1 / 32
             (gauss_bonnet_disk, "round-s2", 0.75, 64, 24),
             # the step count stops at MAX_STEPS, also far out
             (gauss_bonnet_disk, "round-s2", 1.5, 64, 32),
@@ -407,8 +406,7 @@ def test_default_probe_step_count(monkeypatch):
         calls.clear()
         assert res.params["steps"] == steps
         assert res.params["h"] == max(
-            eps / MAX_STEPS,
-            min(eps / MIN_STEPS, get_model(name).chart().scale / SCALE_STEPS))
+            eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
         parts = res.params["error_parts"]
         assert set(parts) == {"quadrature", "integration", "drift"} | (
             {"curvature"} if probe is gauss_bonnet_disk else set())
