@@ -157,10 +157,11 @@ def curvature_at(chart: MetricChart, p) -> CurvatureData:
 
 # ------------------------------------------------------------------ geodesics
 
-def g_norms(chart: MetricChart, points, vectors) -> np.ndarray:
+def g_norms(g: np.ndarray, vectors) -> np.ndarray:
+    """The g-length of each vector (N, d) under the metric g (N, d, d) at
+    its point, or one g (1, d, d) shared by all."""
     w = np.atleast_2d(vectors)
-    return np.sqrt((chart.metric(points)
-                    * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
+    return np.sqrt((g * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
 
 
 def _geodesic_rhs(chart, x, v):

@@ -85,12 +85,58 @@ MIN_GRID = 4
 MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 
 
-def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
-    """The chart, center and RK4 step of a probe of radius eps.  The radius
-    must lie in [MIN_RADIUS, injectivity guard]; the default center is the
-    model's generic-chart center and the default step 1 / SCALE_STEPS,
-    clamped to between MIN_STEPS and MAX_STEPS steps."""
-    chart = model.chart(chart_kind)
+def _directions(dim: int, grid):
+    """The probe grid and the unit directions of its rays: in 2-D a fan of
+    `grid` rays (default 512) at equal angles, in 3-D a LAT,LON pair
+    (default 48, 96) of latitude midpoints and equal longitudes, whose
+    longitude count must be even for `_sphere_area`'s pole reflection."""
+    if dim == 2:
+        try:
+            nrays = operator.index(grid) if grid is not None else 512
+        except TypeError:
+            raise OutOfDomain(f"a 2-D probe takes one integer ray count, "
+                              f"not {grid!r}") from None
+        if nrays < MIN_GRID:
+            raise OutOfDomain(f"a 2-D probe needs at least {MIN_GRID} rays, "
+                              f"not {nrays}")
+        theta = 2.0 * math.pi * np.arange(nrays) / nrays
+        return nrays, np.column_stack([np.cos(theta), np.sin(theta)])
+    try:
+        nlat, nlon = map(operator.index,
+                         grid if grid is not None else (48, 96))
+    except (TypeError, ValueError):
+        raise OutOfDomain(f"a 3-D probe takes an integer LAT,LON grid "
+                          f"pair, not {grid!r}") from None
+    if min(nlat, nlon) < MIN_GRID:
+        raise OutOfDomain(f"a 3-D probe needs at least {MIN_GRID} "
+                          f"latitudes and longitudes, not {(nlat, nlon)!r}")
+    if nlon % 2:
+        raise OutOfDomain("longitude count must be even for the "
+                          "pole-reflection stencil")
+    lat = (np.arange(nlat) + 0.5) * (math.pi / nlat)
+    lon = 2.0 * math.pi * np.arange(nlon) / nlon
+    st, ct = np.sin(lat), np.cos(lat)
+    cp, sp = np.cos(lon), np.sin(lon)
+    return (nlat, nlon), np.stack([st[:, None] * cp[None, :],
+                                   st[:, None] * sp[None, :],
+                                   np.broadcast_to(ct[:, None], (nlat, nlon))],
+                                  axis=-1).reshape(-1, 3)
+
+
+def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
+                record: bool = False):
+    """The rays of a probe of radius eps on the model's chart.
+
+    The radius must lie in [MIN_RADIUS, injectivity guard]; the default
+    center is the model's and the default step 1 / SCALE_STEPS, clamped
+    to between MIN_STEPS and MAX_STEPS steps.  Unit-speed rays along the
+    `_directions` of `grid` are shot to length eps at the step h and at
+    2h: eps/h is rounded to a positive even step count so that the
+    companion takes exactly half as many steps (step doubling).  Returns
+    the chart, the (x, v) ends of the fine and the companion rays (with
+    `record`, their trajectories (steps+1, nrays, dim)), and the params
+    every probe reports."""
+    chart = model.chart()
     if not math.isfinite(eps):
         raise OutOfDomain(f"{model.name}: probe radius {eps} is not finite")
     if eps < MIN_RADIUS:
@@ -99,48 +145,24 @@ def _probe_setup(model: ModelGeometry, eps: float, center, h, chart_kind):
         raise OutOfDomain(
             f"{model.name}: radius {eps} exceeds the injectivity guard "
             f"{model.injectivity_guard}")
+    if chart.dim not in (2, 3):
+        raise OutOfDomain(
+            f"{model.name}: sphere probes need dimension 2 or 3")
     if center is None:
-        if chart_kind != "generic":
-            raise OutOfDomain(
-                f"{model.name}: default center is a generic-chart point; "
-                f"pass one explicitly for the {chart_kind} chart")
         center = model.center
     if h is None:
         h = max(eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
-    return chart, center, h
-
-
-def _circle_fan(grid):
-    """The ray count (default 512) and the unit directions of a planar
-    fan of rays."""
-    try:
-        nrays = operator.index(grid) if grid is not None else 512
-    except TypeError:
-        raise OutOfDomain(
-            f"a 2-D probe takes one integer ray count, not {grid!r}") from None
-    if nrays < MIN_GRID:
-        raise OutOfDomain(f"a 2-D probe needs at least {MIN_GRID} rays, "
-                          f"not {nrays}")
-    theta = 2.0 * math.pi * np.arange(nrays) / nrays
-    return nrays, np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-def _shoot_pair(chart, center, dirs, eps: float, h: float,
-                record: bool = False):
-    """Shoot unit-speed rays from center along dirs to length eps at the
-    RK4 step h and at 2h.
-
-    eps/h is rounded to a positive even step count so that the companion
-    takes exactly half as many steps (step doubling).  Returns the (x, v)
-    pair of each shoot, fine first, and the fine step count."""
+    grid, dirs = _directions(chart.dim, grid)
     half = rk4_step_count(eps / 2.0, h)
     x0 = np.tile(np.asarray(center, dtype=float), (len(dirs), 1))
-    v0 = dirs / g_norms(chart, x0, dirs)[:, None]
+    v0 = dirs / g_norms(chart.metric([center]), dirs)[:, None]
     fine = geodesic_shoot_many(chart, x0, v0, eps, eps / (2 * half),
                                record=record)
     coarse = geodesic_shoot_many(chart, x0, v0, eps, eps / half,
                                  record=record)
-    return fine, coarse, 2 * half
+    params = {"model": model.name, "chart": chart.name, "eps": eps,
+              "grid": grid, "h": h, "steps": 2 * half}
+    return chart, fine, coarse, params
 
 
 _ADVICE = {"quadrature": "refine the grid",
@@ -166,24 +188,26 @@ def _error_budget(name: str, eps: float, max_error: float | None,
     return error, parts
 
 
-def _circle_length(chart, x: np.ndarray):
+def _circle_length(g: np.ndarray, x: np.ndarray):
     """Length of the closed curve through the ray ends x (nrays, 2), with
-    spectral tangents, and its quadrature error against central
-    differences."""
-    value = float(np.mean(g_norms(chart, x, _fft_derivative(x, axis=0)))) \
+    the metric g there and spectral tangents, and its quadrature error
+    against central differences."""
+    value = float(np.mean(g_norms(g, _fft_derivative(x, axis=0)))) \
         * 2.0 * math.pi
     dtheta = 2.0 * math.pi / len(x)
     tangents_fd = (np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0)) \
         / (2.0 * dtheta)
-    value_fd = float(np.mean(g_norms(chart, x, tangents_fd))) * 2.0 * math.pi
+    value_fd = float(np.mean(g_norms(g, tangents_fd))) * 2.0 * math.pi
     return value, abs(value - value_fd)
 
 
-def _sphere_area(chart, x: np.ndarray, lat: np.ndarray, nlon: int):
-    """Area of the surface through the ray ends x on the (lat, lon) grid,
-    and its quadrature error against the plain midpoint rule."""
-    nlat = len(lat)
+def _sphere_area(g: np.ndarray, x: np.ndarray, grid):
+    """Area of the surface through the ray ends x on the LAT,LON grid of
+    `_directions`, with the metric g there, and its quadrature error
+    against the plain midpoint rule."""
+    nlat, nlon = grid
     dlat = math.pi / nlat
+    lat = (np.arange(nlat) + 0.5) * dlat
     sphere = x.reshape(nlat, nlon, 3)
     d_lon = _fft_derivative(sphere, axis=1)
     # Pad two rows past each pole; the direction field satisfies
@@ -195,7 +219,7 @@ def _sphere_area(chart, x: np.ndarray, lat: np.ndarray, nlon: int):
     d_lat = (-padded[4:] + 8.0 * padded[3:-1]
              - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * dlat)
 
-    g = chart.metric(x).reshape(nlat, nlon, 3, 3)
+    g = g.reshape(nlat, nlon, 3, 3)
     ee = np.einsum("abij,abi,abj->ab", g, d_lat, d_lat)
     ff = np.einsum("abij,abi,abj->ab", g, d_lat, d_lon)
     gg = np.einsum("abij,abi,abj->ab", g, d_lon, d_lon)
@@ -211,9 +235,9 @@ def _sphere_area(chart, x: np.ndarray, lat: np.ndarray, nlon: int):
 
 def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
                       grid=None, h: float | None = None,
-                      chart_kind: str = "generic",
                       max_error: float | None = None) -> ProbeResult:
-    """Measure the geodesic sphere of radius eps around a point.
+    """Measure the geodesic sphere of radius eps around a point of the
+    model's chart.
 
     In dimension 2 this is the circumference of the geodesic circle, in
     dimension 3 the area of the geodesic sphere; `ratio` divides by
@@ -223,48 +247,20 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     and the parts of `error`.  Raises GridTooCoarse when the
     self-estimated error exceeds `max_error`.
     """
-    chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
+    chart, (x, v), (x2, _), params = _shoot_rays(model, eps, center, grid, h)
     if chart.dim == 2:
-        grid, dirs = _circle_fan(grid)
-        measure = partial(_circle_length, chart)
-        flat = sphere_volume(1) * eps
-    elif chart.dim == 3:
-        try:
-            nlat, nlon = map(operator.index,
-                             grid if grid is not None else (48, 96))
-        except (TypeError, ValueError):
-            raise OutOfDomain(f"a 3-D probe takes an integer LAT,LON grid "
-                              f"pair, not {grid!r}") from None
-        grid = (nlat, nlon)
-        if min(grid) < MIN_GRID:
-            raise OutOfDomain(f"a 3-D probe needs at least {MIN_GRID} "
-                              f"latitudes and longitudes, not {grid!r}")
-        if nlon % 2:
-            raise OutOfDomain("longitude count must be even for the "
-                              "pole-reflection stencil")
-        lat = (np.arange(nlat) + 0.5) * (math.pi / nlat)
-        lon = 2.0 * math.pi * np.arange(nlon) / nlon
-        st, ct = np.sin(lat), np.cos(lat)
-        cp, sp = np.cos(lon), np.sin(lon)
-        dirs = np.stack([st[:, None] * cp[None, :],
-                         st[:, None] * sp[None, :],
-                         np.broadcast_to(ct[:, None], (nlat, nlon))],
-                        axis=-1).reshape(-1, 3)
-        measure = partial(_sphere_area, chart, lat=lat, nlon=nlon)
-        flat = sphere_volume(2) * eps ** 2
+        measure, flat = _circle_length, sphere_volume(1) * eps
     else:
-        raise OutOfDomain(
-            f"{model.name}: sphere probes need dimension 2 or 3")
-
-    (x, v), (x2, _), steps = _shoot_pair(chart, center, dirs, eps, h)
-    drift = float(np.max(np.abs(g_norms(chart, x, v) - 1.0)))
-    value, quadrature = measure(x)
+        measure = partial(_sphere_area, grid=params["grid"])
+        flat = sphere_volume(2) * eps ** 2
+    g = chart.metric(x)
+    drift = float(np.max(np.abs(g_norms(g, v) - 1.0)))
+    value, quadrature = measure(g, x)
     error, parts = _error_budget(
         model.name, eps, max_error, quadrature=quadrature,
-        integration=abs(value - measure(x2)[0]), drift=drift * abs(value))
-    params = {"model": model.name, "chart": chart.name, "eps": eps,
-              "grid": grid, "h": h, "steps": steps, "drift": drift,
-              "error_parts": parts}
+        integration=abs(value - measure(chart.metric(x2), x2)[0]),
+        drift=drift * abs(value))
+    params.update(drift=drift, error_parts=parts)
     return ProbeResult(value, value / flat, error, params)
 
 
@@ -286,25 +282,25 @@ def _simpson(values: np.ndarray, dx: float) -> float:
                              + 2.0 * values[2:-1:2].sum()) + tail)
 
 
-def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
-                stencil: bool = False):
+def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     """Interior curvature and boundary turning of the disk swept by the
-    recorded rays (steps+1, nrays, 2), the quadrature error of both and,
-    with `stencil`, the curvature stencil's truncation error: the stencil
-    is second order in h2, so by Richardson the largest
-    4/3 |K(h2) - K(h2/2)| on the boundary circle, nearest the chart's edge,
-    times the disk's area.  That part is 0 without `stencil` and on a
+    recorded rays (steps+1, nrays, 2), the quadrature error of both, the
+    curvature stencil's truncation error and the g-speed drift of the rays
+    at the boundary.  The stencil is second order in h2, so by Richardson
+    its error is the largest 4/3 |K(h2) - K(h2/2)| on the boundary circle,
+    nearest the chart's edge, times the disk's area; it is 0 on a
     conformal chart, whose curvature is closed form."""
     steps, nrays = traj_x.shape[0] - 1, traj_x.shape[1]
 
     # Interior: f(s) = integral of K * |d_theta exp(s v)| over theta,
-    # integrated over shells s in [0, eps] with Simpson.
+    # integrated over shells s in [0, eps] with Simpson.  The last shell
+    # is the boundary circle.
     stride = steps // 64 if steps % 64 == 0 else 1
     shells = list(range(stride, steps + 1, stride))
     pos = traj_x[shells]                      # (nsh, nrays, 2)
+    g = chart.metric(pos.reshape(-1, 2))
     jac = _fft_derivative(pos, axis=1)
-    jnorm = g_norms(chart, pos.reshape(-1, 2),
-                    jac.reshape(-1, 2)).reshape(len(shells), nrays)
+    jnorm = g_norms(g, jac.reshape(-1, 2)).reshape(len(shells), nrays)
     # The Gauss curvature is half the scalar curvature: in closed form on a
     # conformal chart, else from the stencil, whose short outer step keeps
     # the truncation bias of the total well under 1e-6 near the chart's
@@ -322,7 +318,7 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     interior = _simpson(f_vals, ds)
     interior_tz = float(np.trapezoid(f_vals, dx=ds))
     curvature = 0.0
-    if stencil and not conformal:
+    if not conformal:
         half = 0.5 * curvature_many(chart, pos[-1], h2=h2 / 2.0).scalar
         area = _simpson(np.concatenate([[0.0], jnorm.mean(axis=1)])
                         * 2.0 * math.pi, ds)
@@ -334,13 +330,14 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     # The quadrature error compares spectral with central-difference
     # tangents.
     curve = traj_x[-1]
-    normal_in = -traj_v[-1] / g_norms(chart, curve, traj_v[-1])[:, None]
-    g_bnd = chart.metric(curve)
+    g_bnd = g.reshape(len(shells), nrays, 2, 2)[-1]
+    speed = g_norms(g_bnd, traj_v[-1])
+    normal_in = -traj_v[-1] / speed[:, None]
 
     def turning(tang, accel):
         cov = accel - _geodesic_rhs(chart, curve, tang)[1]
         k_geod = np.einsum("nij,ni,nj->n", g_bnd, cov, normal_in) \
-            / g_norms(chart, curve, tang)
+            / g_norms(g_bnd, tang)
         return float(np.mean(k_geod)) * 2.0 * math.pi
 
     tang = _fft_derivative(curve, axis=0)
@@ -350,15 +347,16 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float,
     boundary_fd = turning((ahead - behind) / (2.0 * dtheta),
                           (ahead - 2.0 * curve + behind) / dtheta ** 2)
 
-    return interior, boundary, \
-        abs(interior - interior_tz) + abs(boundary - boundary_fd), curvature
+    quadrature = abs(interior - interior_tz) + abs(boundary - boundary_fd)
+    drift = float(np.max(np.abs(speed - 1.0)))
+    return interior, boundary, quadrature, curvature, drift
 
 
 def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
                       grid=None, h: float | None = None,
-                      chart_kind: str = "generic",
                       max_error: float | None = None) -> GaussBonnetResult:
-    """Interior curvature plus boundary turning of a geodesic disk.
+    """Interior curvature plus boundary turning of a geodesic disk around
+    a point of the model's chart.
 
     `interior` integrates the Gauss curvature over the disk in geodesic
     polar shells, `boundary` integrates the geodesic curvature of the
@@ -368,32 +366,26 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params`
     holds the step count and the parts of `error`.
     """
-    chart, center, h = _probe_setup(model, eps, center, h, chart_kind)
-    if chart.dim != 2:
+    if model.chart().dim != 2:
         raise OutOfDomain(f"{model.name}: disk probe needs dimension 2")
-    nrays, dirs = _circle_fan(grid)
-    (traj_x, traj_v), companion, steps = _shoot_pair(chart, center, dirs,
-                                                     eps, h, record=True)
-    drift = float(np.max(np.abs(
-        g_norms(chart, traj_x[-1], traj_v[-1]) - 1.0)))
-    interior, boundary, quadrature, curvature = _disk_total(
-        chart, traj_x, traj_v, eps, stencil=True)
-    interior2, boundary2, _, _ = _disk_total(chart, *companion, eps)
+    chart, fine, companion, params = _shoot_rays(model, eps, center, grid,
+                                                 h, record=True)
+    interior, boundary, quadrature, curvature, drift = _disk_total(
+        chart, *fine, eps)
+    interior2, boundary2 = _disk_total(chart, *companion, eps)[:2]
     total = interior + boundary
     error, parts = _error_budget(
         model.name, eps, max_error, quadrature=quadrature,
         integration=abs(total - interior2 - boundary2),
         drift=drift * (abs(interior) + abs(boundary)), curvature=curvature)
-    params = {"model": model.name, "chart": chart.name, "eps": eps,
-              "grid": nrays, "h": h, "steps": steps, "drift": drift,
-              "error_parts": parts}
+    params.update(drift=drift, error_parts=parts)
     return GaussBonnetResult(interior, boundary, total,
                              round(total / (2.0 * math.pi)) % 2,
                              error, params)
 
 
-def w3_limit(model: ModelGeometry, eps_list, center=None, grid=None,
-             chart_kind: str = "generic") -> ProbeResult:
+def w3_limit(model: ModelGeometry, eps_list, center=None,
+             grid=None) -> ProbeResult:
     """Extrapolate the normalized sphere-area ratio to radius zero.
 
     The ratio area / (4*pi*eps^2) has an expansion in eps^2; Neville
@@ -402,7 +394,7 @@ def w3_limit(model: ModelGeometry, eps_list, center=None, grid=None,
     for every smooth metric).  Raises NonConvergent when the successive
     ratio differences grow beyond the probes' own error floor.
     """
-    chart = model.chart(chart_kind)
+    chart = model.chart()
     if chart.dim != 3:
         raise OutOfDomain(f"{model.name}: the limit probe is 3-dimensional")
     radii = [float(e) for e in eps_list]
@@ -411,8 +403,8 @@ def w3_limit(model: ModelGeometry, eps_list, center=None, grid=None,
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise OutOfDomain("radii must strictly decrease")
 
-    probes = [sphere_area_probe(model, e, center=center, grid=grid,
-                                chart_kind=chart_kind) for e in radii]
+    probes = [sphere_area_probe(model, e, center=center, grid=grid)
+              for e in radii]
     ratios = [p.ratio for p in probes]
     ratio_errors = [p.error / (sphere_volume(2) * e ** 2)
                     for p, e in zip(probes, radii)]

@@ -93,14 +93,7 @@ class SimplicialComplex:
         self._coboundary: dict[int, BitMatrix] = {}
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
-        # a facet is a face of no simplex one dimension up; walking the
-        # skeletons upward keeps the (len, s) order
-        facets = []
-        for d, sk in enumerate(skeletons):
-            up = skeletons[d + 1] if d + 1 < len(skeletons) else ()
-            faces = {t[:k] + t[k + 1 :] for t in up for k in range(len(t))}
-            facets.extend(s for s in sk if s not in faces)
-        self._facets = tuple(facets)
+        self._facets: tuple[Simplex, ...] | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -134,6 +127,12 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[Simplex, ...]:
+        """The simplices that are a face of none, in (len, s) order: the
+        zero columns of each coboundary."""
+        if self._facets is None:
+            self._facets = tuple(
+                s for d, sk in enumerate(self._skeletons)
+                for s, cofaces in zip(sk, self.coboundary_matrix(d).columns) if not cofaces)
         return self._facets
 
     @property
@@ -254,7 +253,7 @@ class SimplicialComplex:
         if self._pm_report is not None:
             return self._pm_report
         n = self.dim
-        impure = tuple(f for f in self._facets if len(f) != n + 1)
+        impure = tuple(f for f in self.facets if len(f) != n + 1)
         # column r of delta_{n-1} holds the top simplices of ridge r; points
         # have no ridge.  Union-find joins the tops of each ridge into the
         # components of the facet graph.

@@ -206,7 +206,7 @@ def test_polar_radius_is_where_radial_geodesics_land(name):
     dirs = _ball(np.random.default_rng(54), 4, chart.dim, 1.0)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     x0 = np.zeros_like(dirs)
-    v0 = dirs / g_norms(chart, x0, dirs)[:, None]
+    v0 = dirs / g_norms(chart.metric(x0), dirs)[:, None]
     for r in radii:
         fine, _ = geodesic_shoot_many(chart, x0, v0, r, h=r / 64)
         coarse, _ = geodesic_shoot_many(chart, x0, v0, r, h=r / 32)

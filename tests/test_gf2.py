@@ -270,11 +270,26 @@ def test_word_boundary_shapes(rows, cols):
     assert list(bits_of(a.transpose().matvec(y), cols)) == list(want)
 
 
-def test_package_import_does_not_load_numpy():
-    # GF(2) work runs on python ints; numpy is for the metric probes only
+def _last_line_of(code: str) -> str:
     src = os.path.dirname(os.path.dirname(swlab.__file__))
-    code = "import sys, swlab, swlab.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_does_not_load_numpy():
+    # GF(2) work runs on python ints; numpy is for the metric probes only
+    code = "import sys, swlab, swlab.cli; print('numpy' in sys.modules)"
+    assert _last_line_of(code) == "False"
+
+
+def test_classes_and_corpus_commands_do_not_load_numpy(tmp_path):
+    # the report path keeps its tables in python ints, so that no
+    # `swlab classes` run pays numpy's import time
+    report = str(tmp_path / "rp3.json")
+    code = ("import sys\nfrom swlab import cli\n"
+            f"codes = (cli.main(['classes', '--corpus', 'rp3', '--report', "
+            f"{report!r}]), cli.main(['corpus', 'list']))\n"
+            "print(codes, 'numpy' in sys.modules)")
+    assert _last_line_of(code) == "(0, 0) False"

@@ -161,13 +161,13 @@ def test_closed_form_jet_checks_domain_and_metric():
 def test_equator_geodesic_closes():
     chart = get_model("round-s2").chart("generic")
     x0, v0 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    speed0 = g_norms(chart, x0, v0)[0]
+    speed0 = g_norms(chart.metric(x0), v0)[0]
     gaps = []
     for steps in (256, 512):
         x, v = geodesic_shoot_many(chart, x0, v0, 2.0 * math.pi,
                                    h=2.0 * math.pi / steps)
         gaps.append(np.hypot(*(x[0] - [1.0, 0.0])))
-        assert abs(g_norms(chart, x, v)[0] - speed0) / speed0 < 1e-8
+        assert abs(g_norms(chart.metric(x), v)[0] - speed0) / speed0 < 1e-8
     assert gaps[0] < 1e-6
     # RK4: halving the step shrinks the closure gap by about 16
     assert gaps[0] / gaps[1] > 8.0
@@ -224,7 +224,7 @@ def test_g_norms():
     chart = get_model("round-s2").chart("polar")
     pts = np.array([[1.0, 0.0], [0.5, 1.0]])
     vecs = np.array([[0.0, 1.0], [1.0, 0.0]])
-    norms = g_norms(chart, pts, vecs)
+    norms = g_norms(chart.metric(pts), vecs)
     assert np.allclose(norms, [math.sin(1.0), 1.0], atol=1e-12)
 
 

@@ -94,16 +94,55 @@ def test_area_ratio_slope_is_gray_curvature_term(name, want):
     assert abs(slope - (-scal / 18.0)) < 1e-4
 
 
+def _on_chart(model, chart):
+    """The model with its probes run on `chart`."""
+    return dataclasses.replace(model, charts={**model.charts,
+                                              "generic": chart})
+
+
 def test_probe_chart_independence_off_axis():
-    res = sphere_area_probe(get_model("flat-3"), 0.3,
-                            center=(1.0, math.pi / 2.0, 0.0),
-                            chart_kind="polar")
+    flat = get_model("flat-3")
+    res = sphere_area_probe(_on_chart(flat, flat.chart("polar")), 0.3,
+                            center=(1.0, math.pi / 2.0, 0.0))
     assert abs(res.ratio - 1.0) < 1e-4
 
 
-def test_non_generic_chart_requires_center():
-    with pytest.raises(OutOfDomain):
-        sphere_area_probe(get_model("flat-3"), 0.3, chart_kind="polar")
+@pytest.mark.parametrize("name", MODELS_2D)
+def test_probes_on_a_polar_chart(name):
+    # a chart that is not conformal: the rays contract the stencil jet and
+    # the disk's curvature runs the stencil
+    model = get_model(name)
+    polar = _on_chart(model, model.chart("polar"))
+    disk = gauss_bonnet_disk(polar, 0.3, center=(1.0, 1.0), grid=128)
+    circle = sphere_area_probe(polar, 0.3, center=(1.0, 1.0), grid=128)
+    for res, got, want in (
+            (disk, disk.total, 2.0 * math.pi),
+            (circle, circle.value, model.analytic["sphere_area"](0.3))):
+        assert abs(got - want) <= min(res.error, 1e-6)
+
+
+def test_each_probe_evaluates_the_metric_once_per_point(monkeypatch):
+    # the center, the ray ends and the disk's shells are each evaluated
+    # once, in at most three calls.  Curved models only: on flat-2 a fine
+    # and a companion shell can coincide bitwise
+    calls = []
+    metric = MetricChart.metric
+
+    def recording(self, points):
+        calls.append(np.atleast_2d(np.asarray(points, dtype=float)))
+        return metric(self, points)
+
+    monkeypatch.setattr(MetricChart, "metric", recording)
+    for probe, name, eps, grid in (
+            (gauss_bonnet_disk, "round-s2", 0.5, None),
+            (sphere_area_probe, "round-s2", 0.5, None),
+            (sphere_area_probe, "round-s3", 0.2, (16, 32))):
+        calls.clear()
+        probe(get_model(name), eps, grid=grid)
+        points = np.concatenate(calls)
+        assert len(calls) <= 3, (probe.__name__, name)
+        assert len(np.unique(points, axis=0)) == len(points), \
+            (probe.__name__, name)
 
 
 @pytest.mark.parametrize("name", MODELS_2D)
@@ -330,12 +369,11 @@ EDGE_CENTERS = ((0.9, 0.0), (0.99, 0.0), (0.999, 0.0), (0.0, -0.9995))
 
 
 def _stencil_only(model):
-    """The model with its generic chart replaced by one of the same metric
-    and domain but no factor, so that its curvature runs the stencil."""
-    chart = model.chart("generic")
-    copy = MetricChart(chart.name, chart.dim, chart.metric, chart.contains)
-    return dataclasses.replace(model, charts={**model.charts,
-                                              "generic": copy})
+    """The model on a chart of the same metric and domain as its own but
+    no factor, so that its curvature runs the stencil."""
+    chart = model.chart()
+    return _on_chart(model, MetricChart(chart.name, chart.dim, chart.metric,
+                                        chart.contains))
 
 
 @pytest.mark.parametrize("center", EDGE_CENTERS)
