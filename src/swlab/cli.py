@@ -170,7 +170,7 @@ def _cmd_metric(args) -> int:
 
     if args.metric_command == "sphere-area":
         res = sphere_area_probe(model, args.eps, grid=grid)
-        kind = "circumference" if model.dim == 2 else "area"
+        kind = "circumference" if model.chart().dim == 2 else "area"
         print(f"model {model.name}, eps {args.eps}, grid {res.params['grid']}")
         print(f"{kind} {res.value:.12f}")
         print(f"flat-space ratio {res.ratio:.12f}")

@@ -3,9 +3,7 @@ from __future__ import annotations
 
 from .calculus import (
     CurvatureData,
-    christoffel,
     christoffel_many,
-    curvature_at,
     curvature_many,
     frame_det_w1,
     frame_gram_det,
@@ -26,7 +24,6 @@ from .charts import (
 from .constants import (
     cgb_constant,
     double_factorial,
-    sphere_constants,
     sphere_volume,
     sphere_volume_double_factorial,
 )
@@ -48,9 +45,7 @@ __all__ = [
     "ModelGeometry",
     "ProbeResult",
     "cgb_constant",
-    "christoffel",
     "christoffel_many",
-    "curvature_at",
     "curvature_many",
     "double_factorial",
     "frame_det_w1",
@@ -63,7 +58,6 @@ __all__ = [
     "metric_jet",
     "restricted_chart",
     "sphere_area_probe",
-    "sphere_constants",
     "sphere_volume",
     "sphere_volume_double_factorial",
     "w3_limit",

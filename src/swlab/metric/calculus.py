@@ -99,11 +99,6 @@ def christoffel_many(chart: MetricChart, points: np.ndarray) -> np.ndarray:
     return _christoffel(chart, points)[0]
 
 
-def christoffel(chart: MetricChart, p) -> np.ndarray:
-    """Christoffel symbols at a single point, shape (d, d, d)."""
-    return christoffel_many(chart, [p])[0]
-
-
 @dataclass(frozen=True)
 class CurvatureData:
     """Curvature tensors at one or more points.
@@ -146,13 +141,6 @@ def curvature_many(chart: MetricChart, points: np.ndarray,
     ricci = np.trace(riem_up, axis1=1, axis2=3).transpose(0, 2, 1)
     scalar = (ginv * ricci).sum(axis=(1, 2))
     return CurvatureData(riem_up, riemann, ricci, scalar)
-
-
-def curvature_at(chart: MetricChart, p) -> CurvatureData:
-    """Curvature at a single point (leading batch axis dropped)."""
-    data = curvature_many(chart, [p])
-    return CurvatureData(data.riem_up[0], data.riemann[0], data.ricci[0],
-                         float(data.scalar[0]))
 
 
 # ------------------------------------------------------------------ geodesics
@@ -267,7 +255,12 @@ def restricted_chart(chart3: MetricChart) -> MetricChart:
     """The induced chart on the plane x3 = 0 of a 3-dimensional chart.
 
     Valid when the plane is totally geodesic and g(e_i, e_3) = 0 on it,
-    which holds for all built-in generic charts by reflection symmetry."""
+    which holds for all built-in generic charts by reflection symmetry.
+    Raises OutOfDomain for a chart that is not 3-dimensional."""
+    if chart3.dim != 3:
+        raise OutOfDomain(f"{chart3.name}: the plane x3 = 0 needs a "
+                          f"3-dimensional chart, not dimension {chart3.dim}")
+
     def metric_fn(pts2):
         pts3 = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
         return chart3.metric(pts3)[:, :2, :2]
@@ -287,9 +280,6 @@ def gauss_equation_check(model, p) -> float:
 
     for the unit normal v, maximized over the coordinate pairs X, Y."""
     chart3 = model.chart("generic")
-    if chart3.dim != 3:
-        raise OutOfDomain(f"{model.name}: Gauss equation check needs a "
-                          "3-dimensional model")
     sub = restricted_chart(chart3)
     p2 = np.asarray(p, dtype=float).reshape(2)
     p3 = np.array([p2[0], p2[1], 0.0])
@@ -300,18 +290,18 @@ def gauss_equation_check(model, p) -> float:
                           f"at {p3}; plane is not a metric slice")
     normal = np.array([0.0, 0.0, 1.0]) / np.sqrt(g3[2, 2])
 
-    amb = curvature_at(chart3, p3)
-    intr = curvature_at(sub, p2)
+    amb = curvature_many(chart3, [p3])
+    intr = curvature_many(sub, [p2])
 
     residual = 0.0
     for xv, yv in product(np.eye(2), repeat=2):
         x3 = np.array([xv[0], xv[1], 0.0])
         y3 = np.array([yv[0], yv[1], 0.0])
-        lhs = xv @ intr.ricci @ yv
+        lhs = xv @ intr.ricci[0] @ yv
         # ricci[b, c] pairs X with the b slot and Y with the c slot
-        amb_term = x3 @ amb.ricci @ y3
+        amb_term = x3 @ amb.ricci[0] @ y3
         # g(R(v, X) Y, v) = R_low[d, c, a, b] v^d Y^c v^a X^b
-        extr = np.einsum("dcab,d,c,a,b->", amb.riemann, normal, y3,
+        extr = np.einsum("dcab,d,c,a,b->", amb.riemann[0], normal, y3,
                          normal, x3)
         residual = max(residual, abs(lhs - (amb_term - extr)))
     return residual

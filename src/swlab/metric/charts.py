@@ -21,7 +21,8 @@ from functools import cache
 
 import numpy as np
 
-from ..errors import DimensionOutOfRange, OutOfDomain, SingularMetric
+from ..errors import (DimensionMismatch, DimensionOutOfRange, OutOfDomain,
+                      SingularMetric)
 from .constants import sphere_volume
 
 
@@ -29,10 +30,11 @@ class MetricChart:
     """A coordinate chart with a batched metric evaluator.
 
     `metric` takes an (N, dim) array of points and returns (N, dim, dim)
-    symmetric matrices, validating the domain predicate and positive
-    definiteness (leading principal minors) at every call.  The minors are
-    expanded up to order 3, so `dim` must lie in 1..3.  The calculus
-    differentiates the metric by central differences.
+    symmetric matrices, validating the domain predicate, the shape of
+    `metric_fn`'s result and positive definiteness (leading principal
+    minors) at every call.  The minors are expanded up to order 3, so `dim`
+    must lie in 1..3.  The calculus differentiates the metric by central
+    differences.
     """
 
     __slots__ = ("name", "dim", "_metric_fn", "_domain_fn")
@@ -71,6 +73,10 @@ class MetricChart:
     def metric(self, points) -> np.ndarray:
         pts = self._domain_points(points)
         g = np.asarray(self._metric_fn(pts), dtype=float)
+        want = (len(pts), self.dim, self.dim)
+        if g.shape != want:
+            raise DimensionMismatch(f"{self.name}: metric of shape {g.shape} "
+                                    f"at {len(pts)} points, not {want}")
         self._check_spd(g, pts)
         return g
 
@@ -110,14 +116,13 @@ class ModelGeometry:
     f: `sphere_area(eps)`, in 2-D `gauss_bonnet_interior(eps)` and
     `gauss_bonnet_boundary(eps)`, the constant `scalar` curvature (None
     when it varies) and `polar_radius(r)`, the generic-chart radius of the
-    geodesic radius r.  `injectivity_guard` bounds probe radii; `center` is
-    the default probe center, the origin of the generic chart.
+    geodesic radius r.  `injectivity_guard` bounds probe radii.  The
+    dimension is the chart's, and the probes center on its origin by
+    default.
     """
 
     name: str
-    dim: int
     charts: dict
-    center: tuple
     injectivity_guard: float
     analytic: dict = field(default_factory=dict)
 
@@ -265,10 +270,10 @@ def _model(generic, f, df, r_max, guard, scalar, polar_radius, **extra):
         analytic["gauss_bonnet_interior"] = \
             lambda eps: 2.0 * math.pi * (1.0 - float(df(eps)))
     return ModelGeometry(
-        name=name, dim=dim,
+        name=name,
         charts={"generic": generic,
                 "polar": _polar_chart(name + "/polar", dim, f, r_max)},
-        center=(0.0,) * dim, injectivity_guard=guard, analytic=analytic)
+        injectivity_guard=guard, analytic=analytic)
 
 
 def _build_models() -> dict:

@@ -38,19 +38,3 @@ def cgb_constant(k: int) -> float:
     """omega_{2k} / 2: the disk value of the k-fold curvature integral."""
     return sphere_volume(2 * k) / 2.0
 
-
-def sphere_constants(d: int | None = None, k: int | None = None) -> dict:
-    """The constants of the unit d-sphere (`omega_d`) and of the k-th
-    curvature integral (`omega_2k`, its double-factorial form and
-    `cgb_constant`), by name; raises ValueError when neither d nor k is
-    given."""
-    out: dict[str, float] = {}
-    if d is not None:
-        out["omega_d"] = sphere_volume(d)
-    if k is not None:
-        out["omega_2k"] = sphere_volume(2 * k)
-        out["omega_2k_double_factorial"] = sphere_volume_double_factorial(k)
-        out["cgb_constant"] = cgb_constant(k)
-    if not out:
-        raise ValueError("need a sphere dimension d or a disk index k")
-    return out

@@ -128,10 +128,10 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
     """The rays of a probe of radius eps on the model's chart.
 
     The radius must lie in [MIN_RADIUS, injectivity guard]; the default
-    center is the model's and the default step 1 / SCALE_STEPS, clamped
-    to between MIN_STEPS and MAX_STEPS steps.  Unit-speed rays along the
-    `_directions` of `grid` are shot to length eps at the step h and at
-    2h: eps/h is rounded to a positive even step count so that the
+    center is the chart's origin and the default step 1 / SCALE_STEPS,
+    clamped to between MIN_STEPS and MAX_STEPS steps.  Unit-speed rays
+    along the `_directions` of `grid` are shot to length eps at the step h
+    and at 2h: eps/h is rounded to a positive even step count so that the
     companion takes exactly half as many steps (step doubling).  Returns
     the chart, the (x, v) ends of the fine and the companion rays (with
     `record`, their trajectories (steps+1, nrays, dim)), and the params
@@ -149,7 +149,7 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
         raise OutOfDomain(
             f"{model.name}: sphere probes need dimension 2 or 3")
     if center is None:
-        center = model.center
+        center = np.zeros(chart.dim)
     if h is None:
         h = max(eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
     grid, dirs = _directions(chart.dim, grid)

@@ -67,7 +67,7 @@ def _cases():
     cases = [("line", _line_chart(), rng.uniform(-1.0, 1.0, size=(12, 1)))]
     for name in MODEL_NAMES:
         model = get_model(name)
-        d = model.dim
+        d = model.chart().dim
         cases.append((name + "/generic", model.chart("generic"),
                       rng.uniform(-0.5, 0.5, size=(12, d))))
         polar = rng.uniform(0.4, 1.2, size=(12, d))

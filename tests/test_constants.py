@@ -7,7 +7,6 @@ import pytest
 from swlab.metric.constants import (
     cgb_constant,
     double_factorial,
-    sphere_constants,
     sphere_volume,
     sphere_volume_double_factorial,
 )
@@ -41,14 +40,3 @@ def test_gamma_form_matches_double_factorial_form():
 def test_cgb_constant():
     assert cgb_constant(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert cgb_constant(2) == pytest.approx(sphere_volume(4) / 2.0, rel=1e-15)
-
-
-def test_sphere_constants_dict():
-    got = sphere_constants(d=2, k=1)
-    assert got["omega_d"] == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert got["omega_2k"] == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert got["omega_2k_double_factorial"] == pytest.approx(4.0 * math.pi,
-                                                             rel=1e-12)
-    assert got["cgb_constant"] == pytest.approx(2.0 * math.pi, rel=1e-15)
-    with pytest.raises(ValueError):
-        sphere_constants()

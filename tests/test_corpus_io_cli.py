@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from swlab import cli, fileio, simplicial
 from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus, corpus_entries
 from swlab.errors import (
+    CorpusValidationFailed,
     EmptyInput,
     NotPseudomanifold,
     OracleConflict,
@@ -22,6 +24,9 @@ from swlab.fileio import (
 )
 from swlab.pipeline import compute_report
 from swlab.simplicial import build_complex
+
+# the package exports the function `corpus`, which shadows the module
+corpus_module = importlib.import_module("swlab.corpus")
 
 EXPECTED_F = {
     "s2": (4, 6, 4),
@@ -48,6 +53,22 @@ def test_corpus_names_and_order():
 def test_corpus_unknown_entry():
     with pytest.raises(UnknownCorpusEntry):
         corpus("mobius")
+
+
+@pytest.mark.parametrize("facets,betti,match", [
+    # the 2-sphere with one facet removed is a disk, open along a circle
+    ([(0, 1, 2), (0, 1, 3), (0, 2, 3)], (1, 0, 1), "closed pseudomanifold"),
+    # the 2-sphere listed with the torus's Betti numbers
+    ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], (1, 2, 1), "betti"),
+])
+def test_corpus_revalidates_each_entry(monkeypatch, facets, betti, match):
+    def broken():
+        return corpus_module._entry("s2", "a broken entry", facets, betti,
+                                    (True, False, False))
+
+    monkeypatch.setitem(corpus_module._BUILDERS, "s2", broken)
+    with pytest.raises(CorpusValidationFailed, match=match):
+        corpus("s2")
 
 
 def test_corpus_entries_have_descriptions(entries):
@@ -421,10 +442,19 @@ def test_cli_w3_limit(capsys):
     assert "extrapolated limit" in out
     assert "cochain value 1" in out
     # too few or non-decreasing radii are bad requests, not verification failures
-    for radii in ("0.3", "0.4,0.2", "0.1,0.2,0.05"):
+    for radii in ("0.3", "0.4,0.2", "0.1,0.2,0.05", "0.4,x,0.1"):
         assert cli.main(base + ["--eps-list", radii]) == 2, radii
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_cli_w3_limit_outside_tolerance(capsys):
+    # an 8,16 grid leaves the round-s3 limit about 1e-3 from 1: a
+    # verification failure, not a bad request
+    argv = ["metric", "w3-limit", "--model", "round-s3",
+            "--eps-list", "0.4,0.2,0.1", "--grid", "8,16", "--tol", "1e-12"]
+    assert cli.main(argv) == 1
+    assert "limit misses 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps", ["1e-100", "1e-200"])
@@ -460,6 +490,11 @@ def test_cli_bad_grid(capsys):
         ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "8,-4"],
         ["w3-limit", "--model", "round-s3", "--eps-list", "0.4,0.2,0.1",
          "--grid", "16"],
+        # not integers, three counts, an empty count
+        ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "a"],
+        ["sphere-area", "--model", "round-s3", "--eps", "0.2",
+         "--grid", "8,8,8"],
+        ["sphere-area", "--model", "round-s3", "--eps", "0.2", "--grid", "8,"],
     ]:
         assert cli.main(["metric"] + argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swlab.errors import (
+    DimensionMismatch,
     DimensionOutOfRange,
     LeftDomain,
     OutOfDomain,
@@ -14,8 +15,7 @@ from swlab.errors import (
 from swlab.metric import (
     MetricChart,
     MODEL_NAMES,
-    christoffel,
-    curvature_at,
+    christoffel_many,
     curvature_many,
     frame_det_w1,
     frame_gram_det,
@@ -30,7 +30,8 @@ from swlab.metric import (
 
 def test_christoffel_round_sphere_polar():
     # g = dr^2 + sin(r)^2 dphi^2: Gamma^r_pp = -sin r cos r, Gamma^p_rp = cot r
-    gam = christoffel(get_model("round-s2").chart("polar"), (math.pi / 4, 1.0))
+    gam = christoffel_many(get_model("round-s2").chart("polar"),
+                           [(math.pi / 4, 1.0)])[0]
     assert abs(gam[0, 1, 1] + 0.5) < 1e-8
     assert abs(gam[1, 0, 1] - 1.0) < 1e-8
     assert abs(gam[1, 1, 0] - 1.0) < 1e-8
@@ -41,7 +42,7 @@ def test_christoffel_vanishes_on_flat_cartesian():
     for name in ("flat-2", "flat-3"):
         chart = get_model(name).chart("generic")
         for p in rng.normal(size=(3, chart.dim)):
-            assert np.max(np.abs(christoffel(chart, p))) < 1e-9
+            assert np.max(np.abs(christoffel_many(chart, [p]))) < 1e-9
 
 
 SCALAR_CASES = [
@@ -62,20 +63,22 @@ def test_scalar_curvature(name, kind, want, tol):
         pts = np.column_stack([rng.uniform(0.3, 2.0, 5),
                                rng.uniform(0.0, 6.0, 5)])
     else:
-        pts = 0.3 * rng.normal(size=(5, model.dim))
+        pts = 0.3 * rng.normal(size=(5, model.chart().dim))
     data = curvature_many(model.chart(kind), pts)
     assert np.max(np.abs(data.scalar - want)) < tol
 
 
 def test_scalar_curvature_warped_center():
-    data = curvature_at(get_model("warped-3").chart("generic"), (0.0, 0.0, 0.0))
+    data = curvature_many(get_model("warped-3").chart("generic"),
+                          [(0.0, 0.0, 0.0)])
     want = get_model("warped-3").analytic["scalar_at_center"]
-    assert abs(data.scalar - want) < 1e-3
+    assert abs(data.scalar[0] - want) < 1e-3
 
 
 def test_riemann_symmetries():
-    data = curvature_at(get_model("warped-3").chart("generic"), (0.3, -0.2, 0.5))
-    R = data.riemann
+    data = curvature_many(get_model("warped-3").chart("generic"),
+                          [(0.3, -0.2, 0.5)])
+    R = data.riemann[0]
     assert np.max(np.abs(R + np.einsum("dcab->dcba", R))) < 1e-6
     assert np.max(np.abs(R + np.einsum("dcab->cdab", R))) < 1e-6
     assert np.max(np.abs(R - np.einsum("dcab->bacd", R))) < 1e-6
@@ -87,18 +90,9 @@ def test_ricci_equals_metric_on_unit_sphere():
     # the unit 2-sphere is Einstein with Ric = g
     chart = get_model("round-s2").chart("polar")
     p = (0.9, 0.4)
-    data = curvature_at(chart, p)
+    data = curvature_many(chart, [p])
     g = chart.metric([p])[0]
-    assert np.max(np.abs(data.ricci - g)) < 1e-5
-
-
-def test_curvature_at_matches_batch():
-    chart = get_model("round-s3").chart("generic")
-    pts = np.array([[0.1, -0.2, 0.3], [0.0, 0.4, -0.1]])
-    batch = curvature_many(chart, pts)
-    single = curvature_at(chart, pts[1])
-    assert np.allclose(single.riemann, batch.riemann[1], atol=1e-12)
-    assert abs(single.scalar - batch.scalar[1]) < 1e-12
+    assert np.max(np.abs(data.ricci[0] - g)) < 1e-5
 
 
 def test_metric_jet_against_closed_form(cartesian_warped_chart):
@@ -315,10 +309,24 @@ def test_chart_dimension_outside_checked_range_rejected(dim):
             np.diag([1.0] * (dim - 1) + [-1.0]), (len(pts), 1, 1)))
 
 
+@pytest.mark.parametrize("metric_fn", [
+    # a 3x3 metric on a 2-D chart, whose 2x2 minors are positive
+    lambda pts: np.tile(np.diag([1.0, 2.0, -1.0]), (len(pts), 1, 1)),
+    # one matrix too many
+    lambda pts: np.tile(np.eye(2), (len(pts) + 1, 1, 1)),
+    # one number per point
+    lambda pts: np.ones(len(pts)),
+])
+def test_metric_result_shape_is_checked(metric_fn):
+    chart = MetricChart("misshapen", 2, metric_fn)
+    with pytest.raises(DimensionMismatch, match="misshapen"):
+        chart.metric([[0.1, 0.2], [0.3, 0.4]])
+
+
 def test_frame_dets_all_models():
     for name in MODEL_NAMES:
         model = get_model(name)
-        p = np.asarray(model.center) + 0.2
+        p = np.full(model.chart().dim, 0.2)
         chart = model.chart("generic")
         assert abs(frame_gram_det(chart, p) - 1.0) < 1e-10, name
         assert frame_det_w1(chart, p) == 1, name
@@ -342,6 +350,13 @@ def test_restricted_chart_is_metric_slice():
     pts2 = np.array([[0.3, -0.1], [0.0, 0.5]])
     pts3 = np.concatenate([pts2, np.zeros((2, 1))], axis=1)
     assert np.allclose(sub.metric(pts2), chart3.metric(pts3)[:, :2, :2])
+
+
+def test_restricted_chart_needs_three_dimensions():
+    # a 2-D chart has no plane x3 = 0; it must be refused by name, not
+    # turned into a chart whose every metric call fails
+    with pytest.raises(OutOfDomain, match="round-s2/stereographic.* 2"):
+        restricted_chart(get_model("round-s2").chart())
 
 
 GAUSS_CASES = [("flat-3", 1e-8), ("round-s3", 1e-3), ("warped-3", 1e-3)]
@@ -368,7 +383,7 @@ def test_scalar_agrees_across_charts():
         model = get_model(name)
         r = 0.8
         rho = model.analytic["polar_radius"](r)
-        if model.dim == 2:
+        if model.chart().dim == 2:
             pol = (r, 0.7)
             gen = rho * np.array([math.cos(0.7), math.sin(0.7)])
         else:
@@ -376,6 +391,6 @@ def test_scalar_agrees_across_charts():
             gen = rho * np.array([math.sin(1.1) * math.cos(0.7),
                                   math.sin(1.1) * math.sin(0.7),
                                   math.cos(1.1)])
-        s_pol = curvature_at(model.chart("polar"), pol).scalar
-        s_gen = curvature_at(model.chart("generic"), gen).scalar
+        s_pol = curvature_many(model.chart("polar"), [pol]).scalar[0]
+        s_gen = curvature_many(model.chart("generic"), [gen]).scalar[0]
         assert abs(s_pol - s_gen) < 2e-4, name

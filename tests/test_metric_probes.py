@@ -89,7 +89,7 @@ def test_area_ratio_slope_is_gray_curvature_term(name, want):
               for eps in radii]
     _, slope, _ = np.linalg.solve(np.vander(radii ** 2, 3, increasing=True),
                                   ratios)
-    scal = curvature_many(model.chart("generic"), [model.center]).scalar[0]
+    scal = curvature_many(model.chart("generic"), [np.zeros(3)]).scalar[0]
     assert abs(-scal / 18.0 - want) < 1e-6
     assert abs(slope - (-scal / 18.0)) < 1e-4
 
@@ -330,11 +330,21 @@ def test_w3_limit_rejects_oscillatory_metric():
         return conf[:, None, None] * np.eye(3)
 
     wiggly = ModelGeometry(
-        name="wiggly", dim=3,
+        name="wiggly",
         charts={"generic": MetricChart("wiggly/cartesian", 3, metric_fn)},
-        center=(0.0, 0.0, 0.0), injectivity_guard=1.0)
+        injectivity_guard=1.0)
     with pytest.raises(NonConvergent):
         w3_limit(wiggly, (0.45, 0.3, 0.2, 0.13), grid=(12, 24))
+
+
+def test_probes_check_the_chart_dimension():
+    line = ModelGeometry(name="line", charts={"generic": MetricChart(
+        "line", 1, lambda pts: np.ones((len(pts), 1, 1)))},
+        injectivity_guard=1.0)
+    with pytest.raises(OutOfDomain, match="dimension 2 or 3"):
+        sphere_area_probe(line, 0.1)
+    with pytest.raises(OutOfDomain, match="disk probe needs dimension 2"):
+        gauss_bonnet_disk(get_model("flat-3"), 0.1)
 
 
 def test_error_estimate_halves_when_grid_doubles():
@@ -461,8 +471,9 @@ def test_default_step_integration_part_is_far_below_quadrature(name, radii):
     # the round-s2 circle at 0.5, is about 1/500), and every probe lies
     # within its reported error of the closed form
     model = get_model(name)
-    probes = (sphere_area_probe, gauss_bonnet_disk) if model.dim == 2 \
-        else (sphere_area_probe,)
+    probes = (sphere_area_probe,)
+    if model.chart().dim == 2:
+        probes += (gauss_bonnet_disk,)
     for eps in radii:
         for probe in probes:
             res = probe(model, eps)
@@ -480,12 +491,12 @@ def test_default_step_integration_part_is_far_below_quadrature(name, radii):
 def test_every_probe_is_within_its_error_at_every_radius(name):
     # on the benchmark's grids, from the smallest criterion radius to 1
     model = get_model(name)
-    grid = 256 if model.dim == 2 else (16, 32)
+    grid = 256 if model.chart().dim == 2 else (16, 32)
     for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
         res = sphere_area_probe(model, eps, grid=grid)
         assert abs(res.value - model.analytic["sphere_area"](eps)) \
             <= res.error, eps
-        if model.dim == 2:
+        if model.chart().dim == 2:
             res = gauss_bonnet_disk(model, eps, grid=grid)
             assert abs(res.total - 2.0 * math.pi) <= res.error, eps
 
