@@ -16,6 +16,7 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -204,7 +205,10 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` keeps no
+    state in it, so every `main` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="swlab",
         description="mod-2 characteristic cochains: dual-cell pipeline, "

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
 
-__all__ = ["BitMatrix", "EchelonBasis", "set_bits"]
+__all__ = ["BitMatrix", "EchelonBasis", "from_flags", "set_bits", "to_flags"]
 
 
 def set_bits(x: int):
@@ -41,6 +41,23 @@ def set_bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+# digit characters <-> 0/1 bytes
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def to_flags(x: int, width: int) -> bytes:
+    """The `width` low bits of x as 0/1 bytes, lowest first: a mask for
+    `itertools.compress` over the items the bits stand for."""
+    return f"{x:0{width}b}"[::-1].encode().translate(_TO_FLAGS)
+
+
+def from_flags(flags) -> int:
+    """The int whose bit i is flags[i], for a sequence of 0/1 bytes such
+    as a parity bytearray."""
+    return int(flags[::-1].translate(_TO_DIGITS), 2) if flags else 0
 
 
 def _check_vector(x: int, nbits: int) -> None:

@@ -8,7 +8,10 @@ machinery so the two routes can be compared against each other.
 Products act on whole chains at once.  Which face of an m-simplex sits at
 given vertex positions depends only on the complex, the vertex order, m and
 the positions, not on the cochains, so `VertexOrder.faces` builds each such
-face-index table once and keeps it.  A product is then a few `gather`s, each
+face-index table once and keeps it.  It finds faces by index, never by
+vertex tuple: leaving out one vertex not at the positions, the table is the
+table of the facets at the shifted positions, read through a deletion
+column of the complex's facet table.  A product is then a few `gather`s, each
 one C-level pass that moves bit table[idx] of a cochain to bit idx:
 `cup_i` XORs, over its cut terms, the AND of alpha gathered on the even
 faces and beta gathered on the odd ones (`cup` is cup_0), and `cap` gathers
@@ -23,9 +26,10 @@ which side of `pairing` they sit on.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .errors import (
     DegreeOverflow,
@@ -33,7 +37,7 @@ from .errors import (
     IndexOutOfRange,
     PairingDegenerate,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, from_flags, to_flags
 from .homology import mod2_homology
 from .simplicial import Chain, Simplex, SimplicialComplex
 
@@ -48,11 +52,11 @@ class VertexOrder:
     subdivision construction wants.
 
     The order also keeps the face-index tables of the products on its
-    complex (`faces`), and the order-sorted skeletons they are read from,
-    so every product with one order reuses them.
+    complex (`faces`) and the deletion columns they are read through, so
+    every product with one order reuses them.
     """
 
-    __slots__ = ("complex", "_rank", "_sorted", "_faces")
+    __slots__ = ("complex", "_rank", "_ascending", "_columns", "_faces")
 
     def __init__(self, complex: SimplicialComplex, sequence):
         seq = tuple(sequence)
@@ -62,13 +66,19 @@ class VertexOrder:
                 "order must list every vertex of the complex exactly once")
         self.complex = complex
         self._rank = {v: i for i, v in enumerate(seq)}
-        self._sorted: dict[int, list[tuple[int, ...]]] = {}
-        self._faces: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        # ranks that increase with vertex ids sort every simplex as it is
+        self._ascending = seq == verts
+        self._columns: dict[int, list[Sequence[int]]] = {}
+        self._faces: dict[tuple[int, tuple[int, ...]], Sequence[int]] = {}
 
     @classmethod
     def numeric(cls, complex: SimplicialComplex) -> VertexOrder:
-        """Ascending vertex ids (the default order everywhere)."""
-        return cls(complex, complex.vertices())
+        """Ascending vertex ids (the default order everywhere), one per
+        complex, so that every caller shares its tables."""
+        order = complex._extra.get("numeric_order")
+        if order is None:
+            order = complex._extra["numeric_order"] = cls(complex, complex.vertices())
+        return order
 
     def key(self, v: int) -> int:
         return self._rank[v]
@@ -77,24 +87,44 @@ class VertexOrder:
         """Vertices of `simplex` listed in increasing order rank."""
         return tuple(sorted(simplex, key=self._rank.__getitem__))
 
+    def _deletions(self, m: int) -> list[Sequence[int]]:
+        """Column r: for each m-simplex, the index of its facet that leaves
+        out the vertex of rank position r.  These are the columns of
+        facet_table(m), taken through each simplex's order permutation;
+        built once per m."""
+        columns = self._columns.get(m)
+        if columns is None:
+            rows = self.complex.facet_table(m)
+            if self._ascending:
+                columns = list(zip(*rows))
+            else:
+                # per rank position, each simplex's position of that vertex;
+                # each simplex is sorted once per order
+                ranked = zip(*(map(s.index, self.sort(s)) for s in self.complex.skeleton(m)))
+                columns = [list(map(getitem, rows, where)) for where in ranked]
+            self._columns[m] = columns
+        return columns
+
     def faces(self, X: SimplicialComplex, m: int,
-              positions: tuple[int, ...]) -> list[int]:
+              positions: tuple[int, ...]) -> Sequence[int]:
         """For each m-simplex of X in skeleton order, the index of its face
         spanned by the vertices at `positions` of its order-sorted vertex
-        list; built on first use and cached."""
+        list; built on first use and cached.
+
+        All positions give the simplices themselves.  Otherwise the first
+        position r left out names a facet, which keeps the order of the
+        other vertices, so the table is the facets' table at the positions
+        above r shifted down, read through the deletion column r."""
         if self.complex is not X:
             raise DimensionMismatch("order lives on a different complex")
         table = self._faces.get((m, positions))
         if table is None:
-            if m not in self._sorted:
-                self._sorted[m] = list(map(self.sort, X.skeleton(m)))
-            index = X._index[len(positions) - 1]
-            if len(positions) == 1:
-                k, = positions
-                table = [index[(w[k],)] for w in self._sorted[m]]
+            if len(positions) == m + 1:
+                table = range(X.n_simplices(m))
             else:
-                get = itemgetter(*positions)
-                table = [index[tuple(sorted(get(w)))] for w in self._sorted[m]]
+                r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
+                sub = self.faces(X, m - 1, tuple(p - (p > r) for p in positions))
+                table = list(map(sub.__getitem__, self._deletions(m)[r]))
             self._faces[m, positions] = table
         return table
 
@@ -106,11 +136,6 @@ class VertexOrder:
 def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
     if cochain.complex is not X:
         raise DimensionMismatch(f"{name} lives on a different complex")
-
-
-# digit characters <-> 0/1 bytes
-_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _low_first(bits: int, width: int) -> str:
@@ -151,9 +176,9 @@ def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     hit = gather(alpha.bits, front, X.n_simplices(p)) & c.bits
     # one parity byte per (d-p)-simplex, flipped by each hit simplex's back face
     parity = bytearray(X.n_simplices(d - p))
-    for face in compress(back, _low_first(hit, len(back)).encode().translate(_TO_BYTES)):
+    for face in compress(back, to_flags(hit, len(back))):
         parity[face] ^= 1
-    return Chain(X, d - p, int(parity[::-1].translate(_TO_DIGITS), 2))
+    return Chain(X, d - p, from_flags(parity))
 
 
 def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,

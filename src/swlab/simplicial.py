@@ -5,16 +5,22 @@ complex stores, per dimension, the lexicographically sorted tuple of its
 simplices plus an index map, so every chain group has a fixed basis order and
 mod-2 chains can be plain int bit vectors (bit ``i`` = simplex ``skeleton(d)[i]``).
 
-Complexes are immutable after construction; derived data (coboundary
-matrices, the pseudomanifold diagnostic) is computed once and cached.  The
-coboundary matrices are the one incidence record: column i of delta_d holds
-the cofacets of d-simplex i, and every incidence query reads these columns.
+Complexes are immutable after construction; derived data (facet tables,
+coboundary matrices, the pseudomanifold diagnostic) is computed once and
+cached.  The facet tables are the one incidence record: row j of
+``facet_table(d)`` lists the indices in ``skeleton(d-1)`` of the facets of
+d-simplex j, entry k leaving out vertex k.  Every other incidence query
+reads them by index, as Ripser does (Bauer, J. Appl. Comput. Topol. 2021):
+the coboundary columns, the facets of the complex, the ridge counts and
+facet graph of the pseudomanifold check, and chain boundaries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -24,7 +30,7 @@ from .errors import (
     NotPseudomanifold,
     SimplexNotInComplex,
 )
-from .gf2 import BitMatrix, set_bits
+from .gf2 import BitMatrix, from_flags, set_bits, to_flags
 
 __all__ = [
     "Simplex",
@@ -81,6 +87,7 @@ class SimplicialComplex:
         "_skeletons",
         "_index",
         "_facets",
+        "_facet_tables",
         "_coboundary",
         "_pm_report",
         "_extra",
@@ -90,6 +97,7 @@ class SimplicialComplex:
         # trusted constructor: skeletons must already be closed and sorted
         self._skeletons = skeletons
         self._index = tuple({s: i for i, s in enumerate(sk)} for sk in skeletons)
+        self._facet_tables: dict[int, list[tuple[int, ...]]] = {}
         self._coboundary: dict[int, BitMatrix] = {}
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
@@ -128,11 +136,15 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[Simplex, ...]:
         """The simplices that are a face of none, in (len, s) order: the
-        zero columns of each coboundary."""
+        top simplices, and below them those in no row of the facet table
+        one dimension up."""
         if self._facets is None:
-            self._facets = tuple(
-                s for d, sk in enumerate(self._skeletons)
-                for s, cofaces in zip(sk, self.coboundary_matrix(d).columns) if not cofaces)
+            facets = []
+            for d, sk in enumerate(self._skeletons[:-1]):
+                covered = set(chain.from_iterable(self.facet_table(d + 1)))
+                if len(covered) < len(sk):
+                    facets.extend(s for i, s in enumerate(sk) if i not in covered)
+            self._facets = tuple(facets) + self._skeletons[-1] if self._skeletons else ()
         return self._facets
 
     @property
@@ -190,19 +202,37 @@ class SimplicialComplex:
         return tuple(self._skeletons[d + 1][j]
                      for j in set_bits(self.coboundary_matrix(d).columns[i]))
 
+    def facet_table(self, d: int) -> list[tuple[int, ...]]:
+        """Row j: the indices in skeleton(d-1) of the d+1 facets of d-simplex
+        j, entry k the facet that leaves out vertex k.  Built once, one
+        index lookup per facet."""
+        if not 1 <= d <= self.dim:
+            raise DimensionOutOfRange(f"facet table dimension {d} outside 1..{self.dim}")
+        table = self._facet_tables.get(d)
+        if table is None:
+            sk, index = self._skeletons[d], self._index[d - 1]
+            columns = []
+            for k in range(d + 1):
+                rest = [i for i in range(d + 1) if i != k]
+                # itemgetter of one position gives a bare vertex; zip makes it a 1-tuple
+                faces = map(itemgetter(*rest), sk) if d > 1 else zip(map(itemgetter(*rest), sk))
+                columns.append(map(index.__getitem__, faces))
+            table = self._facet_tables[d] = list(zip(*columns))
+        return table
+
     def coboundary_matrix(self, d: int) -> BitMatrix:
-        """Mod-2 coboundary, built once from the skeletons: rows =
+        """Mod-2 coboundary, built once from facet_table(d+1): rows =
         (d+1)-simplices (none at d = dim), columns = d-simplices."""
         if not 0 <= d <= self.dim:
             raise DimensionOutOfRange(f"coboundary dimension {d} outside 0..{self.dim}")
         if d not in self._coboundary:
-            up = self._skeletons[d + 1] if d < self.dim else ()
-            rows, cofacets = self._index[d], [[] for _ in self._skeletons[d]]
-            for j, t in enumerate(up):
-                for k in range(len(t)):
-                    cofacets[rows[t[:k] + t[k + 1 :]]].append(j)
-            self._coboundary[d] = BitMatrix(len(up), len(cofacets),
-                                            [sum(1 << j for j in js) for js in cofacets])
+            columns = [0] * len(self._skeletons[d])
+            rows = self.facet_table(d + 1) if d < self.dim else ()
+            for j, row in enumerate(rows):
+                bit = 1 << j
+                for i in row:
+                    columns[i] |= bit
+            self._coboundary[d] = BitMatrix(len(rows), len(columns), columns)
         return self._coboundary[d]
 
     def boundary_matrix(self, d: int) -> BitMatrix:
@@ -254,13 +284,14 @@ class SimplicialComplex:
             return self._pm_report
         n = self.dim
         impure = tuple(f for f in self.facets if len(f) != n + 1)
-        # column r of delta_{n-1} holds the top simplices of ridge r; points
-        # have no ridge.  Union-find joins the tops of each ridge into the
-        # components of the facet graph.
+        # row j of facet_table(n) holds the ridges of top simplex j; points
+        # have no ridge.  Union-find joins each top to the first top seen
+        # around each of its ridges, giving the components of the facet graph.
         tops = self._skeletons[n] if n >= 0 else ()
-        ridges, tops_of = ((self._skeletons[n - 1], self.coboundary_matrix(n - 1).columns)
-                           if n >= 1 else ((), []))
-        bad_ridges = [(r, c) for r, c in zip(ridges, map(int.bit_count, tops_of)) if c != 2]
+        ridges, rows = (self._skeletons[n - 1], self.facet_table(n)) if n >= 1 else ((), [])
+        count = Counter(chain.from_iterable(rows))
+        bad_ridges = [(r, c) for r, c in zip(ridges, map(count.__getitem__, range(len(ridges))))
+                      if c != 2]
         root = list(range(len(tops)))
 
         def find(j):
@@ -268,10 +299,12 @@ class SimplicialComplex:
                 root[j] = j = root[root[j]]  # path halving
             return j
 
-        for column in tops_of:
-            heads = [find(j) for j in set_bits(column)]
-            for h in heads[1:]:
-                root[find(h)] = heads[0]
+        first: dict[int, int] = {}
+        for j, row in enumerate(rows):
+            for r in row:
+                other = first.setdefault(r, j)
+                if other != j:
+                    root[find(other)] = find(j)
         n_comp = sum(root[j] == j for j in range(len(tops)))
         self._pm_report = PseudomanifoldReport(
             dimension=n,
@@ -339,14 +372,16 @@ class Chain:
         return (self.bits & other.bits).bit_count() & 1
 
     def boundary(self) -> Chain:
-        """Bit r is the parity of the chain on the cofacets of (d-1)-simplex r."""
-        d, X, bits = self.dimension, self.complex, self.bits
+        """Bit r is the parity of the chain on the cofacets of (d-1)-simplex
+        r: the facet-table rows of the support, scattered into parities."""
+        d, X = self.dimension, self.complex
         if d <= 0 or d > X.dim:
             return Chain(X, d - 1, 0)
-        columns = X.coboundary_matrix(d - 1).columns
-        # one digit per row, highest first, read as one int
-        digits = ["01"[(c & bits).bit_count() & 1] for c in reversed(columns)]
-        return Chain(X, d - 1, int("".join(digits), 2))
+        parity = bytearray(X.n_simplices(d - 1))
+        support = compress(X.facet_table(d), to_flags(self.bits, X.n_simplices(d)))
+        for r in chain.from_iterable(support):
+            parity[r] ^= 1
+        return Chain(X, d - 1, from_flags(parity))
 
     def coboundary(self) -> Chain:
         """Cochain coboundary: delta_d applied to the bits."""

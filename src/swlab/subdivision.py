@@ -12,17 +12,17 @@ and the partner involution read them.
 
 What the verification report needs from the subdivision is counted on the
 base without listing a flag: the cycle flags and last-vertex images of the
-all-ones chains (`all_ones_chains`).
+all-ones chains (`all_ones_chains`), as parities over the base's face-index
+tables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, permutations
-from operator import itemgetter
 
 from .errors import DimensionOutOfRange, NotAFlagCell
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, from_flags
+from .oracle import VertexOrder
 from .simplicial import Chain, Simplex, SimplicialComplex
 
 __all__ = [
@@ -136,26 +136,25 @@ def all_ones_chains(base: SimplicialComplex) -> list[tuple[bool, Chain]]:
     number of simplices sigma >= rho with max sigma = v_d whose other
     vertices all lie in gaps of rho with index = d mod 2, gap g being the
     open interval after the first g vertices of rho.  `swlab.pipeline`
-    gives both counting arguments.
+    gives both counting arguments.  Both counts are parity bytearrays
+    flipped through the face-index tables of the complex's numeric order,
+    which the Wu oracle reads too.
     """
     n = base.dim
-    cofaces = [Counter() for _ in range(n + 1)]
-    images = [Counter() for _ in range(n + 1)]
+    order = VertexOrder.numeric(base)
+    cofaces = [bytearray(base.n_simplices(d)) for d in range(n + 1)]
+    images = [bytearray(base.n_simplices(d)) for d in range(n + 1)]
     for d in range(n + 1):
-        skeleton = base.skeleton(d)
-        for k in range(1, d + 1):
-            for positions in combinations(range(d + 1), k):
-                cofaces[k - 1].update(map(itemgetter(*positions), skeleton))
-        # each sigma counts once for every admissible rho inside it
-        for positions in _gap_patterns(d + 1):
-            images[len(positions) - 1].update(map(itemgetter(*positions), skeleton))
-    highest_odd = max((d for d, counts in enumerate(cofaces)
-                       if any(c & 1 for c in counts.values())), default=-1)
-    index = base._index
-    # itemgetter of a single position gives a bare vertex, not a 1-tuple
-    return [(d == 0 or highest_odd < d - 1,
-             Chain(base, d, sum(1 << index[d][s if d else (s,)]
-                                for s, c in image.items() if c & 1)))
+        proper = [p for k in range(1, d + 1) for p in combinations(range(d + 1), k)]
+        # each sigma counts once for every proper face, and once for every
+        # admissible rho inside it
+        for counts, patterns in ((cofaces, proper), (images, _gap_patterns(d + 1))):
+            for positions in patterns:
+                parity = counts[len(positions) - 1]
+                for face in order.faces(base, d, positions):
+                    parity[face] ^= 1
+    highest_odd = max((d for d, counts in enumerate(cofaces) if any(counts)), default=-1)
+    return [(d == 0 or highest_odd < d - 1, Chain(base, d, from_flags(image)))
             for d, image in enumerate(images)]
 
 

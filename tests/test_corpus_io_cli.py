@@ -418,6 +418,31 @@ def test_cli_gauss_bonnet(capsys):
     assert "misses 2*pi" in capsys.readouterr().err
 
 
+def test_cli_main_reuses_one_parser(tmp_path, capsys):
+    """`main` builds its parser once per process; a classes run, an argparse
+    usage error, a metric probe and a corpus listing run in turn through
+    that one parser exit and print as they do with a freshly built one."""
+    runs = [["classes", s2_file(tmp_path)],
+            ["classes"],
+            ["metric", "gauss-bonnet", "--model", "round-s2", "--eps", "0.5"],
+            ["corpus", "list"]]
+
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._build_parser()
+    assert [run(argv) for argv in runs] == fresh
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert "one of the arguments path --corpus is required" in fresh[1][2]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
 def test_cli_rejects_unusable_tolerance(capsys, tol):
     # a NaN or infinite tolerance would pass every gap, a negative one fail it

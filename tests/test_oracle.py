@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from swlab.oracle import (
 )
 from swlab import simplicial
 from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import barycentric_subdivide
+from swlab.subdivision import all_ones_chains, barycentric_subdivide
 
 TRIALS = 100
 
@@ -261,40 +262,86 @@ def test_products_match_reference_on_one_simplex_skeletons(facets):
                             assert cap(X, order, a, b) == ref_cap(X, order, a, b)
 
 
-def test_face_tables_are_built_once_per_order(entry_complex, monkeypatch):
-    """Across wu_classes and the degree caps, each (m, positions) table is
-    built once: the order sorts each m-simplex once, whatever the number
-    of tables and products read from that skeleton."""
-    X = entry_complex
-    sorts = []
-    sort = VertexOrder.sort
-    monkeypatch.setattr(VertexOrder, "sort",
-                        lambda self, s: sorts.append(s) or sort(self, s))
-    order = VertexOrder.numeric(X)
-    built = []
-    faces = VertexOrder.faces
+def ref_faces(X, order, m, positions):
+    """Each m-simplex's face at `positions` of its order-sorted vertex list,
+    found as a sorted vertex tuple through the validating index."""
+    return [X.index(tuple(sorted(order.sort(s)[k] for k in positions)))
+            for s in X.skeleton(m)]
 
-    def recording_faces(self, Y, m, positions):
-        if (m, positions) not in self._faces:
-            built.append((m, positions))
-        return faces(self, Y, m, positions)
 
-    monkeypatch.setattr(VertexOrder, "faces", recording_faces)
+@pytest.fixture(scope="module", params=(*CORPUS_NAMES, "sd(klein)"))
+def face_complex(request, entries):
+    """Each corpus entry, and sd(klein) for a larger 2-complex."""
+    if request.param == "sd(klein)":
+        return barycentric_subdivide(entries["klein"].complex()).derived
+    return entries[request.param].complex()
 
-    def wu_and_degree_caps():
+
+def test_face_tables_match_the_sorted_tuple_lookup(face_complex):
+    """Every (m, positions) table, for the numeric order and two shuffled
+    ones, equals the face found by sorting each simplex in the order and
+    looking its face up by vertex tuple."""
+    X = face_complex
+    rng = random.Random(28)
+    for order in (VertexOrder.numeric(X), shuffled_order(rng, X), shuffled_order(rng, X)):
+        for m in range(X.dim + 1):
+            for k in range(1, m + 2):
+                for positions in combinations(range(m + 1), k):
+                    assert list(order.faces(X, m, positions)) \
+                        == ref_faces(X, order, m, positions), (m, positions)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_face_tables_are_built_once_per_order(entries, monkeypatch, name):
+    """Across all_ones_chains, wu_classes and the degree caps, each
+    (m, positions) table and the deletion columns of each m are built once,
+    the numeric order is one per complex and sorts nothing, and a shuffled
+    order sorts each simplex of a skeleton once, whatever the number of
+    tables read from it: no table re-sorts simplices."""
+    from swlab import oracle
+
+    X = entries[name].complex()
+    numeric, shuffled = VertexOrder.numeric(X), shuffled_order(random.Random(3), X)
+    sorts, tables, columns = [], [], []
+    monkeypatch.setattr(oracle, "sorted",
+                        lambda *args, **kw: sorts.append(args) or sorted(*args, **kw),
+                        raising=False)
+
+    def recording(method, cache, built, key):
+        def wrapper(self, *args):
+            if key(*args) not in getattr(self, cache):
+                built.append((self, key(*args)))
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(VertexOrder, "faces",
+                        recording(VertexOrder.faces, "_faces", tables,
+                                  lambda Y, m, positions: (m, positions)))
+    monkeypatch.setattr(VertexOrder, "_deletions",
+                        recording(VertexOrder._deletions, "_columns", columns, lambda m: m))
+
+    def products(order):
+        if order is numeric:
+            all_ones_chains(X)
         wu = wu_classes(X, order)
         gamma = fundamental_cycle(X)
         for cls in wu.w:
             cap(X, order, cls.cocycle, gamma)
 
-    wu_and_degree_caps()
-    assert built and len(built) == len(set(built)) == len(order._faces)
-    sorted_once = sum(X.n_simplices(m) for m in {m for m, _ in built})
-    assert len(sorts) == sorted_once
-    tables = dict(order._faces)
-    wu_and_degree_caps()
-    assert len(built) == len(tables) and len(sorts) == sorted_once
-    assert all(order._faces[key] is table for key, table in tables.items())
+    for order in (numeric, shuffled):
+        products(order)
+        mine = [key for o, key in tables if o is order]
+        assert mine and len(mine) == len(set(mine)) == len(order._faces)
+        assert len([o for o, _ in columns if o is order]) == len(order._columns)
+        sorted_skeletons = {m for o, m in columns if o is order and order is shuffled}
+        assert len(sorts) == sum(X.n_simplices(m) for m in sorted_skeletons)
+        cached = dict(order._faces)
+        built = (len(tables), len(columns), len(sorts))
+        products(order)
+        assert (len(tables), len(columns), len(sorts)) == built
+        assert all(order._faces[key] is table for key, table in cached.items())
+        sorts.clear()
+    assert VertexOrder.numeric(X) is numeric
 
 
 def test_cap_rejects_a_negative_degree(entry_complex):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from swlab.errors import (
     OracleConflict,
     PairingDegenerate,
 )
-from swlab.fileio import write_complex_file
+from swlab.fileio import serialize_complex, write_complex_file
 from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
 from swlab.oracle import cap, class_of, wu_classes
@@ -311,21 +312,22 @@ def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_report_paths_build_each_coboundary_once_and_no_boundary(monkeypatch, tmp_path,
                                                                   name):
-    """The coboundaries are the report's one incidence record: compute_report
+    """The facet tables are the report's one incidence record: compute_report
     and `swlab classes FILE --report OUT`, each on a fresh complex, build
-    every coboundary_matrix(d) once and call neither boundary_matrix nor
-    BitMatrix.transpose."""
+    every facet_table(d) once and every coboundary_matrix(d) from them once,
+    and call neither boundary_matrix nor BitMatrix.transpose."""
     entry = corpus(name)
     path = tmp_path / f"{name}.facets"
     write_complex_file(str(path), entry.complex())
     X = entry.complex()
     calls = []
-    coboundary = SimplicialComplex.coboundary_matrix
 
-    def counting_coboundary(self, d):
-        if d not in self._coboundary:
-            calls.append(("build", self, d))
-        return coboundary(self, d)
+    def building(kind, method, cache):
+        def wrapper(self, d):
+            if d not in getattr(self, cache):
+                calls.append((kind, self, d))
+            return method(self, d)
+        return wrapper
 
     def recording(label, method):
         def wrapper(self, *args):
@@ -333,17 +335,23 @@ def test_report_paths_build_each_coboundary_once_and_no_boundary(monkeypatch, tm
             return method(self, *args)
         return wrapper
 
-    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix", counting_coboundary)
+    monkeypatch.setattr(SimplicialComplex, "facet_table",
+                        building("table", SimplicialComplex.facet_table, "_facet_tables"))
+    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix",
+                        building("coboundary", SimplicialComplex.coboundary_matrix,
+                                 "_coboundary"))
     monkeypatch.setattr(SimplicialComplex, "boundary_matrix",
                         recording("boundary", SimplicialComplex.boundary_matrix))
     monkeypatch.setattr(BitMatrix, "transpose", recording("transpose", BitMatrix.transpose))
     assert compute_report(X).all_matched
     assert cli.main(["classes", str(path), "--report", str(tmp_path / "out.json")]) == 0
-    assert [call for call in calls if call[0] != "build"] == []
+    assert [call for call in calls if call[0] not in ("table", "coboundary")] == []
     complexes = {id(c): c for _, c, _ in calls}
     assert X in complexes.values() and len(complexes) == 2
     for c in complexes.values():
-        assert sorted(d for _, k, d in calls if k is c) == list(range(c.dim + 1)), name
+        built = [(kind, d) for kind, k, d in calls if k is c]
+        assert sorted(d for kind, d in built if kind == "table") == list(range(1, c.dim + 1))
+        assert sorted(d for kind, d in built if kind == "coboundary") == list(range(c.dim + 1))
 
 
 def test_report_classes_match_derived_homology(entries, reports):
@@ -594,6 +602,21 @@ def test_rp2_times_rp2_completes_under_512_mib(tmp_path):
     assert payload["betti"] == [1, 2, 3, 2, 1]
     assert _rows(payload) == [(True, True)] * 5
     assert payload["diagnostics"]["pairing_ok"] is True
+
+
+# sha256 of the report `swlab classes rp4.facets --report OUT` writes for
+# the RP4 of `_rpn_facets(4)`, frozen when the report's faces moved from
+# vertex tuples to facet tables, which left every report byte unchanged
+RP4_REPORT_SHA256 = "49e3e8ce89eef2d90e1af5381b6d7032f746f09d8d2f86a21f1494f5ba2f9409"
+
+
+@pytest.mark.slow
+def test_rp4_report_bytes_are_frozen():
+    X = build_complex(_rpn_facets(4))
+    sha = hashlib.sha256(serialize_complex(X).encode()).hexdigest()
+    payload = cli._report_payload("rp4.facets", sha, compute_report(X))
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == RP4_REPORT_SHA256
 
 
 @pytest.mark.slow

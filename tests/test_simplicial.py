@@ -261,6 +261,42 @@ def test_boundary_coboundary_adjoint_under_pairing():
         assert a.coboundary().pairing(c) == a.pairing(c.boundary())
 
 
+def ref_boundary(X, d, bits):
+    """Each simplex of the support adds its facets, found as vertex tuples;
+    vertices have none."""
+    out = 0
+    for i in range(X.n_simplices(d)):
+        if d >= 1 and bits >> i & 1:
+            for face in combinations(X.skeleton(d)[i], d):
+                out ^= 1 << X.index(face)
+    return Chain(X, d - 1, out)
+
+
+def ref_coboundary(X, d, bits):
+    """Bit j: the parity of the cochain on the facets of (d+1)-simplex j."""
+    out = 0
+    for j in range(X.n_simplices(d + 1)):
+        if d >= 0:
+            for face in combinations(X.skeleton(d + 1)[j], d + 1):
+                out ^= (bits >> X.index(face) & 1) << j
+    return Chain(X, d + 1, out)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_boundary_and_coboundary_match_the_vertex_tuple_reference(name):
+    """On every degree from -1 to dim+1: random, empty and all-ones chains."""
+    X = corpus(name).complex()
+    rng = np.random.default_rng(28)
+    for d in range(-1, X.dim + 2):
+        n = X.n_simplices(d)
+        chains = [Chain.zero(X, d), Chain.all_ones(X, d)]
+        chains += [Chain(X, d, int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n))
+                   for _ in range(5)]
+        for c in chains:
+            assert c.boundary() == ref_boundary(X, d, c.bits), (d, c.bits)
+            assert c.coboundary() == ref_coboundary(X, d, c.bits), (d, c.bits)
+
+
 def test_out_of_range_chain_groups_are_zero():
     X = sphere2()
     z = Chain.zero(X, 7)
