@@ -4,7 +4,9 @@ A vector is a non-negative python int: bit ``i`` is coordinate ``i``.  A
 matrix is the list of its columns as such ints, so bit ``i`` of column ``j``
 is entry ``(i, j)``.  That keeps chain/cochain arithmetic (XOR, popcount,
 pairing) one-liners and matches how the rest of the package stores mod-2
-data.
+data.  Bits move through index tables by `gather` (bit j of the result is
+bit table[j] of a vector) and `scatter` (bit i is the parity of the number
+of times i occurs in an index sequence), each one pass over the table.
 
 All elimination is one loop, `EchelonBasis._clear_pivots`: the lowest set
 bit of a vector is cleared with the stored vector pivoted there, until that
@@ -29,10 +31,11 @@ basis is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DimensionMismatch
 
-__all__ = ["BitMatrix", "EchelonBasis", "from_flags", "set_bits", "to_flags"]
+__all__ = ["BitMatrix", "EchelonBasis", "gather", "scatter", "set_bits", "to_flags"]
 
 
 def set_bits(x: int):
@@ -43,21 +46,38 @@ def set_bits(x: int):
         x ^= low
 
 
-# digit characters <-> 0/1 bytes
+# digit characters -> 0/1 bytes
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _digits(x: int, width: int) -> str:
+    """The `width` low binary digits of x, lowest first."""
+    return f"{x:0{width}b}"[::-1]
 
 
 def to_flags(x: int, width: int) -> bytes:
     """The `width` low bits of x as 0/1 bytes, lowest first: a mask for
     `itertools.compress` over the items the bits stand for."""
-    return f"{x:0{width}b}"[::-1].encode().translate(_TO_FLAGS)
+    return _digits(x, width).encode().translate(_TO_FLAGS)
 
 
-def from_flags(flags) -> int:
-    """The int whose bit i is flags[i], for a sequence of 0/1 bytes such
-    as a parity bytearray."""
-    return int(flags[::-1].translate(_TO_DIGITS), 2) if flags else 0
+def gather(bits: int, table, width: int) -> int:
+    """The int whose bit idx is bit table[idx] of `bits`, a width-bit int.
+
+    One C-level pass: pick the digits of `bits` in the reverse of table
+    order, so that int(..., 2) reads bit table[0] last, as bit 0."""
+    if not table:
+        return 0
+    # with one index itemgetter returns a bare digit, which join also takes
+    return int("".join(itemgetter(*reversed(table))(_digits(bits, width))), 2)
+
+
+def scatter(indices, width: int) -> int:
+    """The width-bit int whose bit i is the parity of i's count in indices."""
+    digits = bytearray(b"0" * width)  # lowest bit first; "0" ^ 1 is "1"
+    for i in indices:
+        digits[i] ^= 1
+    return int(digits[::-1], 2) if width else 0
 
 
 def _check_vector(x: int, nbits: int) -> None:

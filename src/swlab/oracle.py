@@ -9,16 +9,17 @@ Products act on whole chains at once.  Which face of an m-simplex sits at
 given vertex positions depends only on the complex, the vertex order, m and
 the positions, not on the cochains, so `VertexOrder.faces` builds each such
 face-index table once and keeps it.  It finds faces by index, never by
-vertex tuple: leaving out one vertex not at the positions, the table is the
-table of the facets at the shifted positions, read through a deletion
-column of the complex's facet table.  A product is then a few `gather`s, each
-one C-level pass that moves bit table[idx] of a cochain to bit idx:
-`cup_i` XORs, over its cut terms, the AND of alpha gathered on the even
-faces and beta gathered on the odd ones (`cup` is cup_0), and `cap` gathers
-alpha on the front faces and adds up the back faces of the simplices that
-survive.  Steenrod's cut-sequence form of the products (Medina-Mardones,
-"New formulas for cup-i products and fast computation of Steenrod
-squares", Comput. Geom. 2023) keeps the number of terms small.
+vertex tuple: the facets without the vertex at position r are deletion
+column r of the complex's facet table, as it is in the numeric order, and
+leaving out more vertices reads the facets' table through that column.  A
+product is then a few `gf2.gather`s, each one C-level pass that moves bit
+table[idx] of a cochain to bit idx: `cup_i` XORs, over its cut terms, the
+AND of alpha gathered on the even faces and beta gathered on the odd ones
+(`cup` is cup_0), and `cap` gathers alpha on the front faces and scatters
+the back faces of the simplices that survive (`gf2.scatter`).  Steenrod's
+cut-sequence form of the products (Medina-Mardones, "New formulas for cup-i
+products and fast computation of Steenrod squares", Comput. Geom. 2023)
+keeps the number of terms small.
 
 A d-cochain is stored as a Chain on the d-skeleton: over GF(2) with the
 simplex basis, chains and cochains carry identical data and differ only in
@@ -29,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress
-from operator import getitem, itemgetter
 
 from .errors import (
     DegreeOverflow,
@@ -37,7 +37,7 @@ from .errors import (
     IndexOutOfRange,
     PairingDegenerate,
 )
-from .gf2 import BitMatrix, from_flags, to_flags
+from .gf2 import BitMatrix, gather, scatter, to_flags
 from .homology import mod2_homology
 from .simplicial import Chain, Simplex, SimplicialComplex
 
@@ -52,8 +52,9 @@ class VertexOrder:
     subdivision construction wants.
 
     The order also keeps the face-index tables of the products on its
-    complex (`faces`) and the deletion columns they are read through, so
-    every product with one order reuses them.
+    complex (`faces`) and the deletion columns they are read through (in
+    the numeric order, the complex's own facet tables), so every product
+    with one order reuses them.
     """
 
     __slots__ = ("complex", "_rank", "_ascending", "_columns", "_faces")
@@ -68,7 +69,7 @@ class VertexOrder:
         self._rank = {v: i for i, v in enumerate(seq)}
         # ranks that increase with vertex ids sort every simplex as it is
         self._ascending = seq == verts
-        self._columns: dict[int, list[Sequence[int]]] = {}
+        self._columns: dict[int, Sequence[Sequence[int]]] = {}
         self._faces: dict[tuple[int, tuple[int, ...]], Sequence[int]] = {}
 
     @classmethod
@@ -87,21 +88,19 @@ class VertexOrder:
         """Vertices of `simplex` listed in increasing order rank."""
         return tuple(sorted(simplex, key=self._rank.__getitem__))
 
-    def _deletions(self, m: int) -> list[Sequence[int]]:
+    def _deletions(self, m: int) -> Sequence[Sequence[int]]:
         """Column r: for each m-simplex, the index of its facet that leaves
-        out the vertex of rank position r.  These are the columns of
-        facet_table(m), taken through each simplex's order permutation;
-        built once per m."""
+        out the vertex of rank position r.  In the numeric order that is
+        facet_table(m) itself, not a copy; otherwise its columns are taken
+        through each simplex's order permutation.  Kept per m."""
         columns = self._columns.get(m)
         if columns is None:
-            rows = self.complex.facet_table(m)
-            if self._ascending:
-                columns = list(zip(*rows))
-            else:
+            columns = self.complex.facet_table(m)
+            if not self._ascending:
                 # per rank position, each simplex's position of that vertex;
                 # each simplex is sorted once per order
                 ranked = zip(*(map(s.index, self.sort(s)) for s in self.complex.skeleton(m)))
-                columns = [list(map(getitem, rows, where)) for where in ranked]
+                columns = [[columns[k][j] for j, k in enumerate(where)] for where in ranked]
             self._columns[m] = columns
         return columns
 
@@ -113,8 +112,9 @@ class VertexOrder:
 
         All positions give the simplices themselves.  Otherwise the first
         position r left out names a facet, which keeps the order of the
-        other vertices, so the table is the facets' table at the positions
-        above r shifted down, read through the deletion column r."""
+        other vertices: with r the only one left out the table is deletion
+        column r, and else the facets' table at the positions above r
+        shifted down, read through that column."""
         if self.complex is not X:
             raise DimensionMismatch("order lives on a different complex")
         table = self._faces.get((m, positions))
@@ -124,7 +124,8 @@ class VertexOrder:
             else:
                 r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
                 sub = self.faces(X, m - 1, tuple(p - (p > r) for p in positions))
-                table = list(map(sub.__getitem__, self._deletions(m)[r]))
+                column = self._deletions(m)[r]
+                table = column if len(positions) == m else list(map(sub.__getitem__, column))
             self._faces[m, positions] = table
         return table
 
@@ -136,22 +137,6 @@ class VertexOrder:
 def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
     if cochain.complex is not X:
         raise DimensionMismatch(f"{name} lives on a different complex")
-
-
-def _low_first(bits: int, width: int) -> str:
-    """The `width` binary digits of `bits`, lowest bit first."""
-    return f"{bits:0{width}b}"[::-1]
-
-
-def gather(bits: int, table: list[int], width: int) -> int:
-    """The int whose bit idx is bit table[idx] of `bits`, a width-bit int.
-
-    One C-level pass: pick the digits of `bits` in the reverse of table
-    order, so that int(..., 2) reads bit table[0] last, as bit 0."""
-    if not table:
-        return 0
-    # with one index itemgetter returns a bare digit, which join also takes
-    return int("".join(itemgetter(*reversed(table))(_low_first(bits, width))), 2)
 
 
 def cup(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
@@ -174,11 +159,8 @@ def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     front = order.faces(X, d, tuple(range(p + 1)))
     back = order.faces(X, d, tuple(range(p, d + 1)))
     hit = gather(alpha.bits, front, X.n_simplices(p)) & c.bits
-    # one parity byte per (d-p)-simplex, flipped by each hit simplex's back face
-    parity = bytearray(X.n_simplices(d - p))
-    for face in compress(back, to_flags(hit, len(back))):
-        parity[face] ^= 1
-    return Chain(X, d - p, from_flags(parity))
+    return Chain(X, d - p, scatter(compress(back, to_flags(hit, len(back))),
+                                   X.n_simplices(d - p)))
 
 
 def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,

@@ -7,12 +7,12 @@ mod-2 chains can be plain int bit vectors (bit ``i`` = simplex ``skeleton(d)[i]`
 
 Complexes are immutable after construction; derived data (facet tables,
 coboundary matrices, the pseudomanifold diagnostic) is computed once and
-cached.  The facet tables are the one incidence record: row j of
-``facet_table(d)`` lists the indices in ``skeleton(d-1)`` of the facets of
-d-simplex j, entry k leaving out vertex k.  Every other incidence query
-reads them by index, as Ripser does (Bauer, J. Appl. Comput. Topol. 2021):
-the coboundary columns, the facets of the complex, the ridge counts and
-facet graph of the pseudomanifold check, and chain boundaries.
+cached.  The facet tables are the one incidence record, stored as deletion
+columns: entry j of column k of ``facet_table(d)`` is the index in
+``skeleton(d-1)`` of the facet of d-simplex j without vertex k.  Every other
+incidence query reads them by index, as Ripser does (Bauer, J. Appl.
+Comput. Topol. 2021): the coboundary columns, the facets of the complex, the
+pseudomanifold check, chain boundaries and the Wu oracle's face tables.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NotPseudomanifold,
     SimplexNotInComplex,
 )
-from .gf2 import BitMatrix, from_flags, set_bits, to_flags
+from .gf2 import BitMatrix, scatter, set_bits, to_flags
 
 __all__ = [
     "Simplex",
@@ -97,7 +97,7 @@ class SimplicialComplex:
         # trusted constructor: skeletons must already be closed and sorted
         self._skeletons = skeletons
         self._index = tuple({s: i for i, s in enumerate(sk)} for sk in skeletons)
-        self._facet_tables: dict[int, list[tuple[int, ...]]] = {}
+        self._facet_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._coboundary: dict[int, BitMatrix] = {}
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
@@ -136,8 +136,8 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[Simplex, ...]:
         """The simplices that are a face of none, in (len, s) order: the
-        top simplices, and below them those in no row of the facet table
-        one dimension up."""
+        top simplices, and below them those in no column of the facet
+        table one dimension up."""
         if self._facets is None:
             facets = []
             for d, sk in enumerate(self._skeletons[:-1]):
@@ -202,10 +202,10 @@ class SimplicialComplex:
         return tuple(self._skeletons[d + 1][j]
                      for j in set_bits(self.coboundary_matrix(d).columns[i]))
 
-    def facet_table(self, d: int) -> list[tuple[int, ...]]:
-        """Row j: the indices in skeleton(d-1) of the d+1 facets of d-simplex
-        j, entry k the facet that leaves out vertex k.  Built once, one
-        index lookup per facet."""
+    def facet_table(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """The d+1 deletion columns of the d-simplices: entry j of column k
+        is the index in skeleton(d-1) of the facet of d-simplex j that
+        leaves out vertex k.  Built once, one index lookup per facet."""
         if not 1 <= d <= self.dim:
             raise DimensionOutOfRange(f"facet table dimension {d} outside 1..{self.dim}")
         table = self._facet_tables.get(d)
@@ -213,11 +213,10 @@ class SimplicialComplex:
             sk, index = self._skeletons[d], self._index[d - 1]
             columns = []
             for k in range(d + 1):
-                rest = [i for i in range(d + 1) if i != k]
                 # itemgetter of one position gives a bare vertex; zip makes it a 1-tuple
-                faces = map(itemgetter(*rest), sk) if d > 1 else zip(map(itemgetter(*rest), sk))
-                columns.append(map(index.__getitem__, faces))
-            table = self._facet_tables[d] = list(zip(*columns))
+                faces = map(itemgetter(*range(k), *range(k + 1, d + 1)), sk)
+                columns.append(tuple(map(index.__getitem__, faces if d > 1 else zip(faces))))
+            table = self._facet_tables[d] = tuple(columns)
         return table
 
     def coboundary_matrix(self, d: int) -> BitMatrix:
@@ -227,12 +226,10 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"coboundary dimension {d} outside 0..{self.dim}")
         if d not in self._coboundary:
             columns = [0] * len(self._skeletons[d])
-            rows = self.facet_table(d + 1) if d < self.dim else ()
-            for j, row in enumerate(rows):
-                bit = 1 << j
-                for i in row:
-                    columns[i] |= bit
-            self._coboundary[d] = BitMatrix(len(rows), len(columns), columns)
+            for deletion in self.facet_table(d + 1) if d < self.dim else ():
+                for j, i in enumerate(deletion):
+                    columns[i] |= 1 << j
+            self._coboundary[d] = BitMatrix(self.n_simplices(d + 1), len(columns), columns)
         return self._coboundary[d]
 
     def boundary_matrix(self, d: int) -> BitMatrix:
@@ -284,12 +281,12 @@ class SimplicialComplex:
             return self._pm_report
         n = self.dim
         impure = tuple(f for f in self.facets if len(f) != n + 1)
-        # row j of facet_table(n) holds the ridges of top simplex j; points
+        # entry j of each column of facet_table(n) is a ridge of top j; points
         # have no ridge.  Union-find joins each top to the first top seen
         # around each of its ridges, giving the components of the facet graph.
         tops = self._skeletons[n] if n >= 0 else ()
-        ridges, rows = (self._skeletons[n - 1], self.facet_table(n)) if n >= 1 else ((), [])
-        count = Counter(chain.from_iterable(rows))
+        ridges, table = (self._skeletons[n - 1], self.facet_table(n)) if n >= 1 else ((), ())
+        count = Counter(chain.from_iterable(table))
         bad_ridges = [(r, c) for r, c in zip(ridges, map(count.__getitem__, range(len(ridges))))
                       if c != 2]
         root = list(range(len(tops)))
@@ -300,8 +297,8 @@ class SimplicialComplex:
             return j
 
         first: dict[int, int] = {}
-        for j, row in enumerate(rows):
-            for r in row:
+        for column in table:
+            for j, r in enumerate(column):
                 other = first.setdefault(r, j)
                 if other != j:
                     root[find(other)] = find(j)
@@ -363,7 +360,8 @@ class Chain:
         return self.bits.bit_count()
 
     def support(self) -> tuple[Simplex, ...]:
-        sk = self.complex.skeleton(self.dimension)
+        # a zero chain may lie in a zero group outside 0..dim, with no skeleton
+        sk = self.complex.skeleton(self.dimension) if self.bits else ()
         return tuple(sk[i] for i in set_bits(self.bits))
 
     def pairing(self, other: Chain) -> int:
@@ -373,15 +371,13 @@ class Chain:
 
     def boundary(self) -> Chain:
         """Bit r is the parity of the chain on the cofacets of (d-1)-simplex
-        r: the facet-table rows of the support, scattered into parities."""
+        r: each column of facet_table(d), compressed to the support, scattered."""
         d, X = self.dimension, self.complex
         if d <= 0 or d > X.dim:
             return Chain(X, d - 1, 0)
-        parity = bytearray(X.n_simplices(d - 1))
-        support = compress(X.facet_table(d), to_flags(self.bits, X.n_simplices(d)))
-        for r in chain.from_iterable(support):
-            parity[r] ^= 1
-        return Chain(X, d - 1, from_flags(parity))
+        flags = to_flags(self.bits, X.n_simplices(d))
+        faces = chain.from_iterable(compress(column, flags) for column in X.facet_table(d))
+        return Chain(X, d - 1, scatter(faces, X.n_simplices(d - 1)))
 
     def coboundary(self) -> Chain:
         """Cochain coboundary: delta_d applied to the bits."""

@@ -12,16 +12,16 @@ and the partner involution read them.
 
 What the verification report needs from the subdivision is counted on the
 base without listing a flag: the cycle flags and last-vertex images of the
-all-ones chains (`all_ones_chains`), as parities over the base's face-index
-tables.
+all-ones chains (`all_ones_chains`), as parities of the base's face-index
+tables scattered into bits.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .errors import DimensionOutOfRange, NotAFlagCell
-from .gf2 import BitMatrix, from_flags
+from .gf2 import BitMatrix, scatter
 from .oracle import VertexOrder
 from .simplicial import Chain, Simplex, SimplicialComplex
 
@@ -136,25 +136,26 @@ def all_ones_chains(base: SimplicialComplex) -> list[tuple[bool, Chain]]:
     number of simplices sigma >= rho with max sigma = v_d whose other
     vertices all lie in gaps of rho with index = d mod 2, gap g being the
     open interval after the first g vertices of rho.  `swlab.pipeline`
-    gives both counting arguments.  Both counts are parity bytearrays
-    flipped through the face-index tables of the complex's numeric order,
+    gives both counting arguments.  Each count in each degree is one
+    `gf2.scatter` over face-index tables of the complex's numeric order,
     which the Wu oracle reads too.
     """
     n = base.dim
     order = VertexOrder.numeric(base)
-    cofaces = [bytearray(base.n_simplices(d)) for d in range(n + 1)]
-    images = [bytearray(base.n_simplices(d)) for d in range(n + 1)]
-    for d in range(n + 1):
-        proper = [p for k in range(1, d + 1) for p in combinations(range(d + 1), k)]
-        # each sigma counts once for every proper face, and once for every
-        # admissible rho inside it
-        for counts, patterns in ((cofaces, proper), (images, _gap_patterns(d + 1))):
-            for positions in patterns:
-                parity = counts[len(positions) - 1]
-                for face in order.faces(base, d, positions):
-                    parity[face] ^= 1
-    highest_odd = max((d for d, counts in enumerate(cofaces) if any(counts)), default=-1)
-    return [(d == 0 or highest_odd < d - 1, Chain(base, d, from_flags(image)))
+
+    def scattered(d, tables):
+        return scatter(chain.from_iterable(tables), base.n_simplices(d))
+
+    # each sigma counts once for every proper face, and once for every
+    # admissible rho inside it
+    cofaces = [scattered(d, (order.faces(base, m, p) for m in range(d + 1, n + 1)
+                             for p in combinations(range(m + 1), d + 1)))
+               for d in range(n + 1)]
+    images = [scattered(d, (order.faces(base, m, p) for m in range(d, n + 1)
+                            for p in _gap_patterns(m + 1) if len(p) == d + 1))
+              for d in range(n + 1)]
+    highest_odd = max((d for d, odd in enumerate(cofaces) if odd), default=-1)
+    return [(d == 0 or highest_odd < d - 1, Chain(base, d, image))
             for d, image in enumerate(images)]
 
 

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import swlab
 from swlab.errors import DimensionMismatch
-from swlab.gf2 import BitMatrix, EchelonBasis
+from swlab.gf2 import BitMatrix, EchelonBasis, gather, scatter
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -293,3 +295,32 @@ def test_classes_and_corpus_commands_do_not_load_numpy(tmp_path):
             f"{report!r}]), cli.main(['corpus', 'list']))\n"
             "print(codes, 'numpy' in sys.modules)")
     assert _last_line_of(code) == "(0, 0) False"
+
+
+def _tables(rng):
+    """(table, width) pairs: random tables with repeated indices, an empty
+    table, one-index tables, a range table and width 0."""
+    out = [([], 0), ([], 5), ([0], 1), ([3], 7), (range(9), 9)]
+    for width in (1, 2, 13, 64, 65, 300):
+        for size in (1, 5, 40, 400):
+            out.append(([rng.randrange(width) for _ in range(size)], width))
+    return out
+
+
+def test_gather_matches_a_per_bit_loop():
+    rng = random.Random(29)
+    for table, width in _tables(rng):
+        for bits in (0, (1 << width) - 1, rng.getrandbits(width) if width else 0):
+            expected = sum(((bits >> i) & 1) << j for j, i in enumerate(table))
+            assert gather(bits, table, width) == expected, (table, width, bits)
+
+
+def test_scatter_is_the_parity_of_the_index_counts():
+    rng = random.Random(30)
+    for table, width in _tables(rng):
+        parity = 0
+        for i in table:
+            parity ^= 1 << i
+        counts = Counter(table)
+        assert scatter(table, width) == parity, (table, width)
+        assert scatter(iter(table), width) == sum(1 << i for i, c in counts.items() if c & 1)

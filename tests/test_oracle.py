@@ -291,6 +291,22 @@ def test_face_tables_match_the_sorted_tuple_lookup(face_complex):
                         == ref_faces(X, order, m, positions), (m, positions)
 
 
+def test_facet_table_columns_are_the_numeric_facet_tables(face_complex):
+    """Column k of facet_table(d) is each d-simplex's facet without vertex
+    k, and the numeric order's table of the facets without position r is
+    column r itself, not a copy."""
+    X = face_complex
+    order = VertexOrder.numeric(X)
+    for m in range(1, X.dim + 1):
+        table = X.facet_table(m)
+        assert len(table) == m + 1
+        for k, column in enumerate(table):
+            assert list(column) == [X.index(s[:k] + s[k + 1:]) for s in X.skeleton(m)]
+        for r in range(m + 1):
+            positions = tuple(p for p in range(m + 1) if p != r)
+            assert order.faces(X, m, positions) is table[r]
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_face_tables_are_built_once_per_order(entries, monkeypatch, name):
     """Across all_ones_chains, wu_classes and the degree caps, each

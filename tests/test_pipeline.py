@@ -431,6 +431,25 @@ def test_all_ones_chains_under_relabeling_and_subdivision(entries, name, data):
     assert report.all_matched and report.pairing_ok
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_compute_report_computes_the_fundamental_cycle_once(monkeypatch, name):
+    """wu_classes checks the fundamental cycle; the report reuses it."""
+    from swlab import oracle, pipeline
+
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return oracle_fundamental_cycle(X)
+
+    oracle_fundamental_cycle = oracle.fundamental_cycle
+    monkeypatch.setattr(oracle, "fundamental_cycle", counting)
+    monkeypatch.setattr(pipeline, "fundamental_cycle", counting, raising=False)
+    X = corpus(name).complex()
+    assert compute_report(X).all_matched
+    assert calls == [X]
+
+
 def test_compute_report_stays_on_the_base(monkeypatch):
     """No subdivision, no derived complex, no subdivision chain map, and
     homology of K only."""

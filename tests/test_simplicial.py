@@ -307,6 +307,15 @@ def test_out_of_range_chain_groups_are_zero():
     assert top.coboundary().is_zero()
 
 
+@pytest.mark.parametrize("d", [-1, 3])
+def test_zero_groups_have_empty_support(d):
+    """Dimensions -1 and dim + 1 are zero groups (Sq above the top degree
+    returns one): their chain has no support."""
+    X = sphere2()
+    assert Chain(X, d, 0).support() == ()
+    assert Chain.zero(X, d).support() == ()
+
+
 def test_fundamental_cycle_of_sphere():
     X = sphere2()
     gamma = Chain.all_ones(X, 2)
