@@ -8,7 +8,7 @@ counterparts by geodesic integration on model metrics.
 from __future__ import annotations
 
 from . import errors
-from .corpus import CORPUS_NAMES, CorpusEntry, corpus, corpus_entries
+from .corpus import CORPUS_NAMES, CorpusEntry, corpus_entries
 from .fileio import (
     parse_complex_file,
     parse_complex_text,
@@ -58,7 +58,6 @@ __all__ = [
     "cap",
     "class_of",
     "compute_report",
-    "corpus",
     "corpus_entries",
     "cup",
     "cup_i",

@@ -26,7 +26,10 @@ Stiefel-Whitney homology classes", Proc. AMS 1976).
   whose sizes differ by k, or below the last member, there are 2^k - 2
   choices, an even number; above the top there is one per proper coface of
   s_0.  So ht in degree d >= 1 is a cycle exactly when every simplex of K of
-  dimension >= d-1 has an even number of proper cofaces.
+  dimension >= d-1 has an even number of proper cofaces.  On K itself the
+  all-ones d-chain is a cycle exactly when every (d-1)-simplex has an even
+  number of d-cofaces (`k_level_cocycle`), so one count of the m-cofaces of
+  each d-simplex, per pair d < m, answers both.
 - Image: for a d-simplex rho = (v_0 < ... < v_d) of K, the coefficient of
   rho in lambda_# ht is the parity of the number of simplices sigma >= rho
   with max sigma = v_d whose other vertices all lie in gaps of rho with index
@@ -42,12 +45,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import reduce
+from itertools import chain, combinations
+from operator import xor
 
 from .errors import OracleConflict
+from .gf2 import scatter
 from .homology import mod2_homology
 from .oracle import VertexOrder, cap, wu_classes
 from .simplicial import Chain, SimplicialComplex
-from .subdivision import all_ones_chains
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,47 @@ class SWReport:
         return all(row.matches_oracle for row in self.rows)
 
 
+def _gap_patterns(size: int) -> list[tuple[int, ...]]:
+    """Positions of the faces rho of a sorted simplex of `size` vertices that
+    keep its largest vertex and leave each other vertex in a gap of rho whose
+    index has the parity of dim rho.  The gap index of a vertex outside rho
+    is the number of rho's vertices below it."""
+    top = size - 1
+    patterns = []
+    for mask in range(1 << top):
+        d = mask.bit_count()
+        if all((mask & ((1 << i) - 1)).bit_count() % 2 == d % 2
+               for i in range(top) if not mask >> i & 1):
+            patterns.append(tuple(i for i in range(top) if mask >> i & 1) + (top,))
+    return patterns
+
+
+def all_ones_chains(K: SimplicialComplex) -> list[tuple[bool, bool, Chain]]:
+    """Per degree d: whether the all-ones d-chain of K is a cycle, whether
+    the all-ones d-chain of K' is, and the image of the latter under the
+    last-vertex map, all counted on K by the rules of the module docstring.
+    Each count of m-cofaces on the d-simplices, and each image, is one
+    `gf2.scatter` over face-index tables of K's numeric order, which the
+    Wu oracle reads too."""
+    n = K.dim
+    order = VertexOrder.numeric(K)
+
+    def scattered(d, tables):
+        return scatter(chain.from_iterable(tables), K.n_simplices(d))
+
+    # cofaces[d][m - d - 1]: each d-simplex counts once per m-coface
+    cofaces = [[scattered(d, (order.faces(K, m, p) for p in combinations(range(m + 1), d + 1)))
+                for m in range(d + 1, n + 1)] for d in range(n + 1)]
+    # and each sigma once for every admissible rho inside it
+    images = [scattered(d, (order.faces(K, m, p) for m in range(d, n + 1)
+                            for p in _gap_patterns(m + 1) if len(p) == d + 1))
+              for d in range(n + 1)]
+    highest_odd = max((d for d, counts in enumerate(cofaces) if reduce(xor, counts, 0)),
+                      default=-1)
+    return [(d == 0 or not cofaces[d - 1][0], d == 0 or highest_odd < d - 1,
+             Chain(K, d, image)) for d, image in enumerate(images)]
+
+
 def compute_report(K: SimplicialComplex) -> SWReport:
     """Run the full dual-cell vs Wu-oracle comparison on K."""
     pm = K.require_closed_pseudomanifold()
@@ -134,7 +181,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
     rows = []
     conflicts = []
     for i in range(n + 1):
-        closed, image = all_ones[n - i]
+        _, closed, image = all_ones[n - i]
         class_nonzero, matches = False, None
         if closed:
             coords = H.homology_coordinates(image, which="all-ones image")
@@ -148,9 +195,6 @@ def compute_report(K: SimplicialComplex) -> SWReport:
 
     t0 = time.perf_counter()
     pairing_ok = pm.ridges_ok
-    # the all-ones d-chain is a cycle when each column of delta_{d-1} is even
-    k_level = tuple(d == 0 or not any(c.bit_count() & 1 for c in K.coboundary_matrix(d - 1).columns)
-                    for d in range(n, -1, -1))
     timings["pairing"] = time.perf_counter() - t0
 
     report = SWReport(
@@ -158,7 +202,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
         f_vector=K.f_vector,
         betti=betti,
         rows=tuple(rows),
-        k_level_cocycle=k_level,
+        k_level_cocycle=tuple(all_ones[n - i][0] for i in range(n + 1)),
         pairing_ok=pairing_ok,
         timings=timings,
     )

@@ -244,19 +244,9 @@ class SimplicialComplex:
         s = canonical_simplex(simplex)
         self._locate(s)  # raises SimplexNotInComplex
         sset = set(s)
-        by_dim: dict[int, set[Simplex]] = {}
-        for t in self.simplices():
-            if len(t) <= len(s):
-                continue
-            tset = set(t)
-            if sset <= tset:
-                rest = tuple(v for v in t if v not in sset)
-                by_dim.setdefault(len(rest) - 1, set()).add(rest)
-        if not by_dim:
-            return SimplicialComplex.empty()
-        dim = max(by_dim)
-        skeletons = tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(dim + 1))
-        return SimplicialComplex(skeletons)
+        return SimplicialComplex.from_canonical_facets(
+            tuple(v for v in t if v not in sset)
+            for t in self.simplices() if len(t) > len(s) and sset <= set(t))
 
     # ---------------------------------------------------------- pseudomanifold
 

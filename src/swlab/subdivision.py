@@ -10,24 +10,21 @@ canonical.  A derived simplex is its id tuple, and `simplices[v]` maps a
 derived vertex back to its base simplex; the chain maps, the flag dual cells
 and the partner involution read them.
 
-What the verification report needs from the subdivision is counted on the
-base without listing a flag: the cycle flags and last-vertex images of the
-all-ones chains (`all_ones_chains`), as parities of the base's face-index
-tables scattered into bits.
+The verification report builds none of this: it counts what it needs on the
+base (`swlab.pipeline.all_ones_chains`).  This module is the flag-level
+reference those counts are checked against.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
+from itertools import permutations
 
 from .errors import DimensionOutOfRange, NotAFlagCell
-from .gf2 import BitMatrix, scatter
-from .oracle import VertexOrder
-from .simplicial import Chain, Simplex, SimplicialComplex
+from .gf2 import BitMatrix
+from .simplicial import Simplex, SimplicialComplex
 
 __all__ = [
     "SubdividedComplex",
-    "all_ones_chains",
     "barycentric_subdivide",
     "derived_facets",
     "flag_dual_cells",
@@ -108,55 +105,6 @@ class SubdividedComplex:
 
 def barycentric_subdivide(complex: SimplicialComplex) -> SubdividedComplex:
     return SubdividedComplex(complex)
-
-
-def _gap_patterns(size: int) -> list[tuple[int, ...]]:
-    """Positions of the faces rho of a sorted simplex of `size` vertices that
-    keep its largest vertex and leave each other vertex in a gap of rho whose
-    index has the parity of dim rho.  The gap index of a vertex outside rho
-    is the number of rho's vertices below it."""
-    top = size - 1
-    patterns = []
-    for mask in range(1 << top):
-        d = mask.bit_count()
-        if all((mask & ((1 << i) - 1)).bit_count() % 2 == d % 2
-               for i in range(top) if not mask >> i & 1):
-            patterns.append(tuple(i for i in range(top) if mask >> i & 1) + (top,))
-    return patterns
-
-
-def all_ones_chains(base: SimplicialComplex) -> list[tuple[bool, Chain]]:
-    """Per degree d: whether the all-ones d-chain of the barycentric
-    subdivision is a cycle, and its image on the base under the last-vertex
-    map, both counted on the base without listing a flag.
-
-    For d >= 1 the chain is a cycle exactly when every simplex of dimension
-    >= d-1 has an even number of proper cofaces.  The coefficient of a
-    d-simplex rho = (v_0 < ... < v_d) in the image is the parity of the
-    number of simplices sigma >= rho with max sigma = v_d whose other
-    vertices all lie in gaps of rho with index = d mod 2, gap g being the
-    open interval after the first g vertices of rho.  `swlab.pipeline`
-    gives both counting arguments.  Each count in each degree is one
-    `gf2.scatter` over face-index tables of the complex's numeric order,
-    which the Wu oracle reads too.
-    """
-    n = base.dim
-    order = VertexOrder.numeric(base)
-
-    def scattered(d, tables):
-        return scatter(chain.from_iterable(tables), base.n_simplices(d))
-
-    # each sigma counts once for every proper face, and once for every
-    # admissible rho inside it
-    cofaces = [scattered(d, (order.faces(base, m, p) for m in range(d + 1, n + 1)
-                             for p in combinations(range(m + 1), d + 1)))
-               for d in range(n + 1)]
-    images = [scattered(d, (order.faces(base, m, p) for m in range(d, n + 1)
-                            for p in _gap_patterns(m + 1) if len(p) == d + 1))
-              for d in range(n + 1)]
-    highest_odd = max((d for d, odd in enumerate(cofaces) if odd), default=-1)
-    return [(d == 0 or highest_odd < d - 1, Chain(base, d, image))
-            for d, image in enumerate(images)]
 
 
 def flag_dual_cells(subdivision: SubdividedComplex, i: int):

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 
 import pytest
 
+import swlab.corpus as corpus_module
 from swlab import cli, fileio, simplicial
 from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus, corpus_entries
 from swlab.errors import (
@@ -24,9 +24,6 @@ from swlab.fileio import (
 )
 from swlab.pipeline import compute_report
 from swlab.simplicial import build_complex
-
-# the package exports the function `corpus`, which shadows the module
-corpus_module = importlib.import_module("swlab.corpus")
 
 EXPECTED_F = {
     "s2": (4, 6, 4),

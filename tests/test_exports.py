@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import sys
 
 import pytest
 
@@ -19,3 +20,10 @@ def test_every_export_resolves(module):
     assert mod.__all__
     for name in mod.__all__:
         getattr(mod, name)
+
+
+def test_corpus_is_the_module():
+    # the package exports no `corpus` function that would shadow it
+    import swlab.corpus as m
+
+    assert m is sys.modules["swlab.corpus"]

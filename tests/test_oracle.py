@@ -29,7 +29,8 @@ from swlab.oracle import (
 )
 from swlab import simplicial
 from swlab.simplicial import Chain, build_complex
-from swlab.subdivision import all_ones_chains, barycentric_subdivide
+from swlab.pipeline import all_ones_chains
+from swlab.subdivision import barycentric_subdivide
 
 TRIALS = 100
 

@@ -27,24 +27,24 @@ from swlab.errors import (
 from swlab.fileio import serialize_complex, write_complex_file
 from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
-from swlab.oracle import cap, class_of, wu_classes
-from swlab.pipeline import SWReport, compute_report
+from swlab.oracle import cap, class_of, fundamental_cycle, wu_classes
+from swlab.pipeline import SWReport, all_ones_chains, compute_report
 from swlab.simplicial import Chain, SimplicialComplex, build_complex
 from swlab.subdivision import (
     SubdividedComplex,
-    all_ones_chains,
     barycentric_subdivide,
     flag_dual_cells,
 )
 
 
 def ref_all_ones_chains(S):
-    """One pass over the derived simplices of S: per degree d, whether the all-ones
-    d-chain of the derived complex is a cycle (for d >= 1: every
-    (d-1)-simplex has an even number of d-cofaces), and its image on the
-    base under the last-vertex map, which sends a flag to the span of its
-    members' largest vertices (they never increase along the flag), or to
-    zero when two of them coincide."""
+    """One pass over the derived simplices of S: per degree d, whether the
+    all-ones d-chain of the base is a cycle, by its boundary; whether the
+    all-ones d-chain of the derived complex is a cycle (for d >= 1: every
+    (d-1)-simplex has an even number of d-cofaces); and the latter's image
+    on the base under the last-vertex map, which sends a flag to the span of
+    its members' largest vertices (they never increase along the flag), or
+    to zero when two of them coincide."""
     odd_faces = [set() for _ in range(S.base.dim + 1)]
     odd_images = [set() for _ in range(S.base.dim + 1)]
     for ids in S.derived.simplices():
@@ -55,7 +55,8 @@ def ref_all_ones_chains(S):
         if len(set(last)) == d + 1:
             odd_images[d].symmetric_difference_update((last,))
     index = S.base._index
-    return [(not faces, Chain(S.base, d, sum(1 << index[d][s] for s in images)))
+    return [(Chain.all_ones(S.base, d).boundary().is_zero(), not faces,
+             Chain(S.base, d, sum(1 << index[d][s] for s in images)))
             for d, (faces, images) in enumerate(zip(odd_faces, odd_images))]
 
 
@@ -269,8 +270,8 @@ def test_all_ones_image_that_is_not_a_cycle_is_rejected(monkeypatch):
     X = corpus("rp2-6").complex()
 
     def one_simplex_images(K):
-        return [(True, Chain(K, d, 1) if d else image)
-                for d, (_, image) in enumerate(all_ones_chains(K))]
+        return [(k_cycle, True, Chain(K, d, 1) if d else image)
+                for d, (k_cycle, _, image) in enumerate(all_ones_chains(K))]
 
     monkeypatch.setattr("swlab.pipeline.all_ones_chains", one_simplex_images)
     with pytest.raises(NotACycle) as exc_info:
@@ -371,14 +372,14 @@ def test_all_ones_cycle_flag_where_a_degree_is_not_a_cycle():
     # the suspension of rp2 is not an Euler space: its all-ones 1-chain on the
     # subdivision is not a cycle, and the coface parity must say so
     S = barycentric_subdivide(suspension(corpus("rp2-6").complex()))
-    flags = [is_cycle for is_cycle, _ in all_ones_chains(S.base)]
+    flags = [is_cycle for _, is_cycle, _ in all_ones_chains(S.base)]
     assert flags == [Chain.all_ones(S.derived, d).boundary().is_zero()
                      for d in range(S.base.dim + 1)]
     assert flags[1] is False
     # in the double suspension both vertices and edges can have an odd
     # number of cofaces; the edges decide degree 2
     S = barycentric_subdivide(suspension(S.base))
-    flags = [is_cycle for is_cycle, _ in all_ones_chains(S.base)]
+    flags = [is_cycle for _, is_cycle, _ in all_ones_chains(S.base)]
     assert flags == [Chain.all_ones(S.derived, d).boundary().is_zero()
                      for d in range(S.base.dim + 1)]
     assert flags == [True, False, False, True, True]
@@ -523,6 +524,29 @@ def test_connected_sums(left, right, betti, pattern):
     assert report.betti == betti
     assert tuple(row.class_nonzero for row in report.rows) == pattern
     assert report.all_matched
+
+
+# name: (complex, chi mod 2)
+TOP_NUMBER_INPUTS = {
+    **{name: (lambda name=name: corpus(name).complex(), int(name == "rp2-6"))
+       for name in CORPUS_NAMES},
+    "s2xs2": (lambda: product(corpus("s2").complex(), corpus("s2").complex()), 0),
+    "rp2-6#t2-7": (lambda: connected_sum(corpus("rp2-6").complex(),
+                                         corpus("t2-7").complex()), 1),
+    "rp4": (lambda: build_complex(_rpn_facets(4)), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(TOP_NUMBER_INPUTS))
+def test_top_stiefel_whitney_number_is_the_euler_characteristic(name):
+    """A third witness, read off the complex and not off the dual cells:
+    the Wu oracle's top class paired with the fundamental cycle,
+    <w_n, [M]>, is chi(M) mod 2 (the top class reduces the Euler class;
+    Milnor and Stasheff, Characteristic Classes, Cor. 11.12)."""
+    build, chi_mod_2 = TOP_NUMBER_INPUTS[name]
+    X = build()
+    assert X.euler_characteristic() % 2 == chi_mod_2
+    assert wu_classes(X).w[X.dim].cocycle.pairing(fundamental_cycle(X)) == chi_mod_2
 
 
 def stellar_move(X, facet):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from swlab.corpus import CORPUS_NAMES, corpus
 from swlab.errors import DimensionOutOfRange, NotAFlagCell, NotPseudomanifold
 from swlab.oracle import fundamental_cycle
+from swlab.pipeline import all_ones_chains
 from swlab.simplicial import Chain, SimplicialComplex, build_complex
 from swlab.subdivision import (
-    all_ones_chains,
     barycentric_subdivide,
     derived_facets,
     flag_dual_cells,
@@ -98,7 +98,7 @@ def test_chain_map_of_fundamental_cycle_is_cycle():
         # the subdivided fundamental cycle is the all-ones top chain, and the
         # last-vertex map takes that chain back to the fundamental cycle exactly
         assert pushed == Chain.all_ones(S.derived, n), name
-        assert all_ones_chains(S.base)[n] == (True, gamma), name
+        assert all_ones_chains(S.base)[n] == (True, True, gamma), name
 
 
 def last_vertex_map(S, chain):
@@ -129,7 +129,8 @@ def test_all_ones_chains_agree_with_the_derived_complex(name):
     # the counts on the base against the boundary and the reference map on
     # the built derived complex
     S = barycentric_subdivide(corpus(name).complex())
-    for d, (is_cycle, image) in enumerate(all_ones_chains(S.base)):
+    for d, (k_cycle, is_cycle, image) in enumerate(all_ones_chains(S.base)):
+        assert k_cycle == Chain.all_ones(S.base, d).boundary().is_zero(), d
         ht = Chain.all_ones(S.derived, d)
         assert is_cycle == ht.boundary().is_zero(), d
         assert image == last_vertex_map(S, ht), d
