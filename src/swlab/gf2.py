@@ -18,11 +18,9 @@ records the reduction R = D V: a column whose row part reduces to zero
 carries a kernel vector in its tag bits, and `EchelonBasis.tags` reads a
 solution off them.  `BitMatrix.tagged_reduction` may leave out columns known
 to add nothing; `swlab.homology` leaves out the cleared ones, so that one
-tagged pass per coboundary gives its rank, image and kernel.  Each `BitMatrix`
-owns and caches its transpose and its column space.  The transpose serves
-only the references: `row_space` (the transpose's column space), the
-boundary matrices and the cached `null_space` are what the tests compare
-against; no rank, image or kernel of a report goes through them.
+tagged pass per coboundary gives its rank, image and kernel.  A `BitMatrix`
+is a plain value that caches nothing: `transpose`, `column_space`,
+`row_space`, `rank` and `null_space` compute their result on every call.
 
 Columns are reduced in index order, so every basis, rank, solution and kernel
 basis is reproducible bit for bit.
@@ -141,10 +139,10 @@ class EchelonBasis:
 
 
 class BitMatrix:
-    """Immutable-by-convention GF(2) matrix. Build once, then query."""
+    """A GF(2) matrix as a plain value: its shape and its columns, compared
+    by value.  Every query computes its result afresh."""
 
-    __slots__ = ("rows", "cols", "columns", "_transpose", "_column_space",
-                 "_null_space")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: list[int] | None = None):
         if rows < 0 or cols < 0:
@@ -156,9 +154,6 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
-        self._transpose: BitMatrix | None = None
-        self._column_space: EchelonBasis | None = None
-        self._null_space: list[int] | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -175,10 +170,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols)
 
     # ---------------------------------------------------------------- access
 
@@ -203,25 +194,18 @@ class BitMatrix:
             and self.columns == other.columns
         )
 
-    def __hash__(self):  # identity-based: matrices are build-once objects
-        return id(self)
-
     def __repr__(self):
         return f"BitMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     # ------------------------------------------------------------- operators
 
     def transpose(self) -> BitMatrix:
-        if self._transpose is None:
-            rows = [0] * self.rows
-            for j, c in enumerate(self.columns):
-                bit = 1 << j
-                for i in set_bits(c):
-                    rows[i] |= bit
-            t = BitMatrix(self.cols, self.rows, rows)
-            t._transpose = self
-            self._transpose = t
-        return self._transpose
+        rows = [0] * self.rows
+        for j, c in enumerate(self.columns):
+            bit = 1 << j
+            for i in set_bits(c):
+                rows[i] |= bit
+        return BitMatrix(self.cols, self.rows, rows)
 
     def matvec(self, x: int) -> int:
         """Matrix-vector product over GF(2); x is a length-cols bit int."""
@@ -242,13 +226,11 @@ class BitMatrix:
     # ------------------------------------------------------------ elimination
 
     def column_space(self) -> EchelonBasis:
-        """Basis of the column space (lowest-pivot column reduction, cached)."""
-        if self._column_space is None:
-            basis = EchelonBasis(self.rows)
-            for c in self.columns:
-                basis.insert(c)
-            self._column_space = basis
-        return self._column_space
+        """Basis of the column space (lowest-pivot column reduction)."""
+        basis = EchelonBasis(self.rows)
+        for c in self.columns:
+            basis.insert(c)
+        return basis
 
     def row_space(self) -> EchelonBasis:
         return self.transpose().column_space()
@@ -288,9 +270,6 @@ class BitMatrix:
         """Kernel basis, one vector per column that depends on earlier ones.
 
         The vector for column j has j as its highest bit, so the cols - rank
-        vectors are independent.  The vectors are cached (not the tagged
-        basis); each call returns a fresh list."""
-        if self._null_space is None:
-            self._null_space = self.tagged_reduction()[1]
-        return list(self._null_space)
+        vectors are independent."""
+        return self.tagged_reduction()[1]
 

@@ -76,7 +76,8 @@ class HomologySummary:
         return degrees[d]
 
     def boundary_image_basis(self, d: int) -> EchelonBasis:
-        """Echelon basis of im(boundary_{d+1}) inside C_d."""
+        """Echelon basis of im(boundary_{d+1}) inside C_d, reduced afresh from
+        boundary_matrix(d + 1) on each call: a reference, off the pass."""
         if d + 1 < 1 or d + 1 > self.complex.dim:
             return EchelonBasis(self.complex.n_simplices(d))
         return self.complex.boundary_matrix(d + 1).column_space()
@@ -132,7 +133,8 @@ class HomologySummary:
                 == self.homology_coordinates(z2, which="second cycle"))
 
     def cycle_basis(self, d: int) -> list[int]:
-        """Kernel basis of boundary_d (whole chain group when d = 0)."""
+        """Kernel basis of boundary_d (whole chain group when d = 0), reduced
+        afresh from boundary_matrix(d) on each call: a reference, off the pass."""
         if d < 0 or d > self.complex.dim:
             return []
         if d == 0:

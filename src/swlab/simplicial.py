@@ -11,8 +11,9 @@ cached.  The facet tables are the one incidence record, stored as deletion
 columns: entry j of column k of ``facet_table(d)`` is the index in
 ``skeleton(d-1)`` of the facet of d-simplex j without vertex k.  Every other
 incidence query reads them by index, as Ripser does (Bauer, J. Appl.
-Comput. Topol. 2021): the coboundary columns, the facets of the complex, the
-pseudomanifold check, chain boundaries and the Wu oracle's face tables.
+Comput. Topol. 2021): the coboundary columns, the references' boundary
+matrices, the facets of the complex, the pseudomanifold check, chain
+boundaries and the Wu oracle's face tables.
 """
 
 from __future__ import annotations
@@ -233,11 +234,13 @@ class SimplicialComplex:
         return self._coboundary[d]
 
     def boundary_matrix(self, d: int) -> BitMatrix:
-        """Mod-2 boundary: rows = (d-1)-simplices, columns = d-simplices.
-        The transpose of coboundary_matrix(d - 1), for the references."""
+        """Mod-2 boundary, built afresh from facet_table(d) for the
+        references: rows = (d-1)-simplices, columns = d-simplices; column j
+        has the bits of the facets of d-simplex j."""
         if not 1 <= d <= self.dim:
             raise DimensionOutOfRange(f"boundary dimension {d} outside 1..{self.dim}")
-        return self.coboundary_matrix(d - 1).transpose()
+        columns = [sum(1 << i for i in faces) for faces in zip(*self.facet_table(d))]
+        return BitMatrix(len(self._skeletons[d - 1]), len(columns), columns)
 
     def link(self, simplex) -> SimplicialComplex:
         """All tau disjoint from sigma with tau + sigma in the complex."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import time
+import zlib
 
 import numpy as np
 
@@ -256,7 +257,9 @@ def test_criterion_10_oracle_self_tests(capsys):
         X = corpus(name).complex()
         n = X.dim
         order = VertexOrder.numeric(X)
-        rng = np.random.default_rng(hash(name) & 0xFFFF)
+        # str hashes change from process to process; crc32 does not, so
+        # every run draws the same trials and a failure can be replayed
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
 
         for _ in range(100):
             p = int(rng.integers(0, n))

@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from swlab.errors import (
 from swlab.fileio import serialize_complex, write_complex_file
 from swlab.gf2 import BitMatrix
 from swlab.homology import mod2_homology
-from swlab.oracle import cap, class_of, fundamental_cycle, wu_classes
+from swlab.oracle import VertexOrder, cap, class_of, cup, fundamental_cycle, wu_classes
 from swlab.pipeline import SWReport, all_ones_chains, compute_report
 from swlab.simplicial import Chain, SimplicialComplex, build_complex
 from swlab.subdivision import (
@@ -284,13 +285,12 @@ def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
     """Every class is read as coordinates over the cohomology transcripts,
     so the report reduces the coboundary matrices and the Wu pairing
     matrices only, none of them twice the same way, and each coboundary
-    once in all."""
+    once in all, tagged."""
     reductions = []
     column_space, tagged = BitMatrix.column_space, BitMatrix.tagged_reduction
 
     def counting_column_space(self):
-        if self._column_space is None:
-            reductions.append(("column space", self))
+        reductions.append(("column space", self))
         return column_space(self)
 
     def counting_tagged(self, kept=None):
@@ -303,11 +303,14 @@ def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
     report = compute_report(X)
     assert report.all_matched
     boundaries = [X.boundary_matrix(k) for k in range(1, X.dim + 1)]
+    assert not any(m == b for _, m in reductions for b in boundaries)
     # the matrices stay referenced in `reductions`, so their ids are distinct
-    assert not any(m is b for _, m in reductions for b in boundaries)
     assert len({(kind, id(m)) for kind, m in reductions}) == len(reductions)
     reduced = [id(m) for _, m in reductions]
-    assert all(reduced.count(id(b.transpose())) == 1 for b in boundaries)
+    tagged_ids = [id(m) for kind, m in reductions if kind == "tagged"]
+    for k in range(X.dim + 1):
+        delta = id(X.coboundary_matrix(k))
+        assert reduced.count(delta) == tagged_ids.count(delta) == 1
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -526,14 +529,36 @@ def test_connected_sums(left, right, betti, pattern):
     assert report.all_matched
 
 
-# name: (complex, chi mod 2)
+def partitions(n, largest):
+    """The partitions of n into parts of at most `largest`, each as its
+    parts in non-increasing order."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+# name: (complex, the partitions I of n with <w_I, [M]> = 1), where I =
+# (i, j, ...) stands for the number of w_i w_j ...  Closed forms from Milnor
+# and Stasheff, Characteristic Classes, section 4: the numbers of a boundary
+# vanish, and s2, t2-7, s3, rp3 and s2 x s2 bound; the numbers add under #,
+# so klein = rp2 # rp2 has none and rp2 # t2-7 has those of rp2;
+# w(RP^n) = (1 + a)^(n+1), so RP^2 has w_2 = w_1^2 = a^2 and RP^4 has
+# w_4 = w_1^4 = a^4 with w_2 = w_3 = 0; and by the Whitney product formula
+# w(rp2 x rp2) = (1 + a + a^2)(1 + b + b^2), whose only nonzero numbers are
+# w_4 = w_2^2 = a^2 b^2.
+RP2 = {(2,), (1, 1)}
 TOP_NUMBER_INPUTS = {
-    **{name: (lambda name=name: corpus(name).complex(), int(name == "rp2-6"))
+    **{name: (lambda name=name: corpus(name).complex(), RP2 if name == "rp2-6" else set())
        for name in CORPUS_NAMES},
-    "s2xs2": (lambda: product(corpus("s2").complex(), corpus("s2").complex()), 0),
+    "s2xs2": (lambda: product(corpus("s2").complex(), corpus("s2").complex()), set()),
     "rp2-6#t2-7": (lambda: connected_sum(corpus("rp2-6").complex(),
-                                         corpus("t2-7").complex()), 1),
-    "rp4": (lambda: build_complex(_rpn_facets(4)), 1),
+                                         corpus("t2-7").complex()), RP2),
+    "rp2": (lambda: build_complex(_rpn_facets(2)), RP2),
+    "rp4": (lambda: build_complex(_rpn_facets(4)), {(4,), (1, 1, 1, 1)}),
+    "rp2-6xrp2-6": (lambda: product(corpus("rp2-6").complex(), corpus("rp2-6").complex()),
+                    {(4,), (2, 2)}),
 }
 
 
@@ -542,11 +567,23 @@ def test_top_stiefel_whitney_number_is_the_euler_characteristic(name):
     """A third witness, read off the complex and not off the dual cells:
     the Wu oracle's top class paired with the fundamental cycle,
     <w_n, [M]>, is chi(M) mod 2 (the top class reduces the Euler class;
-    Milnor and Stasheff, Characteristic Classes, Cor. 11.12)."""
-    build, chi_mod_2 = TOP_NUMBER_INPUTS[name]
+    Milnor and Stasheff, Characteristic Classes, Cor. 11.12), and every
+    Stiefel-Whitney number <w_I, [M]>, the w cocycles cupped over a
+    partition I of n and paired with the fundamental cycle, matches its
+    closed form."""
+    build, numbers = TOP_NUMBER_INPUTS[name]
     X = build()
+    chi_mod_2 = int((X.dim,) in numbers)
     assert X.euler_characteristic() % 2 == chi_mod_2
-    assert wu_classes(X).w[X.dim].cocycle.pairing(fundamental_cycle(X)) == chi_mod_2
+    order = VertexOrder.numeric(X)
+    w = [c.cocycle for c in wu_classes(X, order).w]
+    gamma = fundamental_cycle(X)
+    nonzero = set()
+    for parts in partitions(X.dim, X.dim):
+        w_I = reduce(lambda a, b: cup(X, order, a, b), (w[i] for i in parts))
+        if w_I.pairing(gamma):
+            nonzero.add(parts)
+    assert nonzero == numbers
 
 
 def stellar_move(X, facet):
