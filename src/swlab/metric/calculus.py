@@ -10,12 +10,17 @@ a closed form is not used.  The chart checks the domain and positive
 definiteness of every g the calculus sees.  `curvature_many` takes the
 outer derivatives of the Christoffel symbols by central differences on
 every chart, with the step H2 in chart coordinates.
-Geodesics integrate with fixed-step RK4.  Everything is batched over
-points so the probes can drive tens of thousands of rays through numpy at
-once: tensor contractions are batched matmuls on reshaped or transposed
-views, and the metric inverse is the closed-form adjugate over the
-determinant (charts have dimension 1..3), so the per-step path calls no
-einsum and no LAPACK routine.
+Geodesics integrate with fixed-step RK4 in one loop, `_shoot_together`:
+the rays are held coordinate-major, x and v as (d, N) arrays with one
+column per ray, so per-ray scalars broadcast along the contiguous axis,
+and groups of rays step together, each at its own step count.
+`geodesic_shoot_many` is one group; a probe's fine rays and their
+step-doubling companions are two, shot in as many steps as the fine
+rays alone.  Everything is batched over points so the probes can drive
+tens of thousands of rays through numpy at once: tensor contractions are
+batched matmuls on reshaped or transposed views, and the metric inverse
+is the closed-form adjugate over the determinant (charts have dimension
+1..3), so the per-step path calls no einsum and no LAPACK routine.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from ..errors import LeftDomain, OutOfDomain, SingularMetric
-from .charts import ConformalChart, MetricChart, _rowsum
+from .charts import ConformalChart, MetricChart, _colsum
 
 H1 = 1e-5
 H2 = 1e-3
@@ -152,24 +157,33 @@ def g_norms(g: np.ndarray, vectors) -> np.ndarray:
     return np.sqrt((g * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
 
 
-def _geodesic_rhs(chart, x, v):
-    """x' = v, v' = -Gamma(v, v) without forming the symbols.  On a
-    conformal chart g = e^(2u) I, Gamma^k_ij = d_ik u_j + d_jk u_i - d_ij u_k,
-    so v' = |v|^2 grad u - 2 <grad u, v> v with grad u = (phi'/phi) x.
-    Otherwise, with P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij, the
-    geodesic equation reads g v' = -(P - Q/2)."""
+def _spray(chart, x, v):
+    """The acceleration v' = -Gamma(v, v) of the rays whose positions and
+    velocities are the columns of x and v (d, N), without forming the
+    symbols.  On a conformal chart g = e^(2u) I,
+    Gamma^k_ij = d_ik u_j + d_jk u_i - d_ij u_k, so
+    v' = |v|^2 grad u - 2 <grad u, v> v with grad u = (phi'/phi) x, and
+    the per-ray scalars broadcast along the rows.  Otherwise, with
+    P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij, the geodesic
+    equation reads g v' = -(P - Q/2), solved on the transposed (N, d)
+    views."""
     if isinstance(chart, ConformalChart):
-        phi, slope, _ = chart.factor(x)
-        grad = (slope / phi)[:, None] * x
-        return v, _rowsum(v * v)[:, None] * grad \
-            - (2.0 * _rowsum(grad * v))[:, None] * v
+        _, phi, slope, _ = chart.factor_at(x)
+        grad = (slope / phi) * x
+        return _colsum(v * v) * grad - (2.0 * _colsum(grad * v)) * v
+    x, v = x.T, v.T
     g, dg = metric_jet(chart, x)
     n, d = v.shape
     vv = (v[:, :, None] * v[:, None, :]).reshape(n, 1, d * d)
     p = (vv @ dg.reshape(n, d * d, d))[:, 0]
     q = (dg.reshape(n, d, d * d) @ vv.transpose(0, 2, 1))[..., 0]
-    acc = -(_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0]
-    return v, acc
+    return -(_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0].T
+
+
+def _geodesic_rhs(chart, x, v):
+    """x' = v and v' = -Gamma(v, v) for rays given as rows of x and v
+    (N, d): `_spray` on the transposed views."""
+    return v, _spray(chart, x.T, v.T).T
 
 
 def rk4_step_count(length: float, h: float) -> int:
@@ -193,30 +207,59 @@ def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
     Returns (x, v) arrays, or with record=True the full trajectory arrays
     of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count does."""
     steps = rk4_step_count(length, h)
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
-    dt = length / steps
-    xs = [x.copy()] if record else None
-    vs = [v.copy()] if record else None
+    return _shoot_together(chart, x0, v0, length, (steps,), record)[0]
+
+
+def _shoot_together(chart: MetricChart, x0, v0, length: float, counts,
+                   record: bool = False):
+    """Shoot the rays (x0, v0) to `length` once for each RK4 step count
+    in `counts` (non-increasing), in one loop.
+
+    The state holds a copy of every ray per count, coordinate-major: x
+    and v are (d, rays * len(counts)) with one column per ray, and each
+    copy steps at its own length / count.  Once the shortest-stepped
+    copies reach `length` they are sliced off and the others step on
+    alone, so counts (2k, k) cost 2k steps of RK4, not 3k.  The arithmetic
+    on each ray is that of a shoot with its count alone.  Returns one
+    (x, v) pair per count as `geodesic_shoot_many` does.  Raises
+    LeftDomain when a stage leaves the chart's domain."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    n, groups = len(x0), len(counts)
+    x, v = np.tile(x0.T, groups), np.tile(v0.T, groups)
+    dt = np.repeat([length / steps for steps in counts], n)
+    xs, vs = [x], [v]
+    ends = [None] * groups
+    done = 0
     try:
-        for _ in range(steps):
-            k1x, k1v = _geodesic_rhs(chart, x, v)
-            k2x, k2v = _geodesic_rhs(chart, x + 0.5 * dt * k1x,
-                                     v + 0.5 * dt * k1v)
-            k3x, k3v = _geodesic_rhs(chart, x + 0.5 * dt * k2x,
-                                     v + 0.5 * dt * k2v)
-            k4x, k4v = _geodesic_rhs(chart, x + dt * k3x, v + dt * k3v)
-            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        for group in reversed(range(groups)):
+            cols = slice(group * n, (group + 1) * n)
+            x, v, dt = x[:, :cols.stop], v[:, :cols.stop], dt[:cols.stop]
+            half, sixth = 0.5 * dt, dt / 6.0
+            for _ in range(done, counts[group]):
+                k1 = _spray(chart, x, v)
+                x2, v2 = x + half * v, v + half * k1
+                k2 = _spray(chart, x2, v2)
+                x3, v3 = x + half * v2, v + half * k2
+                k3 = _spray(chart, x3, v3)
+                x4, v4 = x + dt * v3, v + dt * k3
+                k4 = _spray(chart, x4, v4)
+                x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+                v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if record:
+                    xs.append(x)
+                    vs.append(v)
+            done = counts[group]
             if record:
-                xs.append(x.copy())
-                vs.append(v.copy())
+                ends[group] = tuple(
+                    np.stack([s[:, cols] for s in states[:done + 1]])
+                    .transpose(0, 2, 1).copy() for states in (xs, vs))
+            else:
+                ends[group] = x[:, cols].T.copy(), v[:, cols].T.copy()
     except OutOfDomain as exc:
         raise LeftDomain(f"geodesic left the domain of {chart.name}",
                          exit_point=exc.point) from exc
-    if record:
-        return np.stack(xs), np.stack(vs)
-    return x, v
+    return ends
 
 
 # ---------------------------------------------------------------- w1 frames

@@ -137,16 +137,16 @@ def _ones(d):
     return ones
 
 
-def _rowsum(rows):
-    """The sum of each row of an (N, d) array.  A matmul: numpy reduces
+def _colsum(cols):
+    """The sum of each column of a (d, N) array.  A matmul: numpy reduces
     over a length-2 or 3 axis several times slower than BLAS contracts
     it."""
-    return rows @ _ones(rows.shape[1])
+    return _ones(len(cols)) @ cols
 
 
-def _norm2(pts):
-    """|x|^2 of every point."""
-    return _rowsum(pts * pts)
+def _columns(points) -> np.ndarray:
+    """The points as the columns of a (dim, N) float array (a view)."""
+    return np.atleast_2d(np.asarray(points, dtype=float)).T
 
 
 def _diag(vals, n):
@@ -158,44 +158,72 @@ def _diag(vals, n):
 
 class ConformalChart(MetricChart):
     """The chart g = phi(|x|^2) I, built from one function: factor(rho2)
-    returns phi and its first two derivatives in rho2 = |x|^2.  The metric
-    comes from it, and so do the calculus's closed-form geodesic spray and
-    `scalar_curvature`."""
+    returns phi and its first two derivatives in rho2 = |x|^2.  The
+    domain, if any, is a predicate on rho2 too.  The metric comes from the
+    factor, and so do the calculus's closed-form geodesic spray and
+    `scalar_curvature`, which run the chart's checks in `factor_at`."""
 
     __slots__ = ("_factor_fn",)
 
     def __init__(self, name, dim, factor, domain_fn=None):
         def metric_fn(pts):
-            return _diag((factor(_norm2(pts))[0],) * dim, len(pts))
+            return _diag((factor(_colsum(pts.T * pts.T))[0],) * dim, len(pts))
 
         super().__init__(name, dim, metric_fn, domain_fn)
         self._factor_fn = factor
 
-    def factor(self, points):
-        """(phi, phi', phi'') at the points, with the domain check of
-        `metric` and phi finite and positive at every point, which is the
-        Sylvester check of phi I."""
-        pts = self._domain_points(points)
-        phi, slope, curve = self._factor_fn(_norm2(pts))
+    def contains(self, points) -> np.ndarray:
+        x = _columns(points)
+        if self._domain_fn is None:
+            return np.ones(x.shape[1], dtype=bool)
+        return np.asarray(self._domain_fn(_colsum(x * x)), dtype=bool)
+
+    def factor_at(self, x):
+        """(rho2, phi, phi', phi'') at the points that are the columns of
+        x (dim, N), as the calculus stores its rays.  Raises OutOfDomain
+        for a wrong width or the first point outside the domain, and
+        SingularMetric for the first point where phi is not finite and
+        positive, which is the Sylvester check of phi I."""
+        if len(x) != self.dim:
+            raise OutOfDomain(
+                f"{self.name}: points must have {self.dim} coordinates")
+        rho2 = _colsum(x * x)
+        if self._domain_fn is not None:
+            inside = self._domain_fn(rho2)
+            if not inside.all():
+                bad = x.T[~inside][0]
+                raise OutOfDomain(
+                    f"{self.name}: point {bad} outside the domain", point=bad)
+        phi, slope, curve = self._factor_fn(rho2)
         ok = (phi > 0.0) & (phi < math.inf)
         if not ok.all():
             raise SingularMetric(
-                f"{self.name}: metric not positive definite at {pts[~ok][0]}")
-        return phi, slope, curve
+                f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
+        return rho2, phi, slope, curve
+
+    def factor(self, points):
+        """(phi, phi', phi'') at the (N, dim) points, checked as in
+        `factor_at`."""
+        return self.factor_at(_columns(points))[1:]
 
     def scalar_curvature(self, points) -> np.ndarray:
-        """The scalar curvature of g = e^(2u) I in closed form,
+        """The scalar curvature at the (N, dim) points, in closed form."""
+        return self.metric_and_scalar(points)[1]
+
+    def metric_and_scalar(self, points):
+        """The metric and the scalar curvature at the (N, dim) points from
+        one checked factor evaluation.  The scalar curvature of
+        g = e^(2u) I is, in closed form,
 
             R = -e^(-2u) (2 (n-1) Lap u + (n-2)(n-1) |grad u|^2),
 
         where u = log(phi) / 2, so grad u = w x with w = phi'/phi, and
         Lap u = n w + 2 rho2 w' with w' = dw / d rho2."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phi, slope, curve = self.factor(pts)
-        n, rho2 = self.dim, _norm2(pts)
-        w = slope / phi
+        rho2, phi, slope, curve = self.factor_at(_columns(points))
+        n, w = self.dim, slope / phi
         lap = n * w + 2.0 * rho2 * (curve / phi - w * w)
-        return -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
+        return _diag((phi,) * n, len(phi)), \
+            -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
 
 
 def _flat(rho2):
@@ -292,7 +320,7 @@ def _build_models() -> dict:
         _model(ConformalChart("round-s2/stereographic", 2, _stereographic),
                np.sin, np.cos, pole, 1.5, 2.0, half_tan),
         _model(ConformalChart("hyperbolic-2/disk", 2, _poincare,
-                              lambda pts: _norm2(pts) < 1.0 - 1e-9),
+                              lambda rho2: rho2 < 1.0 - 1e-9),
                np.sinh, np.cosh, big, 6.0, -2.0,
                lambda r: math.tanh(r / 2.0)),
         _model(ConformalChart("flat-3/cartesian", 3, _flat),
@@ -301,7 +329,7 @@ def _build_models() -> dict:
                np.sin, np.cos, pole, 1.5, 6.0, half_tan),
         # scalar curvature not constant; -36c at the center
         _model(ConformalChart("warped-3/conformal", 3, _warped(c),
-                              lambda pts: c * _norm2(pts) < 1.0),
+                              lambda rho2: c * rho2 < 1.0),
                lambda r: r + c * r ** 3, lambda r: 1.0 + 3.0 * c * r ** 2,
                big, 2.0, None, lambda r: r / math.sqrt(1.0 + c * r * r),
                scalar_at_center=-36.0 * c, warp_coefficient=c),

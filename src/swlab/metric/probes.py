@@ -6,8 +6,9 @@ spectral (the ray families are periodic), radial quadrature uses Simpson
 shells, and every probe carries a self-estimated numerical error so a
 too-coarse grid or step is detected instead of silently trusted.  The
 error has three parts: quadrature (a lower-order comparison on the same
-rays), integration (the step-doubling difference against a companion
-shoot at twice the RK4 step) and drift (the g-speed drift of the rays).
+rays), integration (the step-doubling difference against companion
+rays at twice the RK4 step, stepped together with the fine rays in one
+RK4 loop) and drift (the g-speed drift of the rays).
 The disk probe adds a fourth, curvature (the truncation error of the
 curvature stencil, by Richardson on the boundary circle); it is 0 on a
 conformal chart, where the disk reads the scalar curvature in closed form
@@ -23,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
-from .calculus import _geodesic_rhs, curvature_many, g_norms, \
-    geodesic_shoot_many, rk4_step_count
+from .calculus import _geodesic_rhs, _shoot_together, curvature_many, \
+    g_norms, rk4_step_count
 from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
 
@@ -129,10 +130,12 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
 
     The radius must lie in [MIN_RADIUS, injectivity guard]; the default
     center is the chart's origin and the default step 1 / SCALE_STEPS,
-    clamped to between MIN_STEPS and MAX_STEPS steps.  Unit-speed rays
-    along the `_directions` of `grid` are shot to length eps at the step h
-    and at 2h: eps/h is rounded to a positive even step count so that the
-    companion takes exactly half as many steps (step doubling).  Returns
+    clamped to between MIN_STEPS and MAX_STEPS steps; the center must be
+    finite.  Unit-speed rays along the `_directions` of `grid` are shot to
+    length eps at the step h and at 2h: eps/h is rounded to a positive
+    even step count so that the companion takes exactly half as many
+    steps (step doubling).  Both run in one RK4 loop; the companion rays
+    drop out when they reach eps, halfway through.  Returns
     the chart, the (x, v) ends of the fine and the companion rays (with
     `record`, their trajectories (steps+1, nrays, dim)), and the params
     every probe reports."""
@@ -150,16 +153,18 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
             f"{model.name}: sphere probes need dimension 2 or 3")
     if center is None:
         center = np.zeros(chart.dim)
+    center = np.asarray(center, dtype=float)
+    if not np.isfinite(center).all():
+        raise OutOfDomain(
+            f"{model.name}: probe center {center} is not finite")
     if h is None:
         h = max(eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
     grid, dirs = _directions(chart.dim, grid)
     half = rk4_step_count(eps / 2.0, h)
-    x0 = np.tile(np.asarray(center, dtype=float), (len(dirs), 1))
+    x0 = np.tile(center, (len(dirs), 1))
     v0 = dirs / g_norms(chart.metric([center]), dirs)[:, None]
-    fine = geodesic_shoot_many(chart, x0, v0, eps, eps / (2 * half),
-                               record=record)
-    coarse = geodesic_shoot_many(chart, x0, v0, eps, eps / half,
-                                 record=record)
+    fine, coarse = _shoot_together(chart, x0, v0, eps, (2 * half, half),
+                                   record)
     params = {"model": model.name, "chart": chart.name, "eps": eps,
               "grid": grid, "h": h, "steps": 2 * half}
     return chart, fine, coarse, params
@@ -298,19 +303,20 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     stride = steps // 64 if steps % 64 == 0 else 1
     shells = list(range(stride, steps + 1, stride))
     pos = traj_x[shells]                      # (nsh, nrays, 2)
-    g = chart.metric(pos.reshape(-1, 2))
-    jac = _fft_derivative(pos, axis=1)
-    jnorm = g_norms(g, jac.reshape(-1, 2)).reshape(len(shells), nrays)
     # The Gauss curvature is half the scalar curvature: in closed form on a
-    # conformal chart, else from the stencil, whose short outer step keeps
-    # the truncation bias of the total well under 1e-6 near the chart's
-    # center; roundoff stays negligible.
+    # conformal chart, with the metric from the same factor evaluation,
+    # else from the stencil, whose short outer step keeps the truncation
+    # bias of the total well under 1e-6 near the chart's center; roundoff
+    # stays negligible.
     conformal = isinstance(chart, ConformalChart)
     if conformal:
-        scalar = chart.scalar_curvature(pos.reshape(-1, 2))
+        g, scalar = chart.metric_and_scalar(pos.reshape(-1, 2))
     else:
         h2 = 2.5e-4
+        g = chart.metric(pos.reshape(-1, 2))
         scalar = curvature_many(chart, pos.reshape(-1, 2), h2=h2).scalar
+    jac = _fft_derivative(pos, axis=1)
+    jnorm = g_norms(g, jac.reshape(-1, 2)).reshape(len(shells), nrays)
     gauss = 0.5 * scalar.reshape(len(shells), nrays)
     f_vals = np.concatenate([[0.0], (gauss * jnorm).mean(axis=1)
                              * 2.0 * math.pi])

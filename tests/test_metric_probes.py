@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from swlab.errors import GridTooCoarse, NonConvergent, OutOfDomain
+from swlab.errors import (GridTooCoarse, LeftDomain, NonConvergent,
+                          OutOfDomain)
 from swlab.metric import (
+    ConformalChart,
     MetricChart,
     ModelGeometry,
     curvature_many,
     gauss_bonnet_disk,
+    geodesic_shoot_many,
     get_model,
     sphere_area_probe,
     w3_limit,
@@ -24,6 +27,7 @@ from swlab.metric.probes import (
     MIN_STEPS,
     SCALE_STEPS,
     _fft_derivative,
+    _shoot_rays,
     _simpson,
 )
 
@@ -123,16 +127,21 @@ def test_probes_on_a_polar_chart(name):
 
 def test_each_probe_evaluates_the_metric_once_per_point(monkeypatch):
     # the center, the ray ends and the disk's shells are each evaluated
-    # once, in at most three calls.  Curved models only: on flat-2 a fine
-    # and a companion shell can coincide bitwise
+    # once, in at most three calls; the disk reads g and the scalar
+    # curvature on its shells from one evaluation.  Curved models only: on
+    # flat-2 a fine and a companion shell can coincide bitwise
     calls = []
-    metric = MetricChart.metric
 
-    def recording(self, points):
-        calls.append(np.atleast_2d(np.asarray(points, dtype=float)))
-        return metric(self, points)
+    def recording(evaluate):
+        def record(self, points):
+            calls.append(np.atleast_2d(np.asarray(points, dtype=float)))
+            return evaluate(self, points)
+        return record
 
-    monkeypatch.setattr(MetricChart, "metric", recording)
+    monkeypatch.setattr(MetricChart, "metric",
+                        recording(MetricChart.metric))
+    monkeypatch.setattr(ConformalChart, "metric_and_scalar",
+                        recording(ConformalChart.metric_and_scalar))
     for probe, name, eps, grid in (
             (gauss_bonnet_disk, "round-s2", 0.5, None),
             (sphere_area_probe, "round-s2", 0.5, None),
@@ -309,6 +318,57 @@ def test_probe_radius_below_the_floor_is_rejected(eps):
         gauss_bonnet_disk(get_model("round-s2"), eps, grid=64)
 
 
+@pytest.mark.parametrize("probe,name,center", [
+    (gauss_bonnet_disk, "flat-2", (math.nan, 0.0)),
+    (sphere_area_probe, "flat-2", (0.0, -math.inf)),
+    (sphere_area_probe, "flat-3", (math.inf, 0.0, 0.0)),
+    (sphere_area_probe, "round-s3", (0.0, math.nan, 0.0))])
+def test_non_finite_probe_center_is_named(probe, name, center):
+    # a chart without a domain accepts a NaN point and a flat metric is
+    # finite there, so the probe checks its center itself
+    with pytest.raises(OutOfDomain, match="center .* is not finite"):
+        probe(get_model(name), 0.25, center=center, grid=None)
+
+
+@pytest.mark.parametrize("record", (False, True))
+@pytest.mark.parametrize("name,kind,center,grid", [
+    ("round-s2", "generic", None, 64),
+    ("warped-3", "generic", (0.1, -0.2, 0.05), (8, 16)),
+    ("hyperbolic-2", "polar", (1.0, 1.0), 32),
+    ("round-s3", "polar", (1.0, math.pi / 2.0, 0.0), (8, 16))])
+def test_paired_shoot_matches_two_separate_shoots(name, kind, center, grid,
+                                                  record):
+    # the fine and companion rays step together in one loop, bit for bit
+    # as each would alone; a polar chart runs the jet spray
+    model = get_model(name)
+    model = _on_chart(model, model.chart(kind))
+    eps = 0.2
+    chart, (xs, vs), _, params = _shoot_rays(model, eps, center, grid, None,
+                                             record=True)
+    _, fine, companion, _ = _shoot_rays(model, eps, center, grid, None,
+                                        record=record)
+    steps = params["steps"]
+    for got, count in ((fine, steps), (companion, steps // 2)):
+        want = geodesic_shoot_many(chart, xs[0], vs[0], eps, eps / count,
+                                   record=record)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("probe", (sphere_area_probe, gauss_bonnet_disk))
+def test_coarse_probe_near_the_disk_edge_leaves_the_domain(probe):
+    # a unit-speed ray stays inside the Poincare disk, but an RK4 stage of
+    # step 1.5 from (0.9, 0) lands outside it
+    model = get_model("hyperbolic-2")
+    with pytest.raises(LeftDomain) as exc_info:
+        probe(model, 3.0, center=(0.9, 0.0), grid=64, h=1.5)
+    exit_point = exc_info.value.exit_point
+    assert exit_point is not None
+    assert not model.chart().contains(exit_point)[0]
+
+
 @pytest.mark.parametrize("eps", [1.01 * MIN_RADIUS, 1e-60])
 def test_error_covers_the_closed_form_just_above_the_radius_floor(eps):
     for name in ("round-s3", "flat-3"):
@@ -428,17 +488,19 @@ def test_integration_part_is_fourth_order(probe):
 
 def test_default_probe_step_count(monkeypatch):
     # a default probe shoots 1 / SCALE_STEPS, clamped to between
-    # MIN_STEPS and MAX_STEPS steps, plus a companion at half as many
-    # steps, four right-hand sides per step; a silent return to a finer
+    # MIN_STEPS and MAX_STEPS steps, stepped together with a companion at
+    # half as many steps: as many RK4 steps as the fine shoot, four spray
+    # evaluations per step, and two more on each of the disk's two
+    # boundary circles for the turning.  A silent return to a finer
     # default step fails here rather than on a timing gate
     calls = []
-    rhs = calculus._geodesic_rhs
+    spray = calculus._spray
 
-    def counting_rhs(*args):
+    def counting_spray(*args):
         calls.append(1)
-        return rhs(*args)
+        return spray(*args)
 
-    monkeypatch.setattr(calculus, "_geodesic_rhs", counting_rhs)
+    monkeypatch.setattr(calculus, "_spray", counting_spray)
     assert (MIN_STEPS, MAX_STEPS, SCALE_STEPS) == (16, 32, 32)
     for probe, name, eps, grid, steps in (
             (sphere_area_probe, "round-s2", 0.5, None, 16),
@@ -450,7 +512,7 @@ def test_default_probe_step_count(monkeypatch):
             (gauss_bonnet_disk, "round-s2", 1.5, 64, 32),
             (gauss_bonnet_disk, "flat-2", 1e6, 64, 32)):
         res = probe(get_model(name), eps, grid=grid)
-        assert len(calls) == 4 * (steps + steps // 2)
+        assert len(calls) == 4 * steps + 4 * (probe is gauss_bonnet_disk)
         calls.clear()
         assert res.params["steps"] == steps
         assert res.params["h"] == max(
