@@ -226,7 +226,8 @@ def _shoot_together(chart: MetricChart, x0, v0, length: float, counts,
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     n, groups = len(x0), len(counts)
-    x, v = np.tile(x0.T, groups), np.tile(v0.T, groups)
+    # C-contiguous whatever the groups: the spray's last bits depend on the layout
+    x, v = np.tile(x0.T.copy(), groups), np.tile(v0.T.copy(), groups)
     dt = np.repeat([length / steps for steps in counts], n)
     xs, vs = [x], [v]
     ends = [None] * groups

@@ -5,22 +5,25 @@ complex stores, per dimension, the lexicographically sorted tuple of its
 simplices plus an index map, so every chain group has a fixed basis order and
 mod-2 chains can be plain int bit vectors (bit ``i`` = simplex ``skeleton(d)[i]``).
 
-Complexes are immutable after construction; derived data (facet tables,
-coboundary matrices, the pseudomanifold diagnostic) is computed once and
-cached.  The facet tables are the one incidence record, stored as deletion
-columns: entry j of column k of ``facet_table(d)`` is the index in
-``skeleton(d-1)`` of the facet of d-simplex j without vertex k.  Every other
-incidence query reads them by index, as Ripser does (Bauer, J. Appl.
-Comput. Topol. 2021): the coboundary columns, the references' boundary
-matrices, the facets of the complex, the pseudomanifold check, chain
-boundaries and the Wu oracle's face tables.
+Complexes are immutable after construction.  Every complex is built by one
+closure, ``SimplicialComplex.from_canonical_facets``, which walks from the
+top dimension down, as the Simplex Tree is built (Boissonnat & Maria,
+Algorithmica 2014), and emits the skeletons, their indexes, the facet
+tables and the facets together; coboundary matrices and the pseudomanifold
+diagnostic are computed once on request and cached.  The facet tables are
+the one incidence record, stored as deletion columns: entry j of column k
+of ``facet_table(d)`` is the index in ``skeleton(d-1)`` of the facet of
+d-simplex j without vertex k.  Every other incidence query reads them by
+index, as Ripser does (Bauer, J. Appl. Comput. Topol. 2021): the
+coboundary columns, the references' boundary matrices, the pseudomanifold
+check, chain boundaries and the Wu oracle's face tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, compress, count, groupby
 from operator import itemgetter
 
 from .errors import (
@@ -94,15 +97,18 @@ class SimplicialComplex:
         "_extra",
     )
 
-    def __init__(self, skeletons: tuple[tuple[Simplex, ...], ...]):
-        # trusted constructor: skeletons must already be closed and sorted
+    def __init__(self, skeletons: tuple[tuple[Simplex, ...], ...],
+                 index: tuple[dict[Simplex, int], ...],
+                 facet_tables: tuple[tuple[tuple[int, ...], ...], ...],
+                 facets: tuple[Simplex, ...]):
+        # trusted constructor: the fields come from from_canonical_facets
         self._skeletons = skeletons
-        self._index = tuple({s: i for i, s in enumerate(sk)} for sk in skeletons)
-        self._facet_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._index = index
+        self._facet_tables = facet_tables
+        self._facets = facets
         self._coboundary: dict[int, BitMatrix] = {}
         self._pm_report: PseudomanifoldReport | None = None
         self._extra: dict = {}  # scratch cache for sibling modules
-        self._facets: tuple[Simplex, ...] | None = None
 
     # ---------------------------------------------------------------- build
 
@@ -118,15 +124,50 @@ class SimplicialComplex:
     @classmethod
     def from_canonical_facets(cls, facets) -> SimplicialComplex:
         """Downward closure of facets that are already canonical simplices,
-        trusted as they are; no facet gives the empty complex."""
-        facets = list(facets)
-        size = max(map(len, facets), default=0)
-        return cls(tuple(tuple(sorted({face for f in facets for face in combinations(f, k)}))
-                         for k in range(1, size + 1)))
+        trusted as they are (repeated or redundant ones allowed); no facet
+        gives the empty complex.
+
+        One pass from the top dimension down.  The d+1 deletion columns of
+        skeleton(d), together with the listed simplices of dimension d-1,
+        give skeleton(d-1) and its index; the same columns, read through
+        that index, are facet_table(d); and a listed simplex of dimension
+        d-1 is a facet exactly when it is in no deletion column.  A column
+        entry is looked up by hash once, as it is made: it is numbered by
+        the position where its face first occurs, and the table reads
+        that number through the sort's ranking."""
+        listed = {size: set(group) for size, group in groupby(sorted(facets, key=len), len)}
+        if not listed:
+            return cls((), (), (), ())
+        top = max(listed)
+        sk = tuple(sorted(listed.pop(top)))
+        skeletons, indexes, tables, maximal = [sk], [dict(zip(sk, count()))], [], [sk]
+        for d in range(top - 1, 0, -1):  # sk is skeleton(d)
+            n = len(sk)
+            # the deletion columns, last first: the last one is sorted, so the
+            # sort below starts from one long run.  itemgetter of one
+            # position gives a bare vertex; zip makes it a 1-tuple
+            getters = (itemgetter(*range(k), *range(k + 1, d + 1)) for k in range(d, -1, -1))
+            faces = chain.from_iterable(map(g, sk) if d > 1 else zip(map(g, sk)) for g in getters)
+            # each face's id is the position where it first occurs; a repeat
+            # is dropped at once, so no column is held as tuples
+            index: dict[Simplex, int] = {}
+            ids = list(map(index.setdefault, faces, count()))
+            first_at = list(index.values())
+            lone = listed.pop(d, set()).difference(index)
+            sk = tuple(sorted(chain(index, lone)))
+            index.update(zip(sk, count()))  # now the index of skeleton(d-1)
+            rank = dict(zip(first_at, index.values()))
+            tables.append(tuple(tuple(map(rank.__getitem__, ids[j * n:(j + 1) * n]))
+                                for j in range(d, -1, -1)))
+            skeletons.append(sk)
+            indexes.append(index)
+            maximal.append(tuple(sorted(lone)))
+        return cls(tuple(reversed(skeletons)), tuple(reversed(indexes)),
+                   tuple(reversed(tables)), tuple(chain.from_iterable(reversed(maximal))))
 
     @classmethod
     def empty(cls) -> SimplicialComplex:
-        return cls(())
+        return cls.from_canonical_facets(())
 
     # ---------------------------------------------------------------- basics
 
@@ -136,16 +177,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[Simplex, ...]:
-        """The simplices that are a face of none, in (len, s) order: the
-        top simplices, and below them those in no column of the facet
-        table one dimension up."""
-        if self._facets is None:
-            facets = []
-            for d, sk in enumerate(self._skeletons[:-1]):
-                covered = set(chain.from_iterable(self.facet_table(d + 1)))
-                if len(covered) < len(sk):
-                    facets.extend(s for i, s in enumerate(sk) if i not in covered)
-            self._facets = tuple(facets) + self._skeletons[-1] if self._skeletons else ()
+        """The simplices that are a face of none, in (len, s) order."""
         return self._facets
 
     @property
@@ -206,19 +238,10 @@ class SimplicialComplex:
     def facet_table(self, d: int) -> tuple[tuple[int, ...], ...]:
         """The d+1 deletion columns of the d-simplices: entry j of column k
         is the index in skeleton(d-1) of the facet of d-simplex j that
-        leaves out vertex k.  Built once, one index lookup per facet."""
+        leaves out vertex k.  Built by the closure with the skeletons."""
         if not 1 <= d <= self.dim:
             raise DimensionOutOfRange(f"facet table dimension {d} outside 1..{self.dim}")
-        table = self._facet_tables.get(d)
-        if table is None:
-            sk, index = self._skeletons[d], self._index[d - 1]
-            columns = []
-            for k in range(d + 1):
-                # itemgetter of one position gives a bare vertex; zip makes it a 1-tuple
-                faces = map(itemgetter(*range(k), *range(k + 1, d + 1)), sk)
-                columns.append(tuple(map(index.__getitem__, faces if d > 1 else zip(faces))))
-            table = self._facet_tables[d] = tuple(columns)
-        return table
+        return self._facet_tables[d - 1]
 
     def coboundary_matrix(self, d: int) -> BitMatrix:
         """Mod-2 coboundary, built once from facet_table(d+1): rows =

@@ -107,9 +107,9 @@ def test_parse_skips_comments_and_blanks():
     assert parse_complex_text(text).f_vector == (4, 6, 4)
 
 
-def test_parse_validates_each_facet_once(monkeypatch):
-    # the line loop validates each facet for its line number; the closure
-    # takes the canonical tuples as they are
+def test_parse_of_valid_text_checks_no_facet_alone(monkeypatch):
+    # valid text is checked in bulk over all tokens; only a failed bulk
+    # check runs the per-line loop, which validates facet by facet
     X = corpus("rp3").complex()
     calls = []
 
@@ -120,7 +120,7 @@ def test_parse_validates_each_facet_once(monkeypatch):
     monkeypatch.setattr(fileio, "canonical_simplex", counting)
     monkeypatch.setattr(simplicial, "canonical_simplex", counting)
     assert parse_complex_text(serialize_complex(X)).facets == X.facets
-    assert len(calls) == len(X.facets)
+    assert calls == []
 
 
 def test_parse_error_carries_line_number():
@@ -139,6 +139,34 @@ def test_parse_error_on_repeated_vertex():
 def test_parse_empty_input():
     with pytest.raises(EmptyInput):
         parse_complex_text("# nothing but comments\n\n")
+
+
+@pytest.mark.parametrize("text,error,message,line", [
+    ("0 1 2\n0 one 3\n", ParseError,
+     "line 2: non-integer vertex id in '0 one 3'", 2),
+    ("0 1 2 # a triangle\n", ParseError,
+     "line 1: non-integer vertex id in '0 1 2 # a triangle'", 1),
+    ("0 1 2\n\n0 -1 3\n", ParseError,
+     "line 3: vertex ids must be non-negative ints, got -1", 3),
+    ("# s\n0 1 2\n2 0 2\n", ParseError, "line 3: repeated vertex 2 in (2, 0, 2)", 3),
+    ("4 4 -2 1\n", ParseError, "line 1: vertex ids must be non-negative ints, got -2", 1),
+    ("0 1 2\n1 x 2\n3 3\n", ParseError, "line 2: non-integer vertex id in '1 x 2'", 2),
+    ("0 1 2\n1 1 2\n0 x 2\n", ParseError, "line 2: repeated vertex 1 in (1, 1, 2)", 2),
+    ("# nothing\n\n   \n  # but comments\n", EmptyInput, "no facets found in input", None),
+    ("", EmptyInput, "no facets found in input", None),
+    ("0 1 2 3\n4\n  5 6\n7 8 9\n6 9 6\n", ParseError,
+     "line 5: repeated vertex 6 in (6, 9, 6)", 5),
+])
+def test_parse_errors_name_the_first_bad_line(text, error, message, line):
+    with pytest.raises(error) as exc_info:
+        parse_complex_text(text)
+    assert str(exc_info.value) == message
+    assert getattr(exc_info.value, "line", None) == line
+
+
+def test_parse_rows_of_mixed_sizes():
+    X = parse_complex_text("0 1 2 3\n4\n  5 6\n# c\n9 8 7\n1 0\n")
+    assert X.facets == ((4,), (5, 6), (7, 8, 9), (0, 1, 2, 3))
 
 
 def test_file_round_trip(tmp_path):

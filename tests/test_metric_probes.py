@@ -330,6 +330,25 @@ def test_non_finite_probe_center_is_named(probe, name, center):
         probe(get_model(name), 0.25, center=center, grid=None)
 
 
+def _assert_paired_shoot_matches(model, center, grid, h, record):
+    """The fine and companion rays of a probe's paired shoot equal two
+    separate geodesic_shoot_many calls, bit for bit."""
+    eps = 0.2
+    chart, (xs, vs), _, params = _shoot_rays(model, eps, center, grid, h,
+                                             record=True)
+    _, fine, companion, _ = _shoot_rays(model, eps, center, grid, h,
+                                        record=record)
+    steps = params["steps"]
+    for got, count in ((fine, steps), (companion, steps // 2)):
+        want = geodesic_shoot_many(chart, xs[0], vs[0], eps, eps / count,
+                                   record=record)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b), count
+    return steps
+
+
 @pytest.mark.parametrize("record", (False, True))
 @pytest.mark.parametrize("name,kind,center,grid", [
     ("round-s2", "generic", None, 64),
@@ -341,20 +360,22 @@ def test_paired_shoot_matches_two_separate_shoots(name, kind, center, grid,
     # the fine and companion rays step together in one loop, bit for bit
     # as each would alone; a polar chart runs the jet spray
     model = get_model(name)
-    model = _on_chart(model, model.chart(kind))
-    eps = 0.2
-    chart, (xs, vs), _, params = _shoot_rays(model, eps, center, grid, None,
-                                             record=True)
-    _, fine, companion, _ = _shoot_rays(model, eps, center, grid, None,
-                                        record=record)
-    steps = params["steps"]
-    for got, count in ((fine, steps), (companion, steps // 2)):
-        want = geodesic_shoot_many(chart, xs[0], vs[0], eps, eps / count,
-                                   record=record)
-        assert len(got) == 2
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+    _assert_paired_shoot_matches(_on_chart(model, model.chart(kind)), center,
+                                 grid, None, record)
+
+
+@pytest.mark.parametrize("steps", (4, 6, 8, 10, 12))
+@pytest.mark.parametrize("name,center,grid", [
+    ("hyperbolic-2", (1.0, 1.0), 32),
+    ("round-s3", (1.0, math.pi / 2.0, 0.0), (8, 16))])
+def test_paired_shoot_matches_at_explicit_step_counts(name, center, grid,
+                                                      steps):
+    # a one-group shoot steps the same C-contiguous state as the paired
+    # loop; the jet spray's last bits depend on that layout
+    model = get_model(name)
+    model = _on_chart(model, model.chart("polar"))
+    assert _assert_paired_shoot_matches(model, center, grid, 0.2 / steps,
+                                        False) == steps
 
 
 @pytest.mark.parametrize("probe", (sphere_area_probe, gauss_bonnet_disk))

@@ -317,21 +317,32 @@ def test_compute_report_reduces_no_boundary_matrix(monkeypatch, name):
 def test_report_paths_build_each_coboundary_once_and_no_boundary(monkeypatch, tmp_path,
                                                                   name):
     """The facet tables are the report's one incidence record: compute_report
-    and `swlab classes FILE --report OUT`, each on a fresh complex, build
-    every facet_table(d) once and every coboundary_matrix(d) from them once,
-    and call neither boundary_matrix nor BitMatrix.transpose."""
+    and `swlab classes FILE --report OUT`, each on a fresh complex, read
+    every facet_table(d) as the closure built it, build every
+    coboundary_matrix(d) from them once, and call neither boundary_matrix
+    nor BitMatrix.transpose."""
     entry = corpus(name)
     path = tmp_path / f"{name}.facets"
     write_complex_file(str(path), entry.complex())
     X = entry.complex()
+    # the complexes stay referenced here, so their ids are distinct
+    built = {id(X): (X, X._facet_tables)}
     calls = []
 
-    def building(kind, method, cache):
-        def wrapper(self, d):
-            if d not in getattr(self, cache):
-                calls.append((kind, self, d))
-            return method(self, d)
-        return wrapper
+    def closing(cls, facets, _real=SimplicialComplex.from_canonical_facets.__func__):
+        c = _real(cls, facets)
+        built[id(c)] = (c, c._facet_tables)
+        return c
+
+    def reading(self, d, _real=SimplicialComplex.facet_table):
+        table = _real(self, d)
+        calls.append(("table", self, d, table))
+        return table
+
+    def building(self, d, _real=SimplicialComplex.coboundary_matrix):
+        if d not in self._coboundary:
+            calls.append(("coboundary", self, d))
+        return _real(self, d)
 
     def recording(label, method):
         def wrapper(self, *args):
@@ -339,23 +350,26 @@ def test_report_paths_build_each_coboundary_once_and_no_boundary(monkeypatch, tm
             return method(self, *args)
         return wrapper
 
-    monkeypatch.setattr(SimplicialComplex, "facet_table",
-                        building("table", SimplicialComplex.facet_table, "_facet_tables"))
-    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix",
-                        building("coboundary", SimplicialComplex.coboundary_matrix,
-                                 "_coboundary"))
+    monkeypatch.setattr(SimplicialComplex, "from_canonical_facets", classmethod(closing))
+    monkeypatch.setattr(SimplicialComplex, "facet_table", reading)
+    monkeypatch.setattr(SimplicialComplex, "coboundary_matrix", building)
     monkeypatch.setattr(SimplicialComplex, "boundary_matrix",
                         recording("boundary", SimplicialComplex.boundary_matrix))
     monkeypatch.setattr(BitMatrix, "transpose", recording("transpose", BitMatrix.transpose))
     assert compute_report(X).all_matched
     assert cli.main(["classes", str(path), "--report", str(tmp_path / "out.json")]) == 0
     assert [call for call in calls if call[0] not in ("table", "coboundary")] == []
-    complexes = {id(c): c for _, c, _ in calls}
+    complexes = {id(call[1]): call[1] for call in calls}
     assert X in complexes.values() and len(complexes) == 2
     for c in complexes.values():
-        built = [(kind, d) for kind, k, d in calls if k is c]
-        assert sorted(d for kind, d in built if kind == "table") == list(range(1, c.dim + 1))
-        assert sorted(d for kind, d in built if kind == "coboundary") == list(range(c.dim + 1))
+        assert built[id(c)][0] is c
+        tables = built[id(c)][1]
+        assert len(tables) == c.dim and c._facet_tables is tables
+        reads = [call for call in calls if call[0] == "table" and call[1] is c]
+        assert {d for _, _, d, _ in reads} == set(range(1, c.dim + 1))
+        assert all(table is tables[d - 1] for _, _, d, table in reads)
+        cobounds = [call[2] for call in calls if call[0] == "coboundary" and call[1] is c]
+        assert sorted(cobounds) == list(range(c.dim + 1))
 
 
 def test_report_classes_match_derived_homology(entries, reports):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swlab.corpus import CORPUS_NAMES, corpus
+from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus
 
 from swlab.errors import (
     DimensionMismatch,
@@ -59,6 +61,62 @@ def test_facets_are_maximal_only():
     # an isolated vertex is a facet too; facets come in (len, s) order
     X = build_complex([(0, 1, 2), (2, 3), (4,)])
     assert X.facets == ((4,), (2, 3), (0, 1, 2))
+
+
+def _reference_closure(facets):
+    """Skeletons, indexes, facets and facet tables of the downward closure,
+    each from its definition: all k-subsets of the facets, sorted; the
+    simplices that are no face of a simplex one dimension up; and each
+    simplex with vertex k sliced out, looked up in the skeleton below."""
+    size = max(map(len, facets), default=0)
+    skeletons = [tuple(sorted(set(chain.from_iterable(combinations(f, k) for f in facets))))
+                 for k in range(1, size + 1)]
+    index = [{s: i for i, s in enumerate(sk)} for sk in skeletons]
+    maximal = []
+    for d, sk in enumerate(skeletons):
+        covered = {s[:k] + s[k + 1:] for s in skeletons[d + 1] for k in range(d + 2)} \
+            if d + 1 < size else set()
+        maximal.extend(s for s in sk if s not in covered)
+    tables = [tuple(tuple(index[d - 1][s[:k] + s[k + 1:]] for s in skeletons[d])
+                    for k in range(d + 1)) for d in range(1, size)]
+    return skeletons, index, tuple(maximal), tables
+
+
+def _assert_closure_matches_reference(facets):
+    X = SimplicialComplex.from_canonical_facets(facets)
+    skeletons, index, maximal, tables = _reference_closure(facets)
+    assert [X.skeleton(d) for d in range(X.dim + 1)] == skeletons
+    assert list(X._index) == index
+    assert X.facets == maximal
+    assert [X.facet_table(d) for d in range(1, X.dim + 1)] == tables
+
+
+@st.composite
+def impure_facet_lists(draw):
+    """Canonical facets of mixed sizes, some listed twice, with faces of
+    listed facets (redundant) and lone vertices (isolated) among them."""
+    simplices = st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)
+    facets = [tuple(sorted(f)) for f in draw(st.lists(simplices, min_size=1, max_size=10))]
+    for f in draw(st.lists(st.sampled_from(facets), max_size=4)):
+        facets.append(tuple(sorted(draw(st.lists(st.sampled_from(f), min_size=1,
+                                                 unique=True)))))
+    facets += draw(st.lists(st.tuples(st.integers(10, 12)), max_size=2))
+    return draw(st.permutations(facets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(impure_facet_lists())
+@example([])
+@example([(0,)])
+@example([(0, 1), (1,), (2,), (0, 1)])
+def test_closure_matches_the_reference_closure(facets):
+    _assert_closure_matches_reference(facets)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", (4, 5))
+def test_closure_of_rpn_matches_the_reference_closure(n):
+    _assert_closure_matches_reference(_rpn_facets(n))
 
 
 def test_skeleton_and_counts():
