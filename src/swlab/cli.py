@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     SWLabError,
     UnknownCorpusEntry,
+    UnknownModel,
 )
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 _INPUT_ERRORS = (ParseError, EmptyInput, MalformedFacet, NotPseudomanifold,
-                 UnknownCorpusEntry, OutOfDomain, OSError)
+                 UnknownCorpusEntry, UnknownModel, OutOfDomain, OSError)
 
 SCHEMA_VERSION = 1
 
@@ -147,11 +148,7 @@ def _cmd_metric(args) -> int:
     from .metric import (gauss_bonnet_disk, get_model, sphere_area_probe,
                          w3_limit)
 
-    try:
-        model = get_model(args.model)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+    model = get_model(args.model)
     grid = _parse_grid(args.grid)
 
     if args.metric_command == "gauss-bonnet":

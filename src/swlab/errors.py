@@ -22,6 +22,7 @@ __all__ = [
     "PairingDegenerate",
     "OracleConflict",
     "UnknownCorpusEntry",
+    "UnknownModel",
     "CorpusValidationFailed",
     "ParseError",
     "OutOfDomain",
@@ -121,6 +122,10 @@ class OracleConflict(SWLabError):
 
 class UnknownCorpusEntry(SWLabError):
     """Requested corpus name does not exist."""
+
+
+class UnknownModel(SWLabError):
+    """Requested metric model name does not exist."""
 
 
 class CorpusValidationFailed(SWLabError):

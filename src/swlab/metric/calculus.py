@@ -2,7 +2,7 @@
 
 On a conformal chart g = phi(|x|^2) I (the generic chart of every built-in
 model) the geodesic spray is closed form in phi and phi', O(N d) per RK4
-stage with no jet; the chart's `scalar_curvature` is closed form too.  On
+stage with no jet; the chart's `metric_and_scalar` is closed form too.  On
 every other chart (the polar charts, `restricted_chart`, user charts) the
 spray contracts the metric's first derivatives, which are central
 differences with step H1: one stencil differentiates the metric wherever
@@ -50,18 +50,19 @@ def _stencil(pts: np.ndarray, h: float) -> np.ndarray:
 
 def _central_differences(values: np.ndarray, n: int, h: float):
     """Split values on the _stencil of n points into the values at the
-    points and diff[:, a] = (f(x + h e_a) - f(x - h e_a)) / 2h."""
-    shifted = values[n:].reshape((-1, 2, n) + values.shape[1:])
+    points and diff[:, a] = (f(x + h e_a) - f(x - h e_a)) / 2h.  The last
+    axis has length d, which sets the shape also at n = 0."""
+    shifted = values[n:].reshape((values.shape[-1], 2, n) + values.shape[1:])
     diff = (shifted[:, 0] - shifted[:, 1]) / (2.0 * h)
     return values[:n], np.moveaxis(diff, 0, 1)
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of symmetric (N, d, d) matrices, d <= 3: the adjugate over
-    the determinant, read from the upper triangle.  MetricChart.metric has
-    checked every g finite with positive leading minors, and the
-    determinant here is the same expansion as the last minor, so it is
-    positive."""
+    the determinant, read from the upper triangle.  The chart's metric has
+    checked every g finite with a positive determinant: MetricChart.metric
+    expands the same determinant as its last leading minor, and a
+    ConformalChart requires phi^d > 0."""
     d = g.shape[-1]
     if d == 1:
         return 1.0 / g
@@ -178,12 +179,6 @@ def _spray(chart, x, v):
     p = (vv @ dg.reshape(n, d * d, d))[:, 0]
     q = (dg.reshape(n, d, d * d) @ vv.transpose(0, 2, 1))[..., 0]
     return -(_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0].T
-
-
-def _geodesic_rhs(chart, x, v):
-    """x' = v and v' = -Gamma(v, v) for rays given as rows of x and v
-    (N, d): `_spray` on the transposed views."""
-    return v, _spray(chart, x.T, v.T).T
 
 
 def rk4_step_count(length: float, h: float) -> int:
@@ -305,15 +300,12 @@ def restricted_chart(chart3: MetricChart) -> MetricChart:
         raise OutOfDomain(f"{chart3.name}: the plane x3 = 0 needs a "
                           f"3-dimensional chart, not dimension {chart3.dim}")
 
-    def metric_fn(pts2):
-        pts3 = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
-        return chart3.metric(pts3)[:, :2, :2]
+    def lift(pts2):
+        return np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
 
-    def domain_fn(pts2):
-        pts3 = np.concatenate([pts2, np.zeros((len(pts2), 1))], axis=1)
-        return chart3.contains(pts3)
-
-    return MetricChart(chart3.name + "|x3=0", 2, metric_fn, domain_fn)
+    return MetricChart(chart3.name + "|x3=0", 2,
+                       lambda pts2: chart3.metric(lift(pts2))[:, :2, :2],
+                       lambda pts2: chart3.contains(lift(pts2)))
 
 
 def gauss_equation_check(model, p) -> float:

@@ -8,21 +8,23 @@ are derived from f.  A rotationally symmetric metric is conformally flat,
 so every generic chart is a `ConformalChart` g = phi(|x|^2) I (cartesian,
 stereographic, Poincare disk, and (1 - c|x|^2)^-3 I for warped-3), whose
 factor phi is derived by hand, independently of f: the probes that run
-there are honest checks of the closed forms, not circular ones.  From phi
-and its first two derivatives come the metric, and the geodesic spray and
-the scalar curvature in closed form.  Every other derivative of the
-metric, on every chart, is the calculus's central-difference stencil.
+there are honest checks of the closed forms, not circular ones.  From one
+checked evaluation of phi and its first two derivatives come the metric,
+and the geodesic spray and the scalar curvature in closed form.  Every
+other derivative of the metric, on every chart, is the calculus's
+central-difference stencil.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
 from ..errors import (DimensionMismatch, DimensionOutOfRange, OutOfDomain,
-                      SingularMetric)
+                      SingularMetric, UnknownModel)
 from .constants import sphere_volume
 
 
@@ -54,24 +56,16 @@ class MetricChart:
             return np.ones(len(pts), dtype=bool)
         return np.asarray(self._domain_fn(pts), dtype=bool)
 
-    def _domain_points(self, points) -> np.ndarray:
-        """The points as an (N, dim) float array; raises OutOfDomain for a
-        wrong width or the first point outside the domain."""
+    def metric(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise OutOfDomain(
                 f"{self.name}: points must have {self.dim} coordinates")
-        if self._domain_fn is None:
-            return pts
         inside = self.contains(pts)
         if not inside.all():
             bad = pts[~inside][0]
             raise OutOfDomain(f"{self.name}: point {bad} outside the domain",
                               point=bad)
-        return pts
-
-    def metric(self, points) -> np.ndarray:
-        pts = self._domain_points(points)
         g = np.asarray(self._metric_fn(pts), dtype=float)
         want = (len(pts), self.dim, self.dim)
         if g.shape != want:
@@ -159,17 +153,14 @@ def _diag(vals, n):
 class ConformalChart(MetricChart):
     """The chart g = phi(|x|^2) I, built from one function: factor(rho2)
     returns phi and its first two derivatives in rho2 = |x|^2.  The
-    domain, if any, is a predicate on rho2 too.  The metric comes from the
-    factor, and so do the calculus's closed-form geodesic spray and
-    `scalar_curvature`, which run the chart's checks in `factor_at`."""
+    domain, if any, is a predicate on rho2 too.  The metric, the scalar
+    curvature and the calculus's closed-form geodesic spray each come
+    from one checked factor evaluation, `factor_at`."""
 
     __slots__ = ("_factor_fn",)
 
     def __init__(self, name, dim, factor, domain_fn=None):
-        def metric_fn(pts):
-            return _diag((factor(_colsum(pts.T * pts.T))[0],) * dim, len(pts))
-
-        super().__init__(name, dim, metric_fn, domain_fn)
+        super().__init__(name, dim, None, domain_fn)
         self._factor_fn = factor
 
     def contains(self, points) -> np.ndarray:
@@ -183,7 +174,7 @@ class ConformalChart(MetricChart):
         x (dim, N), as the calculus stores its rays.  Raises OutOfDomain
         for a wrong width or the first point outside the domain, and
         SingularMetric for the first point where phi is not finite and
-        positive, which is the Sylvester check of phi I."""
+        positive."""
         if len(x) != self.dim:
             raise OutOfDomain(
                 f"{self.name}: points must have {self.dim} coordinates")
@@ -201,14 +192,18 @@ class ConformalChart(MetricChart):
                 f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
         return rho2, phi, slope, curve
 
-    def factor(self, points):
-        """(phi, phi', phi'') at the (N, dim) points, checked as in
-        `factor_at`."""
-        return self.factor_at(_columns(points))[1:]
+    def _times_identity(self, x, phi):
+        """phi I at the columns x, checked for phi^dim > 0: the determinant
+        that calculus._inverse divides by can underflow where phi cannot."""
+        ok = reduce(operator.mul, (phi,) * self.dim) > 0.0
+        if not ok.all():
+            raise SingularMetric(
+                f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
+        return _diag((phi,) * self.dim, len(phi))
 
-    def scalar_curvature(self, points) -> np.ndarray:
-        """The scalar curvature at the (N, dim) points, in closed form."""
-        return self.metric_and_scalar(points)[1]
+    def metric(self, points) -> np.ndarray:
+        x = _columns(points)
+        return self._times_identity(x, self.factor_at(x)[1])
 
     def metric_and_scalar(self, points):
         """The metric and the scalar curvature at the (N, dim) points from
@@ -219,10 +214,11 @@ class ConformalChart(MetricChart):
 
         where u = log(phi) / 2, so grad u = w x with w = phi'/phi, and
         Lap u = n w + 2 rho2 w' with w' = dw / d rho2."""
-        rho2, phi, slope, curve = self.factor_at(_columns(points))
-        n, w = self.dim, slope / phi
+        x = _columns(points)
+        rho2, phi, slope, curve = self.factor_at(x)
+        g, n, w = self._times_identity(x, phi), self.dim, slope / phi
         lap = n * w + 2.0 * rho2 * (curve / phi - w * w)
-        return _diag((phi,) * n, len(phi)), \
+        return g, \
             -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
 
 
@@ -343,6 +339,6 @@ MODEL_NAMES = tuple(sorted(MODELS))
 
 def get_model(name: str) -> ModelGeometry:
     if name not in MODELS:
-        raise KeyError(
+        raise UnknownModel(
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     return MODELS[name]

@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
-from .calculus import _geodesic_rhs, _shoot_together, curvature_many, \
-    g_norms, rk4_step_count
+from .calculus import _shoot_together, _spray, curvature_many, g_norms, \
+    rk4_step_count
 from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
 
@@ -176,6 +176,14 @@ _ADVICE = {"quadrature": "refine the grid",
            "curvature": "probe nearer the chart's center"}
 
 
+def _check_max_error(name: str, max_error: float | None):
+    """A NaN max_error would pass every error, a negative one fail every
+    probe: both raise OutOfDomain."""
+    if max_error is not None and not max_error >= 0:
+        raise OutOfDomain(f"{name}: max_error must be None or non-negative, "
+                          f"got {max_error}")
+
+
 def _error_budget(name: str, eps: float, max_error: float | None,
                   **parts: float):
     """Sum the error parts; raise GridTooCoarse naming the dominant part
@@ -250,8 +258,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     h (default 1 / SCALE_STEPS, clamped to between MIN_STEPS and
     MAX_STEPS steps) and once more at 2h; `params` holds the step count
     and the parts of `error`.  Raises GridTooCoarse when the
-    self-estimated error exceeds `max_error`.
+    self-estimated error exceeds `max_error`, None or non-negative.
     """
+    _check_max_error(model.name, max_error)
     chart, (x, v), (x2, _), params = _shoot_rays(model, eps, center, grid, h)
     if chart.dim == 2:
         measure, flat = _circle_length, sphere_volume(1) * eps
@@ -341,7 +350,7 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     normal_in = -traj_v[-1] / speed[:, None]
 
     def turning(tang, accel):
-        cov = accel - _geodesic_rhs(chart, curve, tang)[1]
+        cov = accel - _spray(chart, curve.T, tang.T).T
         k_geod = np.einsum("nij,ni,nj->n", g_bnd, cov, normal_in) \
             / g_norms(g_bnd, tang)
         return float(np.mean(k_geod)) * 2.0 * math.pi
@@ -369,11 +378,12 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     boundary circle; their sum is 2*pi for any metric, and `cochain_value`
     is the resulting Euler evaluation reduced mod 2.  The rays are shot
     at the RK4 step h (default 1 / SCALE_STEPS, clamped to between
-    MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params`
-    holds the step count and the parts of `error`.
+    MIN_STEPS and MAX_STEPS steps) and once more at 2h; `params` holds the
+    step count and the parts of `error`, gated as in `sphere_area_probe`.
     """
     if model.chart().dim != 2:
         raise OutOfDomain(f"{model.name}: disk probe needs dimension 2")
+    _check_max_error(model.name, max_error)
     chart, fine, companion, params = _shoot_rays(model, eps, center, grid,
                                                  h, record=True)
     interior, boundary, quadrature, curvature, drift = _disk_total(
@@ -425,7 +435,6 @@ def w3_limit(model: ModelGeometry, eps_list, center=None,
     # Neville tableau evaluated at eps^2 = 0
     xs = [e * e for e in radii]
     tab = list(ratios)
-    prev = tab[0]
     for width in range(1, len(tab)):
         prev = tab[0]
         for i in range(len(tab) - width):

@@ -48,12 +48,17 @@ def _outcome(fn, *args):
     return None
 
 
+def _spray(chart, x, v):
+    """The spray at the rays that are the rows of x and v (N, d)."""
+    return calculus._spray(chart, x.T, v.T)
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_every_generic_chart_is_conformal(name):
     chart = get_model(name).chart("generic")
     assert isinstance(chart, ConformalChart)
     pts = _ball(np.random.default_rng(50), 32, chart.dim, RADIUS[name])
-    phi = chart.factor(pts)[0]
+    phi = chart.factor_at(pts.T)[1]
     assert np.array_equal(chart.metric(pts), phi[:, None, None]
                           * np.eye(chart.dim))
 
@@ -69,17 +74,17 @@ def test_spray_matches_jet_contraction(name, monkeypatch):
     rng = np.random.default_rng(51)
     x = _ball(rng, 200, chart.dim, RADIUS[name])
     v = rng.normal(size=x.shape)
-    _, got = calculus._geodesic_rhs(chart, x, v)
+    got = _spray(chart, x, v).T
 
     def closed_form_jet(_chart, pts):
-        phi, slope, _ = chart.factor(pts)
+        _, phi, slope, _ = chart.factor_at(pts.T)
         eye = np.eye(chart.dim)
         return phi[:, None, None] * eye, \
             np.einsum("n,na,ij->naij", 2.0 * slope, pts, eye)
 
     monkeypatch.setattr(calculus, "metric_jet", closed_form_jet)
-    _, want = calculus._geodesic_rhs(_plain(chart), x, v)
-    phi, slope, _ = chart.factor(x)
+    want = _spray(_plain(chart), x, v).T
+    _, phi, slope, _ = chart.factor_at(x.T)
     terms = np.abs(slope / phi) * np.linalg.norm(x, axis=1) \
         * np.einsum("ni,ni->n", v, v)
     assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * terms)
@@ -92,13 +97,13 @@ def test_closed_form_scalar_matches_stencil_and_analytic(name):
     model = get_model(name)
     chart = model.chart("generic")
     pts = _ball(np.random.default_rng(52), 64, chart.dim, 0.5)
-    closed = chart.scalar_curvature(pts)
+    closed = chart.metric_and_scalar(pts)[1]
     stencil = curvature_many(chart, pts).scalar
     assert np.max(np.abs(closed - stencil)) < 1e-3
     scalar = model.analytic["scalar"]
     if scalar is None:
         scalar = model.analytic["scalar_at_center"]
-        assert abs(chart.scalar_curvature([(0.0, 0.0, 0.0)])[0] - scalar) \
+        assert abs(chart.metric_and_scalar([(0.0, 0.0, 0.0)])[1][0] - scalar) \
             <= 1e-12 * abs(scalar)
     else:
         assert np.max(np.abs(closed - scalar)) <= 1e-12 * max(1.0, abs(scalar))
@@ -113,7 +118,8 @@ def test_warped_scalar_matches_warp_at_every_radius():
         f, df, ddf = r + C * r ** 3, 1.0 + 3.0 * C * r * r, 6.0 * C * r
         want = -4.0 * ddf / f + 2.0 * (1.0 - df * df) / f ** 2
         x = model.analytic["polar_radius"](r) * np.array([[0.6, 0.0, 0.8]])
-        assert abs(chart.scalar_curvature(x)[0] - want) <= 1e-12 * abs(want)
+        assert abs(chart.metric_and_scalar(x)[1][0] - want) \
+            <= 1e-12 * abs(want)
 
 
 def test_conformal_warped_chart_is_isometric_to_the_cartesian_one(
@@ -126,7 +132,7 @@ def test_conformal_warped_chart_is_isometric_to_the_cartesian_one(
     s = 1.0 / np.sqrt(1.0 + C * np.einsum("ni,ni->n", x, x))
     y = s[:, None] * x
     want = curvature_many(cartesian_warped_chart, x).scalar
-    assert np.max(np.abs(conformal.scalar_curvature(y) - want)) < 1e-4
+    assert np.max(np.abs(conformal.metric_and_scalar(y)[1] - want)) < 1e-4
     v = rng.normal(size=x.shape)
     # the pushforward J v with J = s I - c s^3 x x^T
     w = s[:, None] * v - (C * s ** 3 * np.einsum("ni,ni->n", x, v))[:, None] * x
@@ -158,11 +164,12 @@ def test_spray_rejects_what_the_jet_rejects(name):
     for x in _bad_inputs(name, chart.dim):
         pts = np.concatenate([np.resize(inside, (1, x.shape[1])), x])
         v = np.ones_like(pts)
-        want = _outcome(calculus._geodesic_rhs, jet, pts, v)
+        want = _outcome(_spray, jet, pts, v)
         # a flat metric is finite even at a NaN point
         assert want is not None or name.startswith("flat")
-        assert _outcome(calculus._geodesic_rhs, chart, pts, v) == want
-        assert _outcome(chart.scalar_curvature, pts) == want
+        assert _outcome(_spray, chart, pts, v) == want
+        assert _outcome(chart.metric, pts) == want
+        assert _outcome(chart.metric_and_scalar, pts) == want
 
 
 def test_spray_rejects_a_factor_that_is_not_positive():
@@ -174,12 +181,34 @@ def test_spray_rejects_a_factor_that_is_not_positive():
     for x in ([[1.0, 0.0]], [[0.0, -2.0]], [[0.5, 0.5], [1.5, 0.0]]):
         x = np.asarray(x)
         v = np.ones_like(x)
-        assert _outcome(calculus._geodesic_rhs, jet, x, v) is SingularMetric
-        assert _outcome(calculus._geodesic_rhs, chart, x, v) is SingularMetric
-        assert _outcome(chart.scalar_curvature, x) is SingularMetric
+        assert _outcome(_spray, jet, x, v) is SingularMetric
+        assert _outcome(_spray, chart, x, v) is SingularMetric
+        assert _outcome(chart.metric, x) is SingularMetric
+        assert _outcome(chart.metric_and_scalar, x) is SingularMetric
     for c in (chart, jet):
         with pytest.raises(SingularMetric):
             geodesic_shoot_many(c, [(0.5, 0.0)], [(1.0, 0.0)], 1.0, h=0.05)
+
+
+def test_metric_rejects_a_determinant_that_underflows():
+    # at |x| = 1e30 on round-s3, phi = 4e-120 is positive but phi^3, the
+    # determinant of phi I, underflows to 0: every call that returns g
+    # rejects the point, as the jet path's Sylvester check does, while the
+    # spray, which forms no g, accepts it
+    chart = get_model("round-s3").chart()
+    x = np.array([[0.1, 0.0, 0.0], [1e30, 0.0, 0.0]])
+    v = np.ones_like(x)
+    messages = set()
+    for fn in (chart.metric, chart.metric_and_scalar, _plain(chart).metric,
+               lambda pts: _spray(_plain(chart), pts, v)):
+        with pytest.raises(SingularMetric) as exc_info:
+            fn(x)
+        messages.add(str(exc_info.value))
+    assert messages == {"round-s3/stereographic: metric not positive "
+                        f"definite at {x[1]}"}
+    assert _outcome(_spray, chart, x, v) is None
+    # phi^2 = 1.6e-239 does not underflow: round-s2 takes the point
+    assert _outcome(get_model("round-s2").chart().metric, x[:, :2]) is None
 
 
 @pytest.mark.parametrize("name,x0", [("hyperbolic-2", (0.9, 0.0)),

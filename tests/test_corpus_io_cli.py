@@ -15,6 +15,7 @@ from swlab.errors import (
     OracleConflict,
     ParseError,
     UnknownCorpusEntry,
+    UnknownModel,
 )
 from swlab.fileio import (
     parse_complex_file,
@@ -22,6 +23,7 @@ from swlab.fileio import (
     serialize_complex,
     write_complex_file,
 )
+from swlab.metric import get_model
 from swlab.pipeline import compute_report
 from swlab.simplicial import build_complex
 
@@ -260,6 +262,17 @@ def test_cli_usage_errors(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_cli_unknown_model_is_a_usage_error(capsys):
+    # the one usage error that printed its message without the prefix
+    argv = ["metric", "gauss-bonnet", "--model", "nope", "--eps", "0.5"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown model 'nope'; available: flat-2, flat-3, "
+        "hyperbolic-2, round-s2, round-s3, warped-3"]
+    with pytest.raises(UnknownModel):
+        get_model("nope")
 
 
 def test_cli_non_utf8_input_is_a_parse_error(tmp_path, capsys):

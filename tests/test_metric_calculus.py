@@ -13,6 +13,7 @@ from swlab.errors import (
     SingularMetric,
 )
 from swlab.metric import (
+    ConformalChart,
     MetricChart,
     MODEL_NAMES,
     christoffel_many,
@@ -128,7 +129,7 @@ def test_closed_form_jet_against_central_differences(name):
     pts = np.random.default_rng(36).uniform(-0.5, 0.5, size=(16, chart.dim))
     g, dg = metric_jet(chart, pts)
     assert np.array_equal(g, chart.metric(pts))
-    slope = chart.factor(pts)[1]
+    slope = chart.factor_at(pts.T)[2]
     want = np.einsum("n,na,ij->naij", 2.0 * slope, pts, np.eye(chart.dim))
     assert dg.shape == want.shape
     assert np.max(np.abs(dg - want)) <= 1e-7 * np.max(np.abs(want))
@@ -275,13 +276,16 @@ def test_curvature_evaluates_metric_once(monkeypatch):
     # Christoffel stencil, so every chart takes one metric call on the
     # (2d+1)^2 N = 250 points of the nested stencil
     calls = []
-    metric = MetricChart.metric
 
-    def recording(self, points):
-        calls.append(len(points))
-        return metric(self, points)
+    def recording(metric):
+        def record(self, points):
+            calls.append(len(points))
+            return metric(self, points)
+        return record
 
-    monkeypatch.setattr(MetricChart, "metric", recording)
+    monkeypatch.setattr(MetricChart, "metric", recording(MetricChart.metric))
+    monkeypatch.setattr(ConformalChart, "metric",
+                        recording(ConformalChart.metric))
     pts = np.random.default_rng(34).uniform(-0.5, 0.5, size=(10, 2))
     curvature_many(get_model("round-s2").chart("generic"), pts)
     assert calls == [250]
@@ -289,6 +293,24 @@ def test_curvature_evaluates_metric_once(monkeypatch):
     polar = np.random.default_rng(35).uniform(0.4, 1.2, size=(10, 2))
     curvature_many(get_model("round-s2").chart("polar"), polar)
     assert calls == [250]
+
+
+@pytest.mark.parametrize("kind", ["generic", "polar"])
+@pytest.mark.parametrize("name", ["round-s2", "round-s3"])
+def test_derivatives_at_no_points_are_empty(name, kind):
+    # the stencil's differences were reshaped by an inferred axis, which
+    # numpy cannot infer from zero points; the metric and the shoot return
+    # empty arrays there, and so must the derivatives
+    chart = get_model(name).chart(kind)
+    d = chart.dim
+    none = np.zeros((0, d))
+    assert chart.metric(none).shape == (0, d, d)
+    g, dg = metric_jet(chart, none)
+    assert (g.shape, dg.shape) == ((0, d, d), (0, d, d, d))
+    assert christoffel_many(chart, none).shape == (0, d, d, d)
+    data = curvature_many(chart, none)
+    assert data.riem_up.shape == data.riemann.shape == (0, d, d, d, d)
+    assert (data.ricci.shape, data.scalar.shape) == ((0, d, d), (0,))
 
 
 @pytest.mark.parametrize("h2", [0.0, -1e-3, math.nan, math.inf])

@@ -19,7 +19,7 @@ from swlab.metric import (
     sphere_area_probe,
     w3_limit,
 )
-from swlab.metric import calculus
+from swlab.metric import calculus, probes
 from swlab.metric.probes import (
     MIN_GRID,
     MAX_STEPS,
@@ -140,6 +140,8 @@ def test_each_probe_evaluates_the_metric_once_per_point(monkeypatch):
 
     monkeypatch.setattr(MetricChart, "metric",
                         recording(MetricChart.metric))
+    monkeypatch.setattr(ConformalChart, "metric",
+                        recording(ConformalChart.metric))
     monkeypatch.setattr(ConformalChart, "metric_and_scalar",
                         recording(ConformalChart.metric_and_scalar))
     for probe, name, eps, grid in (
@@ -190,7 +192,7 @@ def test_disk_boundary_reads_gamma_from_the_spray(name, kind, bound):
         x = (radius * np.sqrt(r))[:, None] \
             * np.column_stack([np.cos(theta), np.sin(theta)])
     t = rng.normal(size=x.shape)
-    got = -calculus._geodesic_rhs(chart, x, t)[1]
+    got = -calculus._spray(chart, x.T, t.T).T
     gam = calculus.christoffel_many(chart, x)
     want = np.einsum("nkij,ni,nj->nk", gam, t, t)
     scale = np.abs(gam).max(axis=(1, 2, 3)) * np.einsum("ni,ni->n", t, t)
@@ -328,6 +330,31 @@ def test_non_finite_probe_center_is_named(probe, name, center):
     # finite there, so the probe checks its center itself
     with pytest.raises(OutOfDomain, match="center .* is not finite"):
         probe(get_model(name), 0.25, center=center, grid=None)
+
+
+@pytest.mark.parametrize("probe", (sphere_area_probe, gauss_bonnet_disk))
+@pytest.mark.parametrize("max_error", [math.nan, -1.0, None, math.inf])
+def test_max_error_is_validated_before_any_ray(probe, max_error,
+                                               monkeypatch):
+    # NaN failed no comparison, so it turned the error gate off; a negative
+    # bound failed every probe as GridTooCoarse.  None and inf gate nothing
+    shots = []
+    shoot = probes._shoot_together
+
+    def counting_shoot(*args):
+        shots.append(1)
+        return shoot(*args)
+
+    monkeypatch.setattr(probes, "_shoot_together", counting_shoot)
+    model = get_model("round-s2")
+    if max_error is None or max_error > 0:
+        res = probe(model, 0.5, grid=64, max_error=max_error)
+        assert res.error == probe(model, 0.5, grid=64).error
+        assert shots == [1, 1]
+    else:
+        with pytest.raises(OutOfDomain, match="max_error .*non-negative"):
+            probe(model, 0.5, grid=64, max_error=max_error)
+        assert shots == []
 
 
 def _assert_paired_shoot_matches(model, center, grid, h, record):
@@ -522,6 +549,7 @@ def test_default_probe_step_count(monkeypatch):
         return spray(*args)
 
     monkeypatch.setattr(calculus, "_spray", counting_spray)
+    monkeypatch.setattr(probes, "_spray", counting_spray)
     assert (MIN_STEPS, MAX_STEPS, SCALE_STEPS) == (16, 32, 32)
     for probe, name, eps, grid, steps in (
             (sphere_area_probe, "round-s2", 0.5, None, 16),
