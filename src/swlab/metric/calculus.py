@@ -2,7 +2,8 @@
 
 On a conformal chart g = phi(|x|^2) I (the generic chart of every built-in
 model) the geodesic spray is closed form in phi and phi', O(N d) per RK4
-stage with no jet; the chart's `metric_and_scalar` is closed form too.  On
+stage with no jet, and the stage evaluates no phi''; the chart's
+`metric_and_scalar` is closed form too.  On
 every other chart (the polar charts, `restricted_chart`, user charts) the
 spray contracts the metric's first derivatives, which are central
 differences with step H1: one stencil differentiates the metric wherever
@@ -13,7 +14,9 @@ every chart, with the step H2 in chart coordinates.
 Geodesics integrate with fixed-step RK4 in one loop, `_shoot_together`:
 the rays are held coordinate-major, x and v as (d, N) arrays with one
 column per ray, so per-ray scalars broadcast along the contiguous axis,
-and groups of rays step together, each at its own step count.
+and groups of rays step together, each at its own step count.  Each RK4
+stage is one (3, d, N) block of x, v and the spray, which `_spray` writes
+in place, so a state update is one multiply and one add on the block.
 `geodesic_shoot_many` is one group; a probe's fine rays and their
 step-doubling companions are two, shot in as many steps as the fine
 rays alone.  Everything is batched over points so the probes can drive
@@ -83,8 +86,9 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 def metric_jet(chart: MetricChart, points: np.ndarray):
     """Metric and its first derivatives: g (N,d,d) and dg (N,d,d,d) with
     dg[:, a, i, j] = d g_ij / d x_a, by central differences of the metric
-    with step H1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with step H1.  Raises OutOfDomain for points of another width than
+    the chart's."""
+    pts = chart._points(points)
     return _central_differences(chart.metric(_stencil(pts, H1)), len(pts), H1)
 
 
@@ -124,12 +128,12 @@ def curvature_many(chart: MetricChart, points: np.ndarray,
                    h2: float = H2) -> CurvatureData:
     """Curvature from central differences of the Christoffel symbols with
     the outer step h2.  Raises OutOfDomain for an h2 that is not positive
-    and finite."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
+    and finite, or points of another width than the chart's."""
     if not (math.isfinite(h2) and h2 > 0):
         raise OutOfDomain(
             f"curvature step h2 must be positive and finite, got {h2}")
+    pts = chart._points(points)
+    n, d = pts.shape
     # The first block of the stencil is the points themselves, so g and
     # its inverse there come with the symbols.
     symbols, g, ginv = _christoffel(chart, _stencil(pts, h2))
@@ -158,27 +162,29 @@ def g_norms(g: np.ndarray, vectors) -> np.ndarray:
     return np.sqrt((g * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
 
 
-def _spray(chart, x, v):
+def _spray(chart, x, v, out=None):
     """The acceleration v' = -Gamma(v, v) of the rays whose positions and
     velocities are the columns of x and v (d, N), without forming the
-    symbols.  On a conformal chart g = e^(2u) I,
-    Gamma^k_ij = d_ik u_j + d_jk u_i - d_ij u_k, so
+    symbols, written into `out` (d, N) when given.  On a conformal chart
+    g = e^(2u) I, Gamma^k_ij = d_ik u_j + d_jk u_i - d_ij u_k, so
     v' = |v|^2 grad u - 2 <grad u, v> v with grad u = (phi'/phi) x, and
     the per-ray scalars broadcast along the rows.  Otherwise, with
     P_l = v^i v^j d_i g_jl and Q_l = v^i v^j d_l g_ij, the geodesic
     equation reads g v' = -(P - Q/2), solved on the transposed (N, d)
     views."""
     if isinstance(chart, ConformalChart):
-        _, phi, slope, _ = chart.factor_at(x)
+        _, phi, slope = chart.factor_at(x)
         grad = (slope / phi) * x
-        return _colsum(v * v) * grad - (2.0 * _colsum(grad * v)) * v
+        return np.subtract(_colsum(v * v) * grad,
+                           (2.0 * _colsum(grad * v)) * v, out=out)
     x, v = x.T, v.T
     g, dg = metric_jet(chart, x)
     n, d = v.shape
     vv = (v[:, :, None] * v[:, None, :]).reshape(n, 1, d * d)
     p = (vv @ dg.reshape(n, d * d, d))[:, 0]
     q = (dg.reshape(n, d, d * d) @ vv.transpose(0, 2, 1))[..., 0]
-    return -(_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0].T
+    return np.negative((_inverse(g) @ (p - 0.5 * q)[..., None])[..., 0].T,
+                       out=out)
 
 
 def rk4_step_count(length: float, h: float) -> int:
@@ -200,7 +206,9 @@ def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
     """Integrate x'' = -Gamma(x', x') with fixed-step RK4, batched over rays.
 
     Returns (x, v) arrays, or with record=True the full trajectory arrays
-    of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count does."""
+    of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count does,
+    and for x0 of another width than the chart's or v0 of another shape
+    than x0."""
     steps = rk4_step_count(length, h)
     return _shoot_together(chart, x0, v0, length, (steps,), record)[0]
 
@@ -214,44 +222,68 @@ def _shoot_together(chart: MetricChart, x0, v0, length: float, counts,
     and v are (d, rays * len(counts)) with one column per ray, and each
     copy steps at its own length / count.  Once the shortest-stepped
     copies reach `length` they are sliced off and the others step on
-    alone, so counts (2k, k) cost 2k steps of RK4, not 3k.  The arithmetic
-    on each ray is that of a shoot with its count alone.  Returns one
-    (x, v) pair per count as `geodesic_shoot_many` does.  Raises
-    LeftDomain when a stage leaves the chart's domain."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    alone, so counts (2k, k) cost 2k steps of RK4, not 3k.  Each RK4
+    stage is one (3, d, columns) block of x, v and the spray, so that
+    block[:2] is a state and block[1:] its derivative: a state update is
+    one multiply and one add on the whole block, by step factors held at
+    its full shape.  Every element still takes the operations of a shoot
+    with its count alone, in the same order, so the results are those
+    bits.  Returns one (x, v) pair per count as `geodesic_shoot_many`
+    does.  Raises OutOfDomain for x0 of another width than the chart's
+    or v0 of another shape than x0, and LeftDomain when a stage leaves
+    the chart's domain."""
+    x0 = chart._points(x0)
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    n, groups = len(x0), len(counts)
-    # C-contiguous whatever the groups: the spray's last bits depend on the layout
-    x, v = np.tile(x0.T.copy(), groups), np.tile(v0.T.copy(), groups)
+    if v0.shape != x0.shape:
+        raise OutOfDomain(f"{chart.name}: velocities of shape {v0.shape} "
+                          f"for points of shape {x0.shape}")
+    (n, d), groups = x0.shape, len(counts)
+    state = np.stack([np.tile(x0.T, groups), np.tile(v0.T, groups)])
     dt = np.repeat([length / steps for steps in counts], n)
-    xs, vs = [x], [v]
+    states = [state]
     ends = [None] * groups
     done = 0
     try:
         for group in reversed(range(groups)):
             cols = slice(group * n, (group + 1) * n)
-            x, v, dt = x[:, :cols.stop], v[:, :cols.stop], dt[:cols.stop]
-            half, sixth = 0.5 * dt, dt / 6.0
+            width = cols.stop
+            # C-contiguous blocks of the current width: the spray's last
+            # bits depend on the layout
+            b1, b2, b3, b4 = np.empty((4, 3, d, width))
+            b1[:2] = state[..., :width]
+            step = np.broadcast_to(dt[:width], (2, d, width))
+            full, half, sixth = step.copy(), 0.5 * step, step / 6.0
             for _ in range(done, counts[group]):
-                k1 = _spray(chart, x, v)
-                x2, v2 = x + half * v, v + half * k1
-                k2 = _spray(chart, x2, v2)
-                x3, v3 = x + half * v2, v + half * k2
-                k3 = _spray(chart, x3, v3)
-                x4, v4 = x + dt * v3, v + dt * k3
-                k4 = _spray(chart, x4, v4)
-                x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-                v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                _spray(chart, b1[0], b1[1], out=b1[2])
+                np.multiply(half, b1[1:], out=b2[:2])
+                b2[:2] += b1[:2]
+                _spray(chart, b2[0], b2[1], out=b2[2])
+                np.multiply(half, b2[1:], out=b3[:2])
+                b3[:2] += b1[:2]
+                _spray(chart, b3[0], b3[1], out=b3[2])
+                np.multiply(full, b3[1:], out=b4[:2])
+                b4[:2] += b1[:2]
+                _spray(chart, b4[0], b4[1], out=b4[2])
+                # x += sixth (v + 2 v2 + 2 v3 + v4), v likewise with the
+                # sprays, summed in that order in the spent stage blocks
+                b2[1:] *= 2.0
+                b2[1:] += b1[1:]
+                b3[1:] *= 2.0
+                b2[1:] += b3[1:]
+                b2[1:] += b4[1:]
+                b2[1:] *= sixth
+                b1[:2] += b2[1:]
                 if record:
-                    xs.append(x)
-                    vs.append(v)
+                    states.append(b1[:2].copy())
             done = counts[group]
+            state = b1[:2]
             if record:
                 ends[group] = tuple(
-                    np.stack([s[:, cols] for s in states[:done + 1]])
-                    .transpose(0, 2, 1).copy() for states in (xs, vs))
+                    np.stack([s[k, :, cols] for s in states[:done + 1]])
+                    .transpose(0, 2, 1).copy() for k in (0, 1))
             else:
-                ends[group] = x[:, cols].T.copy(), v[:, cols].T.copy()
+                ends[group] = state[0, :, cols].T.copy(), \
+                    state[1, :, cols].T.copy()
     except OutOfDomain as exc:
         raise LeftDomain(f"geodesic left the domain of {chart.name}",
                          exit_point=exc.point) from exc

@@ -9,10 +9,10 @@ so every generic chart is a `ConformalChart` g = phi(|x|^2) I (cartesian,
 stereographic, Poincare disk, and (1 - c|x|^2)^-3 I for warped-3), whose
 factor phi is derived by hand, independently of f: the probes that run
 there are honest checks of the closed forms, not circular ones.  From one
-checked evaluation of phi and its first two derivatives come the metric,
-and the geodesic spray and the scalar curvature in closed form.  Every
-other derivative of the metric, on every chart, is the calculus's
-central-difference stencil.
+checked evaluation of phi and phi' come the metric and the geodesic
+spray in closed form; the scalar curvature also reads phi'', which the
+chart computes for it alone.  Every other derivative of the metric, on
+every chart, is the calculus's central-difference stencil.
 """
 from __future__ import annotations
 
@@ -50,17 +50,23 @@ class MetricChart:
         self._metric_fn = metric_fn
         self._domain_fn = domain_fn
 
-    def contains(self, points) -> np.ndarray:
+    def _points(self, points) -> np.ndarray:
+        """The points as an (N, dim) float array.  Raises OutOfDomain for
+        another width; a flat list is one point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise OutOfDomain(
+                f"{self.name}: points must have {self.dim} coordinates")
+        return pts
+
+    def contains(self, points) -> np.ndarray:
+        pts = self._points(points)
         if self._domain_fn is None:
             return np.ones(len(pts), dtype=bool)
         return np.asarray(self._domain_fn(pts), dtype=bool)
 
     def metric(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise OutOfDomain(
-                f"{self.name}: points must have {self.dim} coordinates")
+        pts = self._points(points)
         inside = self.contains(pts)
         if not inside.all():
             bad = pts[~inside][0]
@@ -138,11 +144,6 @@ def _colsum(cols):
     return _ones(len(cols)) @ cols
 
 
-def _columns(points) -> np.ndarray:
-    """The points as the columns of a (dim, N) float array (a view)."""
-    return np.atleast_2d(np.asarray(points, dtype=float)).T
-
-
 def _diag(vals, n):
     g = np.zeros((n, len(vals), len(vals)))
     for i, v in enumerate(vals):
@@ -151,30 +152,34 @@ def _diag(vals, n):
 
 
 class ConformalChart(MetricChart):
-    """The chart g = phi(|x|^2) I, built from one function: factor(rho2)
-    returns phi and its first two derivatives in rho2 = |x|^2.  The
-    domain, if any, is a predicate on rho2 too.  The metric, the scalar
-    curvature and the calculus's closed-form geodesic spray each come
-    from one checked factor evaluation, `factor_at`."""
+    """The chart g = phi(|x|^2) I, built from two functions of
+    rho2 = |x|^2: factor(rho2) returns phi and phi', and
+    curve(rho2, phi') returns phi''.  The domain, if any, is a predicate
+    on rho2 too.  The metric, the scalar curvature and the calculus's
+    closed-form geodesic spray each come from one checked factor
+    evaluation, `factor_at`; only the scalar curvature calls curve."""
 
-    __slots__ = ("_factor_fn",)
+    __slots__ = ("_factor_fn", "_curve_fn")
 
-    def __init__(self, name, dim, factor, domain_fn=None):
+    def __init__(self, name, dim, factor, curve, domain_fn=None):
         super().__init__(name, dim, None, domain_fn)
         self._factor_fn = factor
+        self._curve_fn = curve
 
     def contains(self, points) -> np.ndarray:
-        x = _columns(points)
+        x = self._points(points).T
         if self._domain_fn is None:
             return np.ones(x.shape[1], dtype=bool)
         return np.asarray(self._domain_fn(_colsum(x * x)), dtype=bool)
 
     def factor_at(self, x):
-        """(rho2, phi, phi', phi'') at the points that are the columns of
-        x (dim, N), as the calculus stores its rays.  Raises OutOfDomain
-        for a wrong width or the first point outside the domain, and
+        """(rho2, phi, phi') at the points that are the columns of x
+        (dim, N), as the calculus stores its rays.  Raises OutOfDomain for
+        a wrong width or the first point outside the domain, and
         SingularMetric for the first point where phi is not finite and
-        positive."""
+        positive.  The RK4 stage calls this: phi is tested by one min and
+        one max, both of which fail on NaN, and the per-point mask is
+        built only to name a failing point."""
         if len(x) != self.dim:
             raise OutOfDomain(
                 f"{self.name}: points must have {self.dim} coordinates")
@@ -185,12 +190,13 @@ class ConformalChart(MetricChart):
                 bad = x.T[~inside][0]
                 raise OutOfDomain(
                     f"{self.name}: point {bad} outside the domain", point=bad)
-        phi, slope, curve = self._factor_fn(rho2)
-        ok = (phi > 0.0) & (phi < math.inf)
-        if not ok.all():
+        phi, slope = self._factor_fn(rho2)
+        if not (phi.min(initial=math.inf) > 0.0
+                and phi.max(initial=0.0) < math.inf):
+            ok = (phi > 0.0) & (phi < math.inf)
             raise SingularMetric(
                 f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
-        return rho2, phi, slope, curve
+        return rho2, phi, slope
 
     def _times_identity(self, x, phi):
         """phi I at the columns x, checked for phi^dim > 0: the determinant
@@ -202,7 +208,7 @@ class ConformalChart(MetricChart):
         return _diag((phi,) * self.dim, len(phi))
 
     def metric(self, points) -> np.ndarray:
-        x = _columns(points)
+        x = self._points(points).T
         return self._times_identity(x, self.factor_at(x)[1])
 
     def metric_and_scalar(self, points):
@@ -214,43 +220,60 @@ class ConformalChart(MetricChart):
 
         where u = log(phi) / 2, so grad u = w x with w = phi'/phi, and
         Lap u = n w + 2 rho2 w' with w' = dw / d rho2."""
-        x = _columns(points)
-        rho2, phi, slope, curve = self.factor_at(x)
+        x = self._points(points).T
+        rho2, phi, slope = self.factor_at(x)
         g, n, w = self._times_identity(x, phi), self.dim, slope / phi
+        curve = self._curve_fn(rho2, slope)
         lap = n * w + 2.0 * rho2 * (curve / phi - w * w)
         return g, \
             -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
 
 
+# Each conformal factor is a pair: phi and phi' of rho2, then phi'' of
+# rho2 and phi'.
+
 def _flat(rho2):
-    zero = np.zeros_like(rho2)
-    return np.ones_like(rho2), zero, zero
+    return np.ones_like(rho2), np.zeros_like(rho2)
+
+
+def _flat_curve(rho2, slope):
+    return np.zeros_like(rho2)
 
 
 def _stereographic(rho2):
-    phi = 4.0 / (1.0 + rho2) ** 2
-    slope = -2.0 * phi / (1.0 + rho2)
-    return phi, slope, -3.0 * slope / (1.0 + rho2)
+    s = 1.0 + rho2
+    phi = 4.0 / s ** 2
+    return phi, -2.0 * phi / s
+
+
+def _stereographic_curve(rho2, slope):
+    return -3.0 * slope / (1.0 + rho2)
 
 
 def _poincare(rho2):
-    phi = 4.0 / (1.0 - rho2) ** 2
-    slope = 2.0 * phi / (1.0 - rho2)
-    return phi, slope, 3.0 * slope / (1.0 - rho2)
+    s = 1.0 - rho2
+    phi = 4.0 / s ** 2
+    return phi, 2.0 * phi / s
+
+
+def _poincare_curve(rho2, slope):
+    return 3.0 * slope / (1.0 - rho2)
 
 
 def _warped(c: float):
     """The factor (1 - c rho2)^-3 of dr^2 + f(r)^2 dOmega^2 with
-    f(r) = r + c r^3: |x| = exp(integral dr / f) = r / sqrt(1 + c r^2)
-    makes it e^(2u) (d|x|^2 + |x|^2 dOmega^2) with e^(2u) = (dr / d|x|)^2
-    = (1 + c r^2)^3 = (1 - c |x|^2)^-3."""
+    f(r) = r + c r^3, and its phi'': |x| = exp(integral dr / f) =
+    r / sqrt(1 + c r^2) makes it e^(2u) (d|x|^2 + |x|^2 dOmega^2) with
+    e^(2u) = (dr / d|x|)^2 = (1 + c r^2)^3 = (1 - c |x|^2)^-3."""
     def factor(rho2):
         t = 1.0 / (1.0 - c * rho2)
         phi = t ** 3
-        slope = 3.0 * c * phi * t
-        return phi, slope, 4.0 * c * slope * t
+        return phi, 3.0 * c * phi * t
 
-    return factor
+    def curve(rho2, slope):
+        return 4.0 * c * slope * (1.0 / (1.0 - c * rho2))
+
+    return factor, curve
 
 
 _POLAR_EPS = 0.05
@@ -311,20 +334,22 @@ def _build_models() -> dict:
 
     models = (
         # generic chart, f, f', polar r_max, guard, scalar, polar_radius
-        _model(ConformalChart("flat-2/cartesian", 2, _flat),
+        _model(ConformalChart("flat-2/cartesian", 2, _flat, _flat_curve),
                identity, np.ones_like, big, big, 0.0, identity),
-        _model(ConformalChart("round-s2/stereographic", 2, _stereographic),
+        _model(ConformalChart("round-s2/stereographic", 2, _stereographic,
+                              _stereographic_curve),
                np.sin, np.cos, pole, 1.5, 2.0, half_tan),
         _model(ConformalChart("hyperbolic-2/disk", 2, _poincare,
-                              lambda rho2: rho2 < 1.0 - 1e-9),
+                              _poincare_curve, lambda rho2: rho2 < 1.0 - 1e-9),
                np.sinh, np.cosh, big, 6.0, -2.0,
                lambda r: math.tanh(r / 2.0)),
-        _model(ConformalChart("flat-3/cartesian", 3, _flat),
+        _model(ConformalChart("flat-3/cartesian", 3, _flat, _flat_curve),
                identity, np.ones_like, big, big, 0.0, identity),
-        _model(ConformalChart("round-s3/stereographic", 3, _stereographic),
+        _model(ConformalChart("round-s3/stereographic", 3, _stereographic,
+                              _stereographic_curve),
                np.sin, np.cos, pole, 1.5, 6.0, half_tan),
         # scalar curvature not constant; -36c at the center
-        _model(ConformalChart("warped-3/conformal", 3, _warped(c),
+        _model(ConformalChart("warped-3/conformal", 3, *_warped(c),
                               lambda rho2: c * rho2 < 1.0),
                lambda r: r + c * r ** 3, lambda r: 1.0 + 3.0 * c * r ** 2,
                big, 2.0, None, lambda r: r / math.sqrt(1.0 + c * r * r),

@@ -12,7 +12,10 @@ RK4 loop) and drift (the g-speed drift of the rays).
 The disk probe adds a fourth, curvature (the truncation error of the
 curvature stencil, by Richardson on the boundary circle); it is 0 on a
 conformal chart, where the disk reads the scalar curvature in closed form
-and runs no stencil.
+and runs no stencil.  There the RK4 stages read phi and phi' of the
+chart's factor, and only the disk's curvature reads phi''.  The
+step-doubling companion reports values only: its disk computes no error
+parts.
 """
 from __future__ import annotations
 
@@ -298,12 +301,14 @@ def _simpson(values: np.ndarray, dx: float) -> float:
 
 def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     """Interior curvature and boundary turning of the disk swept by the
-    recorded rays (steps+1, nrays, 2), the quadrature error of both, the
-    curvature stencil's truncation error and the g-speed drift of the rays
-    at the boundary.  The stencil is second order in h2, so by Richardson
-    its error is the largest 4/3 |K(h2) - K(h2/2)| on the boundary circle,
-    nearest the chart's edge, times the disk's area; it is 0 on a
-    conformal chart, whose curvature is closed form."""
+    recorded rays (steps+1, nrays, 2), and a function that returns their
+    error parts: the quadrature error of both, the curvature stencil's
+    truncation error and the g-speed drift of the rays at the boundary.
+    The step-doubling companion needs the values only, so the parts are
+    computed on demand.  The stencil is second order in h2, so by
+    Richardson its error is the largest 4/3 |K(h2) - K(h2/2)| on the
+    boundary circle, nearest the chart's edge, times the disk's area; it
+    is 0 on a conformal chart, whose curvature is closed form."""
     steps, nrays = traj_x.shape[0] - 1, traj_x.shape[1]
 
     # Interior: f(s) = integral of K * |d_theta exp(s v)| over theta,
@@ -331,13 +336,6 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
                              * 2.0 * math.pi])
     ds = eps / steps * stride
     interior = _simpson(f_vals, ds)
-    interior_tz = float(np.trapezoid(f_vals, dx=ds))
-    curvature = 0.0
-    if not conformal:
-        half = 0.5 * curvature_many(chart, pos[-1], h2=h2 / 2.0).scalar
-        area = _simpson(np.concatenate([[0.0], jnorm.mean(axis=1)])
-                        * 2.0 * math.pi, ds)
-        curvature = 4.0 / 3.0 * float(np.max(np.abs(gauss[-1] - half))) * area
 
     # Boundary: geodesic curvature of the boundary circle against the
     # inward normal (minus the outgoing ray velocity).  The covariant
@@ -357,14 +355,24 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
 
     tang = _fft_derivative(curve, axis=0)
     boundary = turning(tang, _fft_derivative(tang, axis=0))
-    ahead, behind = np.roll(curve, -1, axis=0), np.roll(curve, 1, axis=0)
-    dtheta = 2.0 * math.pi / nrays
-    boundary_fd = turning((ahead - behind) / (2.0 * dtheta),
-                          (ahead - 2.0 * curve + behind) / dtheta ** 2)
 
-    quadrature = abs(interior - interior_tz) + abs(boundary - boundary_fd)
-    drift = float(np.max(np.abs(speed - 1.0)))
-    return interior, boundary, quadrature, curvature, drift
+    def errors():
+        interior_tz = float(np.trapezoid(f_vals, dx=ds))
+        curvature = 0.0
+        if not conformal:
+            half = 0.5 * curvature_many(chart, pos[-1], h2=h2 / 2.0).scalar
+            area = _simpson(np.concatenate([[0.0], jnorm.mean(axis=1)])
+                            * 2.0 * math.pi, ds)
+            curvature = 4.0 / 3.0 * float(np.max(np.abs(gauss[-1] - half))) \
+                * area
+        ahead, behind = np.roll(curve, -1, axis=0), np.roll(curve, 1, axis=0)
+        dtheta = 2.0 * math.pi / nrays
+        boundary_fd = turning((ahead - behind) / (2.0 * dtheta),
+                              (ahead - 2.0 * curve + behind) / dtheta ** 2)
+        quadrature = abs(interior - interior_tz) + abs(boundary - boundary_fd)
+        return quadrature, curvature, float(np.max(np.abs(speed - 1.0)))
+
+    return interior, boundary, errors
 
 
 def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
@@ -386,9 +394,9 @@ def gauss_bonnet_disk(model: ModelGeometry, eps: float, center=None,
     _check_max_error(model.name, max_error)
     chart, fine, companion, params = _shoot_rays(model, eps, center, grid,
                                                  h, record=True)
-    interior, boundary, quadrature, curvature, drift = _disk_total(
-        chart, *fine, eps)
-    interior2, boundary2 = _disk_total(chart, *companion, eps)[:2]
+    interior, boundary, errors = _disk_total(chart, *fine, eps)
+    quadrature, curvature, drift = errors()
+    interior2, boundary2, _ = _disk_total(chart, *companion, eps)
     total = interior + boundary
     error, parts = _error_budget(
         model.name, eps, max_error, quadrature=quadrature,

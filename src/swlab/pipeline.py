@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations
 from operator import xor
 
@@ -115,11 +115,13 @@ class SWReport:
         return all(row.matches_oracle for row in self.rows)
 
 
-def _gap_patterns(size: int) -> list[tuple[int, ...]]:
+@cache
+def _gap_patterns(size: int) -> tuple[tuple[int, ...], ...]:
     """Positions of the faces rho of a sorted simplex of `size` vertices that
     keep its largest vertex and leave each other vertex in a gap of rho whose
     index has the parity of dim rho.  The gap index of a vertex outside rho
-    is the number of rho's vertices below it."""
+    is the number of rho's vertices below it.  Cached: a report reads the
+    patterns of each size once per degree."""
     top = size - 1
     patterns = []
     for mask in range(1 << top):
@@ -127,7 +129,7 @@ def _gap_patterns(size: int) -> list[tuple[int, ...]]:
         if all((mask & ((1 << i) - 1)).bit_count() % 2 == d % 2
                for i in range(top) if not mask >> i & 1):
             patterns.append(tuple(i for i in range(top) if mask >> i & 1) + (top,))
-    return patterns
+    return tuple(patterns)
 
 
 def all_ones_chains(K: SimplicialComplex) -> list[tuple[bool, bool, Chain]]:

@@ -77,14 +77,14 @@ def test_spray_matches_jet_contraction(name, monkeypatch):
     got = _spray(chart, x, v).T
 
     def closed_form_jet(_chart, pts):
-        _, phi, slope, _ = chart.factor_at(pts.T)
+        _, phi, slope = chart.factor_at(pts.T)
         eye = np.eye(chart.dim)
         return phi[:, None, None] * eye, \
             np.einsum("n,na,ij->naij", 2.0 * slope, pts, eye)
 
     monkeypatch.setattr(calculus, "metric_jet", closed_form_jet)
     want = _spray(_plain(chart), x, v).T
-    _, phi, slope, _ = chart.factor_at(x.T)
+    _, phi, slope = chart.factor_at(x.T)
     terms = np.abs(slope / phi) * np.linalg.norm(x, axis=1) \
         * np.einsum("ni,ni->n", v, v)
     assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * terms)
@@ -175,8 +175,9 @@ def test_spray_rejects_what_the_jet_rejects(name):
 def test_spray_rejects_a_factor_that_is_not_positive():
     # phi = 1 - |x|^2 is positive in the unit ball only; a geodesic that
     # leaves it fails the metric check on both paths alike
-    chart = ConformalChart("shrinking", 2, lambda rho2: (
-        1.0 - rho2, -np.ones_like(rho2), np.zeros_like(rho2)))
+    chart = ConformalChart(
+        "shrinking", 2, lambda rho2: (1.0 - rho2, -np.ones_like(rho2)),
+        lambda rho2, slope: np.zeros_like(rho2))
     jet = _plain(chart)
     for x in ([[1.0, 0.0]], [[0.0, -2.0]], [[0.5, 0.5], [1.5, 0.0]]):
         x = np.asarray(x)

@@ -313,6 +313,45 @@ def test_derivatives_at_no_points_are_empty(name, kind):
     assert (data.ricci.shape, data.scalar.shape) == ((0, d, d), (0,))
 
 
+@pytest.mark.parametrize("kind", ["generic", "polar"])
+@pytest.mark.parametrize("name", ["round-s2", "round-s3"])
+def test_wrong_width_input_is_out_of_domain(name, kind):
+    # `[]` is one point of width 0: the derivatives raised a bare numpy
+    # ValueError, and the shoot a LeftDomain, a ValueError or, with more
+    # velocities than points, dropped rays; they now name the width as
+    # the metric does, before any stencil or step
+    chart = get_model(name).chart(kind)
+    d = chart.dim
+    for call in (metric_jet, christoffel_many, curvature_many):
+        for pts in ([], np.full((2, d + 1), 0.5)):
+            with pytest.raises(OutOfDomain, match=f"{d} coordinates"):
+                call(chart, pts)
+    x0 = np.tile((0.1, 0.1, 0.1) if kind == "generic" else (1.0, 1.0, 0.0),
+                 (4, 1))[:, :d]
+    v0 = np.full((4, d), 0.2)
+    for x, v, match in (([], [], "coordinates"),
+                        (np.full((4, d + 1), 0.1), np.full((4, d + 1), 0.2),
+                         "coordinates"),
+                        (x0, v0[:, 1:], "velocities"),
+                        (x0, np.full((5, d), 0.2), "velocities")):
+        with pytest.raises(OutOfDomain, match=match):
+            geodesic_shoot_many(chart, x, v, 0.3, 0.1)
+    assert geodesic_shoot_many(chart, x0, v0, 0.3, 0.1)[0].shape == (4, d)
+
+
+@pytest.mark.parametrize("kind", ["generic", "polar"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_contains_checks_the_width(name, kind):
+    # contains read `[]` as one point inside, a narrower point as inside,
+    # or raised a numpy broadcast error
+    chart = get_model(name).chart(kind)
+    d = chart.dim
+    for pts in ([], np.full((1, d - 1), 0.1), np.full((3, d + 1), 0.1)):
+        with pytest.raises(OutOfDomain, match=f"{d} coordinates"):
+            chart.contains(pts)
+    assert chart.contains(np.zeros((0, d))).shape == (0,)
+
+
 @pytest.mark.parametrize("h2", [0.0, -1e-3, math.nan, math.inf])
 def test_curvature_step_is_validated(h2):
     # h2 = 0 gave a NaN scalar curvature, a NaN or infinite h2 a

@@ -538,15 +538,16 @@ def test_default_probe_step_count(monkeypatch):
     # a default probe shoots 1 / SCALE_STEPS, clamped to between
     # MIN_STEPS and MAX_STEPS steps, stepped together with a companion at
     # half as many steps: as many RK4 steps as the fine shoot, four spray
-    # evaluations per step, and two more on each of the disk's two
-    # boundary circles for the turning.  A silent return to a finer
-    # default step fails here rather than on a timing gate
+    # evaluations per step, and for a disk's turning two more on its
+    # boundary circle (spectral and finite-difference tangents) and one on
+    # the companion's, which reports no error parts.  A silent return to a
+    # finer default step fails here rather than on a timing gate
     calls = []
     spray = calculus._spray
 
-    def counting_spray(*args):
+    def counting_spray(*args, out=None):
         calls.append(1)
-        return spray(*args)
+        return spray(*args, out=out)
 
     monkeypatch.setattr(calculus, "_spray", counting_spray)
     monkeypatch.setattr(probes, "_spray", counting_spray)
@@ -561,7 +562,7 @@ def test_default_probe_step_count(monkeypatch):
             (gauss_bonnet_disk, "round-s2", 1.5, 64, 32),
             (gauss_bonnet_disk, "flat-2", 1e6, 64, 32)):
         res = probe(get_model(name), eps, grid=grid)
-        assert len(calls) == 4 * steps + 4 * (probe is gauss_bonnet_disk)
+        assert len(calls) == 4 * steps + 3 * (probe is gauss_bonnet_disk)
         calls.clear()
         assert res.params["steps"] == steps
         assert res.params["h"] == max(
