@@ -38,6 +38,13 @@ from .charts import ConformalChart, MetricChart, _colsum
 
 H1 = 1e-5
 H2 = 1e-3
+# The most ray-steps (rays times RK4 steps) that one shoot may take; a
+# request above it is refused before any array of its size is allocated.
+# Time grows with the product, and so does the memory of a recorded
+# shoot: a disk probe at the budget, 131072 rays of 16 steps, peaks at
+# about 355 MiB of arrays (178 bytes per ray-step).  The largest default
+# probe, a 48 x 96 sphere of 32 steps, takes 147456 ray-steps.
+RK4_BUDGET = 2 ** 21
 
 
 def _stencil(pts: np.ndarray, h: float) -> np.ndarray:
@@ -201,14 +208,22 @@ def rk4_step_count(length: float, h: float) -> int:
     return max(1, int(round(length / h)))
 
 
+def check_rk4_budget(rays: int, steps: int) -> None:
+    """Raise OutOfDomain when `rays` rays of `steps` RK4 steps each
+    exceed RK4_BUDGET."""
+    if rays * steps > RK4_BUDGET:
+        raise OutOfDomain(f"{rays} rays of {steps} RK4 steps exceed the "
+                          f"budget of {RK4_BUDGET} ray-steps")
+
+
 def geodesic_shoot_many(chart: MetricChart, x0, v0, length: float,
                         h: float, record: bool = False):
     """Integrate x'' = -Gamma(x', x') with fixed-step RK4, batched over rays.
 
     Returns (x, v) arrays, or with record=True the full trajectory arrays
-    of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count does,
-    and for x0 of another width than the chart's or v0 of another shape
-    than x0."""
+    of shape (steps+1, N, d).  Raises OutOfDomain as rk4_step_count and
+    check_rk4_budget do, and for x0 of another width than the chart's or
+    v0 of another shape than x0."""
     steps = rk4_step_count(length, h)
     return _shoot_together(chart, x0, v0, length, (steps,), record)[0]
 
@@ -229,15 +244,16 @@ def _shoot_together(chart: MetricChart, x0, v0, length: float, counts,
     its full shape.  Every element still takes the operations of a shoot
     with its count alone, in the same order, so the results are those
     bits.  Returns one (x, v) pair per count as `geodesic_shoot_many`
-    does.  Raises OutOfDomain for x0 of another width than the chart's
-    or v0 of another shape than x0, and LeftDomain when a stage leaves
-    the chart's domain."""
+    does.  Raises OutOfDomain for x0 of another width than the chart's,
+    v0 of another shape than x0 or rays and counts over RK4_BUDGET, and
+    LeftDomain when a stage leaves the chart's domain."""
     x0 = chart._points(x0)
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     if v0.shape != x0.shape:
         raise OutOfDomain(f"{chart.name}: velocities of shape {v0.shape} "
                           f"for points of shape {x0.shape}")
     (n, d), groups = x0.shape, len(counts)
+    check_rk4_budget(n, counts[0])
     state = np.stack([np.tile(x0.T, groups), np.tile(v0.T, groups)])
     dt = np.repeat([length / steps for steps in counts], n)
     states = [state]

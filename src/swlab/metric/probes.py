@@ -27,8 +27,8 @@ from functools import partial
 import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
-from .calculus import _shoot_together, _spray, curvature_many, g_norms, \
-    rk4_step_count
+from .calculus import _shoot_together, _spray, check_rk4_budget, \
+    curvature_many, g_norms, rk4_step_count
 from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
 
@@ -89,11 +89,13 @@ MIN_GRID = 4
 MIN_RADIUS = float(np.finfo(float).tiny) ** 0.25
 
 
-def _directions(dim: int, grid):
+def _directions(dim: int, grid, steps: int):
     """The probe grid and the unit directions of its rays: in 2-D a fan of
     `grid` rays (default 512) at equal angles, in 3-D a LAT,LON pair
     (default 48, 96) of latitude midpoints and equal longitudes, whose
-    longitude count must be even for `_sphere_area`'s pole reflection."""
+    longitude count must be even for `_sphere_area`'s pole reflection.
+    The rays, of `steps` RK4 steps each, are checked against RK4_BUDGET
+    before their directions are built."""
     if dim == 2:
         try:
             nrays = operator.index(grid) if grid is not None else 512
@@ -103,6 +105,7 @@ def _directions(dim: int, grid):
         if nrays < MIN_GRID:
             raise OutOfDomain(f"a 2-D probe needs at least {MIN_GRID} rays, "
                               f"not {nrays}")
+        check_rk4_budget(nrays, steps)
         theta = 2.0 * math.pi * np.arange(nrays) / nrays
         return nrays, np.column_stack([np.cos(theta), np.sin(theta)])
     try:
@@ -117,6 +120,7 @@ def _directions(dim: int, grid):
     if nlon % 2:
         raise OutOfDomain("longitude count must be even for the "
                           "pole-reflection stencil")
+    check_rk4_budget(nlat * nlon, steps)
     lat = (np.arange(nlat) + 0.5) * (math.pi / nlat)
     lon = 2.0 * math.pi * np.arange(nlon) / nlon
     st, ct = np.sin(lat), np.cos(lat)
@@ -138,10 +142,11 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
     length eps at the step h and at 2h: eps/h is rounded to a positive
     even step count so that the companion takes exactly half as many
     steps (step doubling).  Both run in one RK4 loop; the companion rays
-    drop out when they reach eps, halfway through.  Returns
-    the chart, the (x, v) ends of the fine and the companion rays (with
-    `record`, their trajectories (steps+1, nrays, dim)), and the params
-    every probe reports."""
+    drop out when they reach eps, halfway through.  A grid whose rays
+    at that step count exceed RK4_BUDGET is refused before its directions
+    are built.  Returns the chart, the (x, v) ends of the fine and the
+    companion rays (with `record`, their trajectories (steps+1, nrays,
+    dim)), and the params every probe reports."""
     chart = model.chart()
     if not math.isfinite(eps):
         raise OutOfDomain(f"{model.name}: probe radius {eps} is not finite")
@@ -162,8 +167,8 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
             f"{model.name}: probe center {center} is not finite")
     if h is None:
         h = max(eps / MAX_STEPS, min(eps / MIN_STEPS, 1.0 / SCALE_STEPS))
-    grid, dirs = _directions(chart.dim, grid)
     half = rk4_step_count(eps / 2.0, h)
+    grid, dirs = _directions(chart.dim, grid, 2 * half)
     x0 = np.tile(center, (len(dirs), 1))
     v0 = dirs / g_norms(chart.metric([center]), dirs)[:, None]
     fine, coarse = _shoot_together(chart, x0, v0, eps, (2 * half, half),
@@ -261,7 +266,9 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     h (default 1 / SCALE_STEPS, clamped to between MIN_STEPS and
     MAX_STEPS steps) and once more at 2h; `params` holds the step count
     and the parts of `error`.  Raises GridTooCoarse when the
-    self-estimated error exceeds `max_error`, None or non-negative.
+    self-estimated error exceeds `max_error`, None or non-negative, and
+    OutOfDomain when the grid's rays times the step count exceed
+    RK4_BUDGET.
     """
     _check_max_error(model.name, max_error)
     chart, (x, v), (x2, _), params = _shoot_rays(model, eps, center, grid, h)

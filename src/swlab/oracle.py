@@ -5,12 +5,14 @@ fundamental cycle, Wu classes, and Stiefel-Whitney classes via the Wu
 formula w = Sq(v).  Everything here is independent of the dual-cell
 machinery so the two routes can be compared against each other.
 
-Products act on whole chains at once.  Which face of an m-simplex sits at
-given vertex positions depends only on the complex, the vertex order, m and
-the positions, not on the cochains, so `VertexOrder.faces` builds each such
-face-index table once and keeps it.  It finds faces by index, never by
-vertex tuple: the facets without the vertex at position r are deletion
-column r of the complex's facet table, as it is in the numeric order, and
+Products act on whole chains at once.  They split each simplex by its
+vertices in increasing id, the complex's own numbering; a product under
+any other vertex order is the product on the complex relabeled by that
+order's ranks.  Which face of an m-simplex sits at given vertex positions
+depends only on the complex, m and the positions, not on the cochains, so
+`VertexOrder.faces` builds each such face-index table once and keeps it.
+It finds faces by index, never by vertex tuple: the facets without the
+vertex at position r are column r of the complex's facet table, and
 leaving out more vertices reads the facets' table through that column.  A
 product is then a few `gf2.gather`s, each one C-level pass that moves bit
 table[idx] of a cochain to bit idx: `cup_i` XORs, over its cut terms, the
@@ -39,82 +41,47 @@ from .errors import (
 )
 from .gf2 import BitMatrix, gather, scatter, to_flags
 from .homology import mod2_homology
-from .simplicial import Chain, Simplex, SimplicialComplex
+from .simplicial import Chain, SimplicialComplex
 
 
 class VertexOrder:
-    """A strict total order on the vertices of a complex.
+    """The face-index tables of the products on one complex.
 
-    The order decides how a simplex splits into front and back faces, which
-    is the only freedom in the cochain-level products.  Derived complexes
-    get this for free: their vertex ids are assigned by decreasing dimension
-    of the underlying barycenter, so `numeric` is already the order that the
-    subdivision construction wants.
-
-    The order also keeps the face-index tables of the products on its
-    complex (`faces`) and the deletion columns they are read through (in
-    the numeric order, the complex's own facet tables), so every product
-    with one order reuses them.
+    The products split each simplex into front and back faces by its
+    vertices in increasing id.  That numeric order is the only one: on a
+    derived complex the ids decrease with the dimension of the underlying
+    barycenter, which is the order the subdivision construction wants, and
+    any other order is a relabeling of the complex.  `faces` builds each
+    table once from the complex's own facet tables and keeps it, so every
+    product on the complex reuses it; `numeric` hands every caller the
+    same instance.
     """
 
-    __slots__ = ("complex", "_rank", "_ascending", "_columns", "_faces")
+    __slots__ = ("complex", "_faces")
 
-    def __init__(self, complex: SimplicialComplex, sequence):
-        seq = tuple(sequence)
-        verts = complex.vertices()
-        if sorted(seq) != sorted(verts):
-            raise DimensionMismatch(
-                "order must list every vertex of the complex exactly once")
+    def __init__(self, complex: SimplicialComplex):
         self.complex = complex
-        self._rank = {v: i for i, v in enumerate(seq)}
-        # ranks that increase with vertex ids sort every simplex as it is
-        self._ascending = seq == verts
-        self._columns: dict[int, Sequence[Sequence[int]]] = {}
         self._faces: dict[tuple[int, tuple[int, ...]], Sequence[int]] = {}
 
     @classmethod
     def numeric(cls, complex: SimplicialComplex) -> VertexOrder:
-        """Ascending vertex ids (the default order everywhere), one per
-        complex, so that every caller shares its tables."""
+        """The complex's one order, so that every caller shares its tables."""
         order = complex._extra.get("numeric_order")
         if order is None:
-            order = complex._extra["numeric_order"] = cls(complex, complex.vertices())
+            order = complex._extra["numeric_order"] = cls(complex)
         return order
-
-    def key(self, v: int) -> int:
-        return self._rank[v]
-
-    def sort(self, simplex: Simplex) -> tuple[int, ...]:
-        """Vertices of `simplex` listed in increasing order rank."""
-        return tuple(sorted(simplex, key=self._rank.__getitem__))
-
-    def _deletions(self, m: int) -> Sequence[Sequence[int]]:
-        """Column r: for each m-simplex, the index of its facet that leaves
-        out the vertex of rank position r.  In the numeric order that is
-        facet_table(m) itself, not a copy; otherwise its columns are taken
-        through each simplex's order permutation.  Kept per m."""
-        columns = self._columns.get(m)
-        if columns is None:
-            columns = self.complex.facet_table(m)
-            if not self._ascending:
-                # per rank position, each simplex's position of that vertex;
-                # each simplex is sorted once per order
-                ranked = zip(*(map(s.index, self.sort(s)) for s in self.complex.skeleton(m)))
-                columns = [[columns[k][j] for j, k in enumerate(where)] for where in ranked]
-            self._columns[m] = columns
-        return columns
 
     def faces(self, X: SimplicialComplex, m: int,
               positions: tuple[int, ...]) -> Sequence[int]:
         """For each m-simplex of X in skeleton order, the index of its face
-        spanned by the vertices at `positions` of its order-sorted vertex
-        list; built on first use and cached.
+        spanned by the vertices at `positions` of its sorted vertex tuple;
+        built on first use and cached.
 
         All positions give the simplices themselves.  Otherwise the first
         position r left out names a facet, which keeps the order of the
-        other vertices: with r the only one left out the table is deletion
-        column r, and else the facets' table at the positions above r
-        shifted down, read through that column."""
+        other vertices: with r the only one left out the table is column r
+        of `X.facet_table(m)` itself, and else the facets' table at the
+        positions above r shifted down, read through that column."""
         if self.complex is not X:
             raise DimensionMismatch("order lives on a different complex")
         table = self._faces.get((m, positions))
@@ -123,15 +90,12 @@ class VertexOrder:
                 table = range(X.n_simplices(m))
             else:
                 r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
-                sub = self.faces(X, m - 1, tuple(p - (p > r) for p in positions))
-                column = self._deletions(m)[r]
-                table = column if len(positions) == m else list(map(sub.__getitem__, column))
+                table = X.facet_table(m)[r]
+                if len(positions) < m:
+                    sub = self.faces(X, m - 1, tuple(p - (p > r) for p in positions))
+                    table = list(map(sub.__getitem__, table))
             self._faces[m, positions] = table
         return table
-
-    def __repr__(self):
-        seq = sorted(self._rank, key=self._rank.__getitem__)
-        return f"VertexOrder({list(seq)})"
 
 
 def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
@@ -167,10 +131,11 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
           beta: Chain, i: int) -> Chain:
     """Steenrod's higher product of a p- and a q-cochain.
 
-    On an order-sorted (p+q-i)-simplex, sum over strictly increasing cut
-    sequences 0 <= a_1 < ... < a_{i+1} <= p+q-i.  The cuts split the vertex
-    list into i+2 closed intervals overlapping at the cut points; alpha
-    evaluates on the union of the even-numbered intervals, beta on the odd.
+    On the sorted vertex tuple of a (p+q-i)-simplex, sum over strictly
+    increasing cut sequences 0 <= a_1 < ... < a_{i+1} <= p+q-i.  The cuts
+    split the vertex list into i+2 closed intervals overlapping at the cut
+    points; alpha evaluates on the union of the even-numbered intervals,
+    beta on the odd.
     Terms whose interval unions have the wrong cardinality drop out (this
     depends only on p, q, i), so cup_0 is the front/back-face cup product.
     """
@@ -263,7 +228,7 @@ class WuData:
         return H.same_cocycle_class(self.v[0].cocycle, unit)
 
 
-def wu_classes(X: SimplicialComplex, order: VertexOrder | None = None) -> WuData:
+def wu_classes(X: SimplicialComplex) -> WuData:
     """Solve for the Wu classes degreewise and expand w = Sq(v).
 
     v_k is the unique class with <v_k cup x, gamma> = <Sq^k x, gamma> for
@@ -271,8 +236,7 @@ def wu_classes(X: SimplicialComplex, order: VertexOrder | None = None) -> WuData
     square and invertible on manifolds, and a singular pairing is reported
     as PairingDegenerate rather than papered over.
     """
-    if order is None:
-        order = VertexOrder.numeric(X)
+    order = VertexOrder.numeric(X)
     gamma = fundamental_cycle(X)
     n = X.dim
     H = mod2_homology(X)

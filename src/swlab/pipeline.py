@@ -175,7 +175,7 @@ def compute_report(K: SimplicialComplex) -> SWReport:
 
     t0 = time.perf_counter()
     order = VertexOrder.numeric(K)
-    wu = wu_classes(K, order)
+    wu = wu_classes(K)
     gamma = Chain.all_ones(K, n)  # the fundamental cycle, checked by wu_classes
     timings["wu_oracle"] = time.perf_counter() - t0
 

@@ -10,6 +10,18 @@ from swlab.simplicial import build_complex
 from swlab.subdivision import barycentric_subdivide
 
 
+def relabeled(X, labels):
+    """X with its vertices, in increasing order, renamed to `labels`, and
+    per degree d the index in the renamed complex of each d-simplex of X:
+    `gf2.gather(c.bits, index[d], ...)` pulls a d-cochain c of the renamed
+    complex back to X."""
+    to = dict(zip(X.vertices(), labels))
+    Y = build_complex([tuple(sorted(to[v] for v in f)) for f in X.facets])
+    index = [[Y.index(tuple(to[v] for v in s)) for s in X.skeleton(d)]
+             for d in range(X.dim + 1)]
+    return Y, index
+
+
 @pytest.fixture(scope="session")
 def entries():
     """All corpus entries, validated at load."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -538,6 +539,24 @@ def test_cli_non_finite_radius(capsys):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert "probe radius nan is not finite" in lines[0], lines
+
+
+def test_cli_grid_over_the_rk4_budget(capsys):
+    # fifty million rays would take 763 MiB for their directions alone: the
+    # budget refuses them before any array of that size is allocated
+    tracemalloc.start()
+    try:
+        for argv in (["sphere-area", "--model", "round-s2", "--eps", "0.5",
+                      "--grid", "50000000"],
+                     ["sphere-area", "--model", "round-s3", "--eps", "0.2",
+                      "--grid", "4000,8000"]):
+            assert cli.main(["metric"] + argv) == 2, argv
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert "exceed the budget" in lines[0], lines
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_cli_bad_grid(capsys):

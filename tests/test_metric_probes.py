@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from swlab.metric import (
     w3_limit,
 )
 from swlab.metric import calculus, probes
+from swlab.metric.calculus import RK4_BUDGET
 from swlab.metric.probes import (
     MIN_GRID,
     MAX_STEPS,
@@ -235,6 +238,35 @@ def test_probe_takes_any_finite_explicit_step():
     for h in (1e-320, math.inf):
         with pytest.raises(OutOfDomain):
             sphere_area_probe(get_model("flat-2"), 0.25, grid=64, h=h)
+
+
+def test_rk4_budget_refuses_a_too_short_step_at_once():
+    # 0.5 / 1e-9 is 5e8 steps: the budget refuses them before the first
+    # RK4 step, also for four rays or one
+    chart = get_model("flat-2").chart()
+    for run in (partial(gauss_bonnet_disk, get_model("flat-2"), 0.5, grid=4, h=1e-9),
+                partial(sphere_area_probe, get_model("flat-2"), 0.5, grid=4, h=1e-9),
+                partial(sphere_area_probe, get_model("flat-3"), 0.2,
+                        grid=(4, 4), h=1e-9),
+                partial(geodesic_shoot_many, chart, [(0.0, 0.0)], [(1.0, 0.0)],
+                        0.5, h=1e-9, record=True)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfDomain, match="exceed the budget"):
+            run()
+        assert time.perf_counter() - start < 0.5
+
+
+def test_rk4_budget_bounds_rays_times_steps():
+    calculus.check_rk4_budget(RK4_BUDGET, 1)
+    calculus.check_rk4_budget(1, RK4_BUDGET)
+    for rays, steps in ((RK4_BUDGET + 1, 1), (2, RK4_BUDGET // 2 + 1)):
+        with pytest.raises(OutOfDomain, match=f"{rays} rays of {steps} RK4"):
+            calculus.check_rk4_budget(rays, steps)
+    # a radius of 0.5 takes 16 steps at the default step; the fine steps
+    # count, so one ray over the budget's share is refused
+    rays = RK4_BUDGET // 16 + 1
+    with pytest.raises(OutOfDomain, match=f"{rays} rays of 16 RK4"):
+        gauss_bonnet_disk(get_model("round-s2"), 0.5, grid=rays)
 
 
 def test_grid_shape_guard():

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import relabeled
 from swlab.corpus import CORPUS_NAMES
 from swlab.errors import (
     DegreeOverflow,
@@ -14,7 +15,7 @@ from swlab.errors import (
     NotACocycle,
     NotPseudomanifold,
 )
-from swlab.gf2 import EchelonBasis
+from swlab.gf2 import EchelonBasis, gather
 from swlab.homology import mod2_homology
 from swlab.oracle import (
     VertexOrder,
@@ -46,10 +47,49 @@ def random_cochain(rng, X, d):
     return Chain(X, d, random_bits(rng, X.n_simplices(d)))
 
 
-def shuffled_order(rng, X):
+def shuffled_ranks(rng, X):
+    """The ranks of a random vertex order on X, by vertex."""
     verts = list(X.vertices())
     rng.shuffle(verts)
-    return VertexOrder(X, verts)
+    return {v: r for r, v in enumerate(verts)}
+
+
+def numeric_ranks(X):
+    return {v: v for v in X.vertices()}
+
+
+def relabeled_by(X, ranks):
+    """X relabeled by `ranks`, its index maps, and their inverses: the
+    numeric products there are the products on X under the ranked order."""
+    Y, index = relabeled(X, [ranks[v] for v in X.vertices()])
+    inverse = []
+    for column in index:
+        back = [0] * len(column)
+        for i, j in enumerate(column):
+            back[j] = i
+        inverse.append(back)
+    return Y, index, inverse
+
+
+def pulled(X, index, c):
+    """The cochain c of X's relabeling, pulled back to X."""
+    d = c.dimension
+    return Chain(X, d, gather(c.bits, index[d], c.complex.n_simplices(d)))
+
+
+def products_under(X, ranks):
+    """cup, cup_i and cap of cochains on X under the vertex order with
+    `ranks`: the library's products on X relabeled by the ranks, with the
+    cochains moved there and the results pulled back to X."""
+    Y, index, inverse = relabeled_by(X, ranks)
+    order = VertexOrder.numeric(Y)
+
+    def run(product, *args):
+        moved = [pulled(Y, inverse, c) if isinstance(c, Chain) else c for c in args]
+        return pulled(X, index, product(Y, order, *moved))
+
+    return (lambda a, b: run(cup, a, b), lambda a, b, i: run(cup_i, a, b, i),
+            lambda a, c: run(cap, a, c))
 
 
 @pytest.fixture(scope="module", params=CORPUS_NAMES)
@@ -57,39 +97,44 @@ def entry_complex(request, entries):
     return entries[request.param].complex()
 
 
-# Reference products: one face loop each, every face looked up through the
-# validating `SimplicialComplex.index`, every cut sequence walked per simplex.
+# Reference products: one face loop each, every simplex sorted by the ranks
+# of a vertex order, every face looked up through the validating
+# `SimplicialComplex.index`, every cut sequence walked per simplex.
 
 def _ref_value(cochain, face):
     return (cochain.bits >> cochain.complex.index(face)) & 1
 
 
-def ref_cup(X, order, alpha, beta):
+def _ranked(ranks, s):
+    return tuple(sorted(s, key=ranks.__getitem__))
+
+
+def ref_cup(X, ranks, alpha, beta):
     p, q = alpha.dimension, beta.dimension
     bits = 0
     for idx, s in enumerate(X.skeleton(p + q)):
-        w = order.sort(s)
+        w = _ranked(ranks, s)
         if _ref_value(alpha, w[:p + 1]) & _ref_value(beta, w[p:]):
             bits |= 1 << idx
     return Chain(X, p + q, bits)
 
 
-def ref_cap(X, order, alpha, c):
+def ref_cap(X, ranks, alpha, c):
     p, d = alpha.dimension, c.dimension
     out = 0
     for s in c.support():
-        w = order.sort(s)
+        w = _ranked(ranks, s)
         if _ref_value(alpha, w[:p + 1]):
             out ^= 1 << X.index(w[p:])
     return Chain(X, d - p, out)
 
 
-def ref_cup_i(X, order, alpha, beta, i):
+def ref_cup_i(X, ranks, alpha, beta, i):
     p, q = alpha.dimension, beta.dimension
     m = p + q - i
     bits = 0
     for idx, s in enumerate(X.skeleton(m)):
-        w = order.sort(s)
+        w = _ranked(ranks, s)
         acc = 0
         for cuts in combinations(range(m + 1), i + 1):
             bounds = (0,) + cuts + (m,)
@@ -102,17 +147,6 @@ def ref_cup_i(X, order, alpha, beta, i):
         if acc:
             bits |= 1 << idx
     return Chain(X, m, bits)
-
-
-def test_vertex_order_validation():
-    X = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    with pytest.raises(DimensionMismatch):
-        VertexOrder(X, [0, 1, 2])          # missing a vertex
-    with pytest.raises(DimensionMismatch):
-        VertexOrder(X, [0, 1, 2, 2])       # repeated
-    order = VertexOrder(X, [3, 1, 0, 2])
-    assert order.sort((0, 1, 3)) == (3, 1, 0)
-    assert [order.key(v) for v in (3, 1, 0, 2)] == [0, 1, 2, 3]
 
 
 def test_cup_unit(entry_complex):
@@ -212,32 +246,55 @@ def test_cup_i_zero_is_cup(entry_complex):
         q = int(rng.integers(0, n - p))
         a = random_cochain(rng, X, p)
         b = random_cochain(rng, X, q)
-        assert cup_i(X, order, a, b, 0) == ref_cup(X, order, a, b)
+        assert cup_i(X, order, a, b, 0) == ref_cup(X, numeric_ranks(X), a, b)
+
+
+def check_products(X, ranks, products, a, b):
+    """The products of a and b agree with the reference loops under the
+    ranked order for every i that lands in the complex."""
+    lib_cup, lib_cup_i, lib_cap = products
+    p, q, n = a.dimension, b.dimension, X.dim
+    if p + q <= n:
+        assert lib_cup(a, b) == ref_cup(X, ranks, a, b)
+    for i in range(min(p, q) + 1):
+        if p + q - i <= n:
+            assert lib_cup_i(a, b, i) == ref_cup_i(X, ranks, a, b, i)
+    if p <= q:
+        assert lib_cap(a, b) == ref_cap(X, ranks, a, b)
+
+
+def numeric_products(X):
+    order = VertexOrder.numeric(X)
+    return (lambda a, b: cup(X, order, a, b),
+            lambda a, b, i: cup_i(X, order, a, b, i),
+            lambda a, c: cap(X, order, a, c))
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_products_match_reference(entry_complex, shuffled):
-    """cup, cup_i and cap agree with the reference loops for every (p, q, i)."""
+    """cup, cup_i and cap agree with the reference loops for every (p, q, i):
+    in the numeric order on X, and in a shuffled order as the numeric
+    products on X relabeled by its ranks."""
     X = entry_complex
     rng = np.random.default_rng(22)
-    order = shuffled_order(rng, X) if shuffled else VertexOrder.numeric(X)
+    if shuffled:
+        ranks = shuffled_ranks(rng, X)
+        products = products_under(X, ranks)
+    else:
+        ranks, products = numeric_ranks(X), numeric_products(X)
     n = X.dim
     for p in range(n + 1):
         for q in range(n + 1):
             a = random_cochain(rng, X, p)
             b = random_cochain(rng, X, q)
-            if p + q <= n:
-                assert cup(X, order, a, b) == ref_cup(X, order, a, b)
-            for i in range(min(p, q) + 1):
-                if p + q - i <= n:
-                    assert cup_i(X, order, a, b, i) == ref_cup_i(X, order, a, b, i)
-            if p <= q:
-                assert cap(X, order, a, b) == ref_cap(X, order, a, b)
+            check_products(X, ranks, products, a, b)
 
 
 def _one_simplex_orders(X):
     rng = np.random.default_rng(23)
-    return [VertexOrder.numeric(X), shuffled_order(rng, X)]
+    ranks = shuffled_ranks(rng, X)
+    return [(numeric_ranks(X), numeric_products(X)),
+            (ranks, products_under(X, ranks))]
 
 
 @pytest.mark.parametrize("facets", [[(0, 1, 2)], [(5,)]],
@@ -247,26 +304,19 @@ def test_products_match_reference_on_one_simplex_skeletons(facets):
     have exactly one simplex gather through a single-index table."""
     X = build_complex(facets)
     n = X.dim
-    for order in _one_simplex_orders(X):
+    for ranks, products in _one_simplex_orders(X):
         for p in range(n + 1):
             for q in range(n + 1):
                 for a_bits in range(1 << X.n_simplices(p)):
                     for b_bits in range(1 << X.n_simplices(q)):
-                        a, b = Chain(X, p, a_bits), Chain(X, q, b_bits)
-                        if p + q <= n:
-                            assert cup(X, order, a, b) == ref_cup(X, order, a, b)
-                        for i in range(min(p, q) + 1):
-                            if p + q - i <= n:
-                                assert cup_i(X, order, a, b, i) \
-                                    == ref_cup_i(X, order, a, b, i)
-                        if p <= q:
-                            assert cap(X, order, a, b) == ref_cap(X, order, a, b)
+                        check_products(X, ranks, products,
+                                       Chain(X, p, a_bits), Chain(X, q, b_bits))
 
 
-def ref_faces(X, order, m, positions):
-    """Each m-simplex's face at `positions` of its order-sorted vertex list,
-    found as a sorted vertex tuple through the validating index."""
-    return [X.index(tuple(sorted(order.sort(s)[k] for k in positions)))
+def ref_faces(X, ranks, m, positions):
+    """Each m-simplex's face at `positions` of its vertex list sorted by
+    the ranks, found through the validating index."""
+    return [X.index(tuple(_ranked(ranks, s)[k] for k in positions))
             for s in X.skeleton(m)]
 
 
@@ -279,17 +329,21 @@ def face_complex(request, entries):
 
 
 def test_face_tables_match_the_sorted_tuple_lookup(face_complex):
-    """Every (m, positions) table, for the numeric order and two shuffled
-    ones, equals the face found by sorting each simplex in the order and
-    looking its face up by vertex tuple."""
+    """Every (m, positions) table equals the face found by sorting each
+    simplex and looking its face up by vertex tuple: on X in the numeric
+    order, and for two shuffled orders on X relabeled by their ranks, read
+    back through the relabeling's index maps."""
     X = face_complex
     rng = random.Random(28)
-    for order in (VertexOrder.numeric(X), shuffled_order(rng, X), shuffled_order(rng, X)):
+    for ranks in (numeric_ranks(X), shuffled_ranks(rng, X), shuffled_ranks(rng, X)):
+        Y, index, inverse = relabeled_by(X, ranks)
+        order = VertexOrder.numeric(Y)
         for m in range(X.dim + 1):
             for k in range(1, m + 2):
                 for positions in combinations(range(m + 1), k):
-                    assert list(order.faces(X, m, positions)) \
-                        == ref_faces(X, order, m, positions), (m, positions)
+                    table = order.faces(Y, m, positions)
+                    assert [inverse[k - 1][table[j]] for j in index[m]] \
+                        == ref_faces(X, ranks, m, positions), (m, positions)
 
 
 def test_facet_table_columns_are_the_numeric_facet_tables(face_complex):
@@ -311,54 +365,40 @@ def test_facet_table_columns_are_the_numeric_facet_tables(face_complex):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_face_tables_are_built_once_per_order(entries, monkeypatch, name):
     """Across all_ones_chains, wu_classes and the degree caps, each
-    (m, positions) table and the deletion columns of each m are built once,
-    the numeric order is one per complex and sorts nothing, and a shuffled
-    order sorts each simplex of a skeleton once, whatever the number of
-    tables read from it: no table re-sorts simplices."""
-    from swlab import oracle
-
+    (m, positions) table is built once, the numeric order is one per
+    complex, and a table that leaves out one position is that column of
+    the facet table itself, not a copy."""
     X = entries[name].complex()
-    numeric, shuffled = VertexOrder.numeric(X), shuffled_order(random.Random(3), X)
-    sorts, tables, columns = [], [], []
-    monkeypatch.setattr(oracle, "sorted",
-                        lambda *args, **kw: sorts.append(args) or sorted(*args, **kw),
-                        raising=False)
+    order = VertexOrder.numeric(X)
+    built = []
+    faces = VertexOrder.faces
 
-    def recording(method, cache, built, key):
-        def wrapper(self, *args):
-            if key(*args) not in getattr(self, cache):
-                built.append((self, key(*args)))
-            return method(self, *args)
-        return wrapper
+    def recording(self, Y, m, positions):
+        if (m, positions) not in self._faces:
+            built.append((self, (m, positions)))
+        return faces(self, Y, m, positions)
 
-    monkeypatch.setattr(VertexOrder, "faces",
-                        recording(VertexOrder.faces, "_faces", tables,
-                                  lambda Y, m, positions: (m, positions)))
-    monkeypatch.setattr(VertexOrder, "_deletions",
-                        recording(VertexOrder._deletions, "_columns", columns, lambda m: m))
+    monkeypatch.setattr(VertexOrder, "faces", recording)
 
-    def products(order):
-        if order is numeric:
-            all_ones_chains(X)
-        wu = wu_classes(X, order)
+    def products():
+        all_ones_chains(X)
+        wu = wu_classes(X)
         gamma = fundamental_cycle(X)
         for cls in wu.w:
             cap(X, order, cls.cocycle, gamma)
 
-    for order in (numeric, shuffled):
-        products(order)
-        mine = [key for o, key in tables if o is order]
-        assert mine and len(mine) == len(set(mine)) == len(order._faces)
-        assert len([o for o, _ in columns if o is order]) == len(order._columns)
-        sorted_skeletons = {m for o, m in columns if o is order and order is shuffled}
-        assert len(sorts) == sum(X.n_simplices(m) for m in sorted_skeletons)
-        cached = dict(order._faces)
-        built = (len(tables), len(columns), len(sorts))
-        products(order)
-        assert (len(tables), len(columns), len(sorts)) == built
-        assert all(order._faces[key] is table for key, table in cached.items())
-        sorts.clear()
-    assert VertexOrder.numeric(X) is numeric
+    products()
+    keys = [key for o, key in built if o is order]
+    assert keys and len(keys) == len(set(keys)) == len(built) == len(order._faces)
+    for (m, positions), table in order._faces.items():
+        if len(positions) == m:
+            r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
+            assert table is X.facet_table(m)[r]
+    cached = dict(order._faces)
+    products()
+    assert len(built) == len(cached)
+    assert all(order._faces[key] is table for key, table in cached.items())
+    assert VertexOrder.numeric(X) is order
 
 
 def test_cap_rejects_a_negative_degree(entry_complex):
@@ -394,7 +434,7 @@ def test_wu_and_cap_make_no_simplex_lookup(entry_complex, monkeypatch):
     monkeypatch.setattr(simplicial, "canonical_simplex",
                         lambda vs: calls.append(vs) or canonical(vs))
     order = VertexOrder.numeric(X)
-    wu = wu_classes(X, order)
+    wu = wu_classes(X)
     gamma = fundamental_cycle(X)
     for cls in wu.w:
         cap(X, order, cls.cocycle, gamma)
@@ -600,7 +640,7 @@ def test_wu_defining_property(entry_complex):
     order = VertexOrder.numeric(X)
     H = mod2_homology(X)
     gamma = fundamental_cycle(X)
-    wu = wu_classes(X, order)
+    wu = wu_classes(X)
     n = X.dim
     for k in range(n + 1):
         for bits in H.cohomology_basis(n - k):
@@ -611,18 +651,20 @@ def test_wu_defining_property(entry_complex):
 
 
 def test_wu_classes_order_independent(entry_complex):
-    """Two distinct vertex orders give identical class coordinates."""
+    """The Wu and Stiefel-Whitney classes of X relabeled by a shuffled
+    order's ranks, pulled back to X, are those of X, with identical class
+    coordinates."""
     X = entry_complex
     rng = np.random.default_rng(21)
-    order_a = VertexOrder.numeric(X)
-    order_b = shuffled_order(rng, X)
-    wu_a = wu_classes(X, order_a)
-    wu_b = wu_classes(X, order_b)
+    Y, index, _ = relabeled_by(X, shuffled_ranks(rng, X))
+    wu_a, wu_b = wu_classes(X), wu_classes(Y)
     H = mod2_homology(X)
     for k in range(X.dim + 1):
-        assert H.same_cocycle_class(wu_a.v[k].cocycle, wu_b.v[k].cocycle)
-        assert H.same_cocycle_class(wu_a.w[k].cocycle, wu_b.w[k].cocycle)
-        assert wu_a.w[k].coordinates == wu_b.w[k].coordinates
+        v_b = pulled(X, index, wu_b.v[k].cocycle)
+        w_b = pulled(X, index, wu_b.w[k].cocycle)
+        assert H.same_cocycle_class(wu_a.v[k].cocycle, v_b)
+        assert H.same_cocycle_class(wu_a.w[k].cocycle, w_b)
+        assert wu_a.w[k].coordinates == class_of(X, w_b).coordinates
 
 
 def test_known_class_patterns(entries):

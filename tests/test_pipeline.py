@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swlab
+from conftest import relabeled
 from swlab import cli
 from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus
 from swlab.errors import (
@@ -101,7 +102,7 @@ def test_report_invariant_under_subdivision(name, depth, data):
     for _ in range(depth):
         X = build_complex(barycentric_subdivide(X).derived.facets)
     n = X.n_simplices(0)
-    X = relabeled(X, data.draw(st.permutations(range(3 * n)), label="labels")[:n])
+    X, _ = relabeled(X, data.draw(st.permutations(range(3 * n)), label="labels")[:n])
     report = compute_report(X)
     assert report.betti == entry.betti
     assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
@@ -115,10 +116,8 @@ def test_report_invariant_under_vertex_relabeling(entries, reports, seed):
     rng = random.Random(seed)
     for name, entry in entries.items():
         X = entry.complex()
-        old = sorted({v for facet in X.facets for v in facet})
-        new = dict(zip(old, rng.sample(range(3 * len(old)), len(old))))
-        Y = build_complex([tuple(sorted(new[v] for v in facet))
-                           for facet in X.facets])
+        n = X.n_simplices(0)
+        Y, _ = relabeled(X, rng.sample(range(3 * n), n))
         assert compute_report(Y).as_dict() == reports[name].as_dict(), \
             (name, seed)
 
@@ -232,8 +231,8 @@ def test_wrong_oracle_triggers_conflict(monkeypatch):
     corrupted oracle and require OracleConflict with the report attached."""
     X = corpus("rp2-6").complex()
 
-    def corrupted(K, order=None):
-        wu = wu_classes(K, order)
+    def corrupted(K):
+        wu = wu_classes(K)
         w = list(wu.w)
         w[1] = class_of(K, Chain(K, 1, 0))  # rp2 has w1 != 0
         return type(wu)(complex=wu.complex, v=wu.v, w=tuple(w))
@@ -421,12 +420,6 @@ def test_all_ones_chains_match_the_flag_reference(name):
     assert all_ones_chains(X) == ref_all_ones_chains(barycentric_subdivide(X))
 
 
-def relabeled(X, labels):
-    """X with its vertices, in increasing order, renamed to `labels`."""
-    to = dict(zip(X.vertices(), labels))
-    return build_complex([tuple(sorted(to[v] for v in f)) for f in X.facets])
-
-
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -441,7 +434,7 @@ def test_all_ones_chains_under_relabeling_and_subdivision(entries, name, data):
     if name != "rp3" and data.draw(st.booleans(), label="subdivide"):
         X = build_complex(barycentric_subdivide(X).derived.facets)
     n = X.n_simplices(0)
-    X = relabeled(X, data.draw(st.permutations(range(3 * n)), label="labels")[:n])
+    X, _ = relabeled(X, data.draw(st.permutations(range(3 * n)), label="labels")[:n])
     assert all_ones_chains(X) == ref_all_ones_chains(barycentric_subdivide(X))
     report = compute_report(X)
     assert report.betti == entry.betti
@@ -590,7 +583,7 @@ def test_top_stiefel_whitney_number_is_the_euler_characteristic(name):
     chi_mod_2 = int((X.dim,) in numbers)
     assert X.euler_characteristic() % 2 == chi_mod_2
     order = VertexOrder.numeric(X)
-    w = [c.cocycle for c in wu_classes(X, order).w]
+    w = [c.cocycle for c in wu_classes(X).w]
     gamma = fundamental_cycle(X)
     nonzero = set()
     for parts in partitions(X.dim, X.dim):
@@ -696,6 +689,34 @@ def test_rp2_times_rp2_completes_under_512_mib(tmp_path):
     assert payload["betti"] == [1, 2, 3, 2, 1]
     assert _rows(payload) == [(True, True)] * 5
     assert payload["diagnostics"]["pairing_ok"] is True
+
+
+# sha256 of json.dumps(report.as_dict(), sort_keys=True) for each corpus
+# entry and the derived complex of each entry but rp3, frozen before the Wu
+# oracle dropped its shuffled vertex orders; a refactor of the combinatorial
+# layer must leave every report byte unchanged
+REPORT_SHA256 = {
+    "s2": "5844456f6b6abca3b01e5c79c69046cf12ea0513438f3c35b3a3953e0c9f1af7",
+    "rp2-6": "84eefa276b2328adfb9a342e47a2ef635b05cc422575664350776c55b63a5b6d",
+    "t2-7": "013509d8333434dad56e66b03bf9987cc139cf65200f3564d6df4102f1b94d33",
+    "klein": "094508c4aba07b9d17ca4d4fb18e26be03e8ecee5b9ca87c6da2dad0fc52e40b",
+    "s3": "13fd6b7bcecf9a709b7460e570843bd48f1fcf915cabdcf77ef6a450d0adcaf4",
+    "rp3": "0c275922f3bfcb96ee597450ec9203c13dbd957bd8c84d3d5e1cc6e5978a0ccf",
+    "sd(s2)": "f11d1908df439d20011348a877bd2d36174dba2ca7f1a9f3cbfdbaaad770f3c5",
+    "sd(rp2-6)": "319b99292da3648b4db13c1d8018e1d2c4f658666f640451ac0c0aee66794b71",
+    "sd(t2-7)": "8714f926b969d273dd82b1da04eb18d1d315ffa7b2bbb88d93ed7262ea17a8b2",
+    "sd(klein)": "5ef89f2f9c708ecf3a253e86e6942702072d13094a8cc96fb06dbb7918499d9b",
+    "sd(s3)": "fe2546e6e0463bd5fc4ae402aa1ae042b95e063aa0489df555e1c22fcfc3c81e",
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SHA256))
+def test_report_bytes_are_frozen(name):
+    X = corpus(name.removeprefix("sd(").removesuffix(")")).complex()
+    if name.startswith("sd("):
+        X = barycentric_subdivide(X).derived
+    text = json.dumps(compute_report(X).as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
 
 
 # sha256 of the report `swlab classes rp4.facets --report OUT` writes for
