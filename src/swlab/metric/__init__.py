@@ -7,6 +7,7 @@ from .calculus import (
     curvature_many,
     frame_det_w1,
     frame_gram_det,
+    g_inner,
     g_norms,
     gauss_equation_check,
     geodesic_shoot_many,
@@ -50,6 +51,7 @@ __all__ = [
     "double_factorial",
     "frame_det_w1",
     "frame_gram_det",
+    "g_inner",
     "g_norms",
     "gauss_bonnet_disk",
     "gauss_equation_check",

@@ -3,11 +3,12 @@
 On a conformal chart g = phi(|x|^2) I (the generic chart of every built-in
 model) the geodesic spray is closed form in phi and phi', O(N d) per RK4
 stage with no jet, and the stage evaluates no phi''; the chart's
-`metric_and_scalar` is closed form too.  On
-every other chart (the polar charts, `restricted_chart`, user charts) the
-spray contracts the metric's first derivatives, which are central
-differences with step H1: one stencil differentiates the metric wherever
-a closed form is not used.  The chart checks the domain and positive
+`factor_and_scalar` is closed form too, and `g_norms` and `g_inner` take
+phi in place of the metric phi I with the same bits.  On every other
+chart (the polar charts, `restricted_chart`, user charts) the spray
+contracts the metric's first derivatives, which are central differences
+with step H1: one stencil differentiates the metric wherever a closed
+form is not used.  The chart checks the domain and positive
 definiteness of every g the calculus sees.  `curvature_many` takes the
 outer derivatives of the Christoffel symbols by central differences on
 every chart, with the step H2 in chart coordinates.
@@ -163,10 +164,33 @@ def curvature_many(chart: MetricChart, points: np.ndarray,
 # ------------------------------------------------------------------ geodesics
 
 def g_norms(g: np.ndarray, vectors) -> np.ndarray:
-    """The g-length of each vector (N, d) under the metric g (N, d, d) at
-    its point, or one g (1, d, d) shared by all."""
+    """The g-length of each vector (..., d) under the metric g (..., d, d)
+    at its point, or one g (1, d, d) shared by all.  On a conformal chart g
+    may be the factor phi (...) or (1,) of g = phi I instead, told apart by
+    its rank: the norm^2 is then sum_i phi (w_i w_i), summed left to right,
+    which is the bits of the sum over g * (w w^T) with phi I."""
     w = np.atleast_2d(vectors)
-    return np.sqrt((g * (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2)))
+    if g.ndim < w.ndim:
+        norm2 = g * (w[..., 0] * w[..., 0])
+        for i in range(1, w.shape[-1]):
+            norm2 += g * (w[..., i] * w[..., i])
+        return np.sqrt(norm2)
+    return np.sqrt((g * (w[..., :, None] * w[..., None, :]))
+                   .sum(axis=(-2, -1)))
+
+
+def g_inner(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g(a, b) of the vectors a and b (..., d) under the metric g
+    (..., d, d) at their points, or under g = phi I given the factor phi
+    (...), told apart by its rank.  On phi the sum is 0 + sum_i (phi a_i)
+    b_i, left to right from the zero that einsum accumulates onto, which
+    is the bits of the einsum with phi I."""
+    if g.ndim < a.ndim:
+        inner = 0.0
+        for i in range(a.shape[-1]):
+            inner = inner + (g * a[..., i]) * b[..., i]
+        return inner
+    return np.einsum("...ij,...i,...j->...", g, a, b)
 
 
 def _spray(chart, x, v, out=None):

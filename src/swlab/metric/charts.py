@@ -11,8 +11,10 @@ factor phi is derived by hand, independently of f: the probes that run
 there are honest checks of the closed forms, not circular ones.  From one
 checked evaluation of phi and phi' come the metric and the geodesic
 spray in closed form; the scalar curvature also reads phi'', which the
-chart computes for it alone.  Every other derivative of the metric, on
-every chart, is the calculus's central-difference stencil.
+chart computes for it alone.  The probes' quadrature reads phi itself
+(`factor`, `factor_and_scalar`) and never forms phi I.  Every other
+derivative of the metric, on every chart, is the calculus's
+central-difference stencil.
 """
 from __future__ import annotations
 
@@ -155,9 +157,10 @@ class ConformalChart(MetricChart):
     """The chart g = phi(|x|^2) I, built from two functions of
     rho2 = |x|^2: factor(rho2) returns phi and phi', and
     curve(rho2, phi') returns phi''.  The domain, if any, is a predicate
-    on rho2 too.  The metric, the scalar curvature and the calculus's
-    closed-form geodesic spray each come from one checked factor
-    evaluation, `factor_at`; only the scalar curvature calls curve."""
+    on rho2 too.  `factor` (phi at a point set), `factor_and_scalar`, the
+    metric phi I and the calculus's closed-form geodesic spray each come
+    from one checked factor evaluation, `factor_at`; only the scalar
+    curvature calls curve."""
 
     __slots__ = ("_factor_fn", "_curve_fn")
 
@@ -198,23 +201,31 @@ class ConformalChart(MetricChart):
                 f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
         return rho2, phi, slope
 
-    def _times_identity(self, x, phi):
-        """phi I at the columns x, checked for phi^dim > 0: the determinant
-        that calculus._inverse divides by can underflow where phi cannot."""
+    def _check_det(self, x, phi):
+        """phi at the columns x, checked for phi^dim > 0: the determinant
+        of phi I, which calculus._inverse divides by, can underflow where
+        phi cannot."""
         ok = reduce(operator.mul, (phi,) * self.dim) > 0.0
         if not ok.all():
             raise SingularMetric(
                 f"{self.name}: metric not positive definite at {x.T[~ok][0]}")
-        return _diag((phi,) * self.dim, len(phi))
+        return phi
+
+    def factor(self, points) -> np.ndarray:
+        """phi at the (N, dim) points, with every check that `metric` runs:
+        the width, the domain, phi finite and positive, and phi^dim > 0.
+        The probes read phi here and never form phi I."""
+        x = self._points(points).T
+        return self._check_det(x, self.factor_at(x)[1])
 
     def metric(self, points) -> np.ndarray:
-        x = self._points(points).T
-        return self._times_identity(x, self.factor_at(x)[1])
+        phi = self.factor(points)
+        return _diag((phi,) * self.dim, len(phi))
 
-    def metric_and_scalar(self, points):
-        """The metric and the scalar curvature at the (N, dim) points from
-        one checked factor evaluation.  The scalar curvature of
-        g = e^(2u) I is, in closed form,
+    def factor_and_scalar(self, points):
+        """phi and the scalar curvature at the (N, dim) points from one
+        checked factor evaluation, checked as `factor` is.  The scalar
+        curvature of g = e^(2u) I is, in closed form,
 
             R = -e^(-2u) (2 (n-1) Lap u + (n-2)(n-1) |grad u|^2),
 
@@ -222,10 +233,10 @@ class ConformalChart(MetricChart):
         Lap u = n w + 2 rho2 w' with w' = dw / d rho2."""
         x = self._points(points).T
         rho2, phi, slope = self.factor_at(x)
-        g, n, w = self._times_identity(x, phi), self.dim, slope / phi
+        phi, n, w = self._check_det(x, phi), self.dim, slope / phi
         curve = self._curve_fn(rho2, slope)
         lap = n * w + 2.0 * rho2 * (curve / phi - w * w)
-        return g, \
+        return phi, \
             -(2.0 * (n - 1) * lap + (n - 2) * (n - 1) * w * w * rho2) / phi
 
 

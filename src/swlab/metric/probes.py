@@ -13,7 +13,10 @@ The disk probe adds a fourth, curvature (the truncation error of the
 curvature stencil, by Richardson on the boundary circle); it is 0 on a
 conformal chart, where the disk reads the scalar curvature in closed form
 and runs no stencil.  There the RK4 stages read phi and phi' of the
-chart's factor, and only the disk's curvature reads phi''.  The
+chart's factor, only the disk's curvature reads phi'', and the
+quadrature reads the checked phi once per point set (`_metric_at`,
+`ConformalChart.factor_and_scalar`) and never forms the metric phi I:
+`g_norms` and `g_inner` take phi in place of g with the same bits.  The
 step-doubling companion reports values only: its disk computes no error
 parts.
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from ..errors import GridTooCoarse, NonConvergent, OutOfDomain
 from .calculus import _shoot_together, _spray, check_rk4_budget, \
-    curvature_many, g_norms, rk4_step_count
+    curvature_many, g_inner, g_norms, rk4_step_count
 from .charts import ConformalChart, ModelGeometry
 from .constants import sphere_volume
 
@@ -170,12 +173,22 @@ def _shoot_rays(model: ModelGeometry, eps: float, center, grid, h,
     half = rk4_step_count(eps / 2.0, h)
     grid, dirs = _directions(chart.dim, grid, 2 * half)
     x0 = np.tile(center, (len(dirs), 1))
-    v0 = dirs / g_norms(chart.metric([center]), dirs)[:, None]
+    v0 = dirs / g_norms(_metric_at(chart, [center]), dirs)[:, None]
     fine, coarse = _shoot_together(chart, x0, v0, eps, (2 * half, half),
                                    record)
     params = {"model": model.name, "chart": chart.name, "eps": eps,
               "grid": grid, "h": h, "steps": 2 * half}
     return chart, fine, coarse, params
+
+
+def _metric_at(chart, points):
+    """What the quadrature reads of the metric at the (N, dim) points: the
+    checked factor phi (N,) on a conformal chart, so that no phi I is
+    formed, else the metric g (N, dim, dim).  `g_norms` and `g_inner`
+    take either."""
+    if isinstance(chart, ConformalChart):
+        return chart.factor(points)
+    return chart.metric(points)
 
 
 _ADVICE = {"quadrature": "refine the grid",
@@ -211,8 +224,8 @@ def _error_budget(name: str, eps: float, max_error: float | None,
 
 def _circle_length(g: np.ndarray, x: np.ndarray):
     """Length of the closed curve through the ray ends x (nrays, 2), with
-    the metric g there and spectral tangents, and its quadrature error
-    against central differences."""
+    the metric g there (or its factor, see `_metric_at`) and spectral
+    tangents, and its quadrature error against central differences."""
     value = float(np.mean(g_norms(g, _fft_derivative(x, axis=0)))) \
         * 2.0 * math.pi
     dtheta = 2.0 * math.pi / len(x)
@@ -224,8 +237,9 @@ def _circle_length(g: np.ndarray, x: np.ndarray):
 
 def _sphere_area(g: np.ndarray, x: np.ndarray, grid):
     """Area of the surface through the ray ends x on the LAT,LON grid of
-    `_directions`, with the metric g there, and its quadrature error
-    against the plain midpoint rule."""
+    `_directions`, with the metric g there (or its factor, see
+    `_metric_at`), and its quadrature error against the plain midpoint
+    rule."""
     nlat, nlon = grid
     dlat = math.pi / nlat
     lat = (np.arange(nlat) + 0.5) * dlat
@@ -240,10 +254,10 @@ def _sphere_area(g: np.ndarray, x: np.ndarray, grid):
     d_lat = (-padded[4:] + 8.0 * padded[3:-1]
              - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * dlat)
 
-    g = g.reshape(nlat, nlon, 3, 3)
-    ee = np.einsum("abij,abi,abj->ab", g, d_lat, d_lat)
-    ff = np.einsum("abij,abi,abj->ab", g, d_lat, d_lon)
-    gg = np.einsum("abij,abi,abj->ab", g, d_lon, d_lon)
+    g = g.reshape((nlat, nlon) + g.shape[1:])
+    ee = g_inner(g, d_lat, d_lat)
+    ff = g_inner(g, d_lat, d_lon)
+    gg = g_inner(g, d_lon, d_lon)
     dens = np.sqrt(np.clip(ee * gg - ff * ff, 0.0, None))
 
     dlon = 2.0 * math.pi / nlon
@@ -277,12 +291,12 @@ def sphere_area_probe(model: ModelGeometry, eps: float, center=None,
     else:
         measure = partial(_sphere_area, grid=params["grid"])
         flat = sphere_volume(2) * eps ** 2
-    g = chart.metric(x)
+    g = _metric_at(chart, x)
     drift = float(np.max(np.abs(g_norms(g, v) - 1.0)))
     value, quadrature = measure(g, x)
     error, parts = _error_budget(
         model.name, eps, max_error, quadrature=quadrature,
-        integration=abs(value - measure(chart.metric(x2), x2)[0]),
+        integration=abs(value - measure(_metric_at(chart, x2), x2)[0]),
         drift=drift * abs(value))
     params.update(drift=drift, error_parts=parts)
     return ProbeResult(value, value / flat, error, params)
@@ -325,13 +339,13 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     shells = list(range(stride, steps + 1, stride))
     pos = traj_x[shells]                      # (nsh, nrays, 2)
     # The Gauss curvature is half the scalar curvature: in closed form on a
-    # conformal chart, with the metric from the same factor evaluation,
+    # conformal chart, with the factor phi from the same evaluation,
     # else from the stencil, whose short outer step keeps the truncation
     # bias of the total well under 1e-6 near the chart's center; roundoff
     # stays negligible.
     conformal = isinstance(chart, ConformalChart)
     if conformal:
-        g, scalar = chart.metric_and_scalar(pos.reshape(-1, 2))
+        g, scalar = chart.factor_and_scalar(pos.reshape(-1, 2))
     else:
         h2 = 2.5e-4
         g = chart.metric(pos.reshape(-1, 2))
@@ -350,14 +364,13 @@ def _disk_total(chart, traj_x: np.ndarray, traj_v: np.ndarray, eps: float):
     # The quadrature error compares spectral with central-difference
     # tangents.
     curve = traj_x[-1]
-    g_bnd = g.reshape(len(shells), nrays, 2, 2)[-1]
+    g_bnd = g.reshape((len(shells), nrays) + g.shape[1:])[-1]
     speed = g_norms(g_bnd, traj_v[-1])
     normal_in = -traj_v[-1] / speed[:, None]
 
     def turning(tang, accel):
         cov = accel - _spray(chart, curve.T, tang.T).T
-        k_geod = np.einsum("nij,ni,nj->n", g_bnd, cov, normal_in) \
-            / g_norms(g_bnd, tang)
+        k_geod = g_inner(g_bnd, cov, normal_in) / g_norms(g_bnd, tang)
         return float(np.mean(k_geod)) * 2.0 * math.pi
 
     tang = _fft_derivative(curve, axis=0)

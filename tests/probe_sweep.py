@@ -5,6 +5,10 @@ the trees before and after it and compares the two lines it prints:
 
     PYTHONPATH=src python tests/probe_sweep.py          # the hash
     PYTHONPATH=src python tests/probe_sweep.py --each   # one line per output
+    PYTHONPATH=src python tests/probe_sweep.py --expect HEX
+
+With --expect the exit status is the gate: 0 when the printed hash is
+HEX, 1 when it differs.
 
 The outputs are
 
@@ -26,6 +30,7 @@ does not collect it.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -141,13 +146,23 @@ def sweep():
 
 
 def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--each", action="store_true",
+                        help="print one hash line per output first")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the hash is HEX")
+    args = parser.parse_args(argv)
     outputs = sweep()
     assert len(outputs) == 129, len(outputs)
-    if "--each" in argv:
+    if args.each:
         for label, value in outputs:
             print(hashlib.sha256(value.encode()).hexdigest()[:16], label)
     text = "\n".join(f"{label}\t{value}" for label, value in outputs)
-    print(hashlib.sha256(text.encode()).hexdigest())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(digest)
+    if args.expect is not None and digest != args.expect.lower():
+        print(f"expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,6 +15,7 @@ from swlab.metric import (
     ConformalChart,
     MetricChart,
     curvature_many,
+    g_inner,
     g_norms,
     geodesic_shoot_many,
     get_model,
@@ -48,6 +49,12 @@ def _outcome(fn, *args):
     return None
 
 
+def _same_bits(x, y):
+    """np.array_equal that also tells -0.0 from 0.0."""
+    return x.shape == y.shape and np.array_equal(x, y) \
+        and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 def _spray(chart, x, v):
     """The spray at the rays that are the rows of x and v (N, d)."""
     return calculus._spray(chart, x.T, v.T)
@@ -61,6 +68,36 @@ def test_every_generic_chart_is_conformal(name):
     phi = chart.factor_at(pts.T)[1]
     assert np.array_equal(chart.metric(pts), phi[:, None, None]
                           * np.eye(chart.dim))
+    # the probes' point-set evaluations return that phi itself
+    assert np.array_equal(chart.factor(pts), phi)
+    assert np.array_equal(chart.factor_and_scalar(pts)[0], phi)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_factor_norms_and_inner_products_are_the_bits_of_phi_i(name):
+    # the probes' quadrature reads phi where it read phi I: g_norms and
+    # g_inner on phi must return the bits of the sum over g * (w w^T) and
+    # of the einsum with phi I, at the shapes the probes use: N rays, one
+    # center factor (1,) shared by them, and a sphere's LAT,LON grid.  The
+    # vectors span many scales, and one pair is signed zeros.
+    chart = get_model(name).chart("generic")
+    d = chart.dim
+    rng = np.random.default_rng(56)
+    pts = _ball(rng, 240, d, RADIUS[name])
+    a, b = rng.normal(size=(2, 240, d)) \
+        * np.exp(rng.normal(scale=4.0, size=(2, 240, 1)))
+    a[0], b[0] = -0.0, 1.0
+    grid = (12, 20)
+    cases = ((chart.factor(pts), chart.metric(pts), a, b),
+             (chart.factor(pts[:1]), chart.metric(pts[:1]), a, b),
+             (chart.factor(pts).reshape(grid),
+              chart.metric(pts).reshape(grid + (d, d)),
+              a.reshape(grid + (d,)), b.reshape(grid + (d,))))
+    for phi, g, u, w in cases:
+        want = np.einsum("...ij,...i,...j->...", g, u, w)
+        assert _same_bits(g_norms(phi, u), g_norms(g, u))
+        assert _same_bits(g_inner(phi, u, w), want)
+        assert _same_bits(g_inner(g, u, w), want)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -97,13 +134,13 @@ def test_closed_form_scalar_matches_stencil_and_analytic(name):
     model = get_model(name)
     chart = model.chart("generic")
     pts = _ball(np.random.default_rng(52), 64, chart.dim, 0.5)
-    closed = chart.metric_and_scalar(pts)[1]
+    closed = chart.factor_and_scalar(pts)[1]
     stencil = curvature_many(chart, pts).scalar
     assert np.max(np.abs(closed - stencil)) < 1e-3
     scalar = model.analytic["scalar"]
     if scalar is None:
         scalar = model.analytic["scalar_at_center"]
-        assert abs(chart.metric_and_scalar([(0.0, 0.0, 0.0)])[1][0] - scalar) \
+        assert abs(chart.factor_and_scalar([(0.0, 0.0, 0.0)])[1][0] - scalar) \
             <= 1e-12 * abs(scalar)
     else:
         assert np.max(np.abs(closed - scalar)) <= 1e-12 * max(1.0, abs(scalar))
@@ -118,7 +155,7 @@ def test_warped_scalar_matches_warp_at_every_radius():
         f, df, ddf = r + C * r ** 3, 1.0 + 3.0 * C * r * r, 6.0 * C * r
         want = -4.0 * ddf / f + 2.0 * (1.0 - df * df) / f ** 2
         x = model.analytic["polar_radius"](r) * np.array([[0.6, 0.0, 0.8]])
-        assert abs(chart.metric_and_scalar(x)[1][0] - want) \
+        assert abs(chart.factor_and_scalar(x)[1][0] - want) \
             <= 1e-12 * abs(want)
 
 
@@ -132,7 +169,7 @@ def test_conformal_warped_chart_is_isometric_to_the_cartesian_one(
     s = 1.0 / np.sqrt(1.0 + C * np.einsum("ni,ni->n", x, x))
     y = s[:, None] * x
     want = curvature_many(cartesian_warped_chart, x).scalar
-    assert np.max(np.abs(conformal.metric_and_scalar(y)[1] - want)) < 1e-4
+    assert np.max(np.abs(conformal.factor_and_scalar(y)[1] - want)) < 1e-4
     v = rng.normal(size=x.shape)
     # the pushforward J v with J = s I - c s^3 x x^T
     w = s[:, None] * v - (C * s ** 3 * np.einsum("ni,ni->n", x, v))[:, None] * x
@@ -168,8 +205,8 @@ def test_spray_rejects_what_the_jet_rejects(name):
         # a flat metric is finite even at a NaN point
         assert want is not None or name.startswith("flat")
         assert _outcome(_spray, chart, pts, v) == want
-        assert _outcome(chart.metric, pts) == want
-        assert _outcome(chart.metric_and_scalar, pts) == want
+        for fn in (chart.metric, chart.factor, chart.factor_and_scalar):
+            assert _outcome(fn, pts) == want
 
 
 def test_spray_rejects_a_factor_that_is_not_positive():
@@ -184,8 +221,8 @@ def test_spray_rejects_a_factor_that_is_not_positive():
         v = np.ones_like(x)
         assert _outcome(_spray, jet, x, v) is SingularMetric
         assert _outcome(_spray, chart, x, v) is SingularMetric
-        assert _outcome(chart.metric, x) is SingularMetric
-        assert _outcome(chart.metric_and_scalar, x) is SingularMetric
+        for fn in (chart.metric, chart.factor, chart.factor_and_scalar):
+            assert _outcome(fn, x) is SingularMetric
     for c in (chart, jet):
         with pytest.raises(SingularMetric):
             geodesic_shoot_many(c, [(0.5, 0.0)], [(1.0, 0.0)], 1.0, h=0.05)
@@ -193,14 +230,15 @@ def test_spray_rejects_a_factor_that_is_not_positive():
 
 def test_metric_rejects_a_determinant_that_underflows():
     # at |x| = 1e30 on round-s3, phi = 4e-120 is positive but phi^3, the
-    # determinant of phi I, underflows to 0: every call that returns g
-    # rejects the point, as the jet path's Sylvester check does, while the
+    # determinant of phi I, underflows to 0: every call that returns g or
+    # the probes' phi rejects the point, as the jet path's Sylvester check does, while the
     # spray, which forms no g, accepts it
     chart = get_model("round-s3").chart()
     x = np.array([[0.1, 0.0, 0.0], [1e30, 0.0, 0.0]])
     v = np.ones_like(x)
     messages = set()
-    for fn in (chart.metric, chart.metric_and_scalar, _plain(chart).metric,
+    for fn in (chart.metric, chart.factor, chart.factor_and_scalar,
+               _plain(chart).metric,
                lambda pts: _spray(_plain(chart), pts, v)):
         with pytest.raises(SingularMetric) as exc_info:
             fn(x)

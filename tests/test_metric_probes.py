@@ -130,23 +130,25 @@ def test_probes_on_a_polar_chart(name):
 
 def test_each_probe_evaluates_the_metric_once_per_point(monkeypatch):
     # the center, the ray ends and the disk's shells are each evaluated
-    # once, in at most three calls; the disk reads g and the scalar
-    # curvature on its shells from one evaluation.  Curved models only: on
-    # flat-2 a fine and a companion shell can coincide bitwise
-    calls = []
+    # once, in at most three calls; the disk reads phi and the scalar
+    # curvature on its shells from one evaluation.  A conformal probe reads
+    # the factor phi and never builds the metric phi I.  Curved models
+    # only: on flat-2 a fine and a companion shell can coincide bitwise
+    calls, built = [], []
 
-    def recording(evaluate):
+    def recording(evaluate, into):
         def record(self, points):
-            calls.append(np.atleast_2d(np.asarray(points, dtype=float)))
+            into.append(np.atleast_2d(np.asarray(points, dtype=float)))
             return evaluate(self, points)
         return record
 
     monkeypatch.setattr(MetricChart, "metric",
-                        recording(MetricChart.metric))
+                        recording(MetricChart.metric, calls))
     monkeypatch.setattr(ConformalChart, "metric",
-                        recording(ConformalChart.metric))
-    monkeypatch.setattr(ConformalChart, "metric_and_scalar",
-                        recording(ConformalChart.metric_and_scalar))
+                        recording(ConformalChart.metric, built))
+    for name in ("factor", "factor_and_scalar"):
+        monkeypatch.setattr(ConformalChart, name,
+                            recording(getattr(ConformalChart, name), calls))
     for probe, name, eps, grid in (
             (gauss_bonnet_disk, "round-s2", 0.5, None),
             (sphere_area_probe, "round-s2", 0.5, None),
@@ -157,6 +159,7 @@ def test_each_probe_evaluates_the_metric_once_per_point(monkeypatch):
         assert len(calls) <= 3, (probe.__name__, name)
         assert len(np.unique(points, axis=0)) == len(points), \
             (probe.__name__, name)
+        assert not built, (probe.__name__, name)
 
 
 @pytest.mark.parametrize("name", MODELS_2D)
