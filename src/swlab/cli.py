@@ -5,8 +5,8 @@ Exit codes:
   0  success;
   1  verification failure found while computing (oracle conflicts,
      tolerance breaches, non-convergent limits);
-  2  anything wrong with the request itself (unparsable input, unknown
-     names, radii outside a model's guard);
+  2  anything wrong with the request itself (unparsable input, a closure
+     over its budget, unknown names, radii outside a model's guard);
   3  internal error (a failed internal assertion, or memory exhausted),
      reported as one `internal error: ...` line on stderr.
 
@@ -24,6 +24,7 @@ import sys
 
 from .errors import (
     EmptyInput,
+    InputTooLarge,
     MalformedFacet,
     NotPseudomanifold,
     OracleConflict,
@@ -39,7 +40,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (ParseError, EmptyInput, MalformedFacet, NotPseudomanifold,
+_INPUT_ERRORS = (ParseError, EmptyInput, InputTooLarge, MalformedFacet, NotPseudomanifold,
                  UnknownCorpusEntry, UnknownModel, OutOfDomain, OSError)
 
 SCHEMA_VERSION = 1
@@ -102,7 +103,8 @@ def _cmd_classes(args) -> int:
         report = compute_report(complex)
     except Exception as exc:
         # any failed run replaces OUT, so no earlier report survives it;
-        # main maps the exception to its exit code and stderr line
+        # main maps the run's own exception, not a failed write of OUT, to
+        # its exit code and stderr line
         if args.report is not None:
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -113,7 +115,11 @@ def _cmd_classes(args) -> int:
                 payload["sha256"] = sha
             if isinstance(exc, OracleConflict) and exc.report is not None:
                 payload["partial"] = exc.report.as_dict()
-            _json_dump(payload, args.report)
+            try:
+                _json_dump(payload, args.report)
+            except OSError as err:
+                print(f"report {args.report} not written: {err.strerror or err}",
+                      file=sys.stderr)
         raise
 
     print(f"input: {source}")

@@ -10,6 +10,7 @@ __all__ = [
     "SWLabError",
     "EmptyInput",
     "MalformedFacet",
+    "InputTooLarge",
     "DimensionOutOfRange",
     "SimplexNotInComplex",
     "NotPseudomanifold",
@@ -43,6 +44,10 @@ class EmptyInput(SWLabError):
 
 class MalformedFacet(SWLabError):
     """A facet tuple is empty, has repeated vertices, or non-int entries."""
+
+
+class InputTooLarge(SWLabError):
+    """The downward closure of the facets would exceed its budget."""
 
 
 class DimensionOutOfRange(SWLabError):

@@ -1,14 +1,16 @@
 """Mod-2 homology and cohomology summaries, every class read as coordinates.
 
-The one cache is a single cohomology pass per complex, in increasing degree
-with clearing (Chen & Kerber, "Persistent homology computation with a
-twist", EuroCG 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).  In
-degree d it skips each column of the coboundary delta_d whose index is the
-pivot of a reduced column of delta_{d-1}, and reduces the kept columns once,
-tagged.  The cleared columns add nothing: with the reduced columns of
-delta_{d-1}, which are coboundaries, the unit vectors of the other indices
-form a triangular basis of C^d.  Nonzero residues are the image basis of
-delta_d, which clears degree d+1.  The tags of the zero residues are the
+The one cache is a single cohomology pass per complex, a per-degree list
+that the complex keeps; a `HomologySummary` is a view over it, and
+`mod2_homology` stores nothing.  The pass runs in increasing degree with
+clearing (Chen & Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).  In degree d
+it skips each column of the coboundary delta_d whose index is the pivot of
+a reduced column of delta_{d-1}, and reduces the kept columns once, tagged.
+The cleared columns add nothing: with the reduced columns of delta_{d-1},
+which are coboundaries, the unit vectors of the other indices form a
+triangular basis of C^d.  Nonzero residues are the image basis of delta_d,
+which clears degree d+1.  The tags of the zero residues are the
 representatives of a basis of H^d: cocycles supported off the cleared
 pivots, so no nonzero combination of them is a coboundary, and there are
 n_d - rank delta_{d-1} - rank delta_d of them, the Betti number.  The
@@ -33,21 +35,19 @@ __all__ = ["HomologySummary", "mod2_homology"]
 
 
 class HomologySummary:
-    """Betti numbers plus reusable elimination data for one complex."""
+    """Betti numbers and class queries over one complex's cohomology pass."""
 
-    __slots__ = ("complex", "_degrees")
+    __slots__ = ("complex",)
 
     def __init__(self, complex: SimplicialComplex):
         self.complex = complex
-        # per degree d: representatives of H^d, their transcript, and the
-        # image basis of delta_d
-        self._degrees: list[tuple[list[int], EchelonBasis, EchelonBasis]] = []
 
     # -------------------------------------------------------------- plumbing
 
     def _degree(self, d: int) -> tuple[list[int], EchelonBasis, EchelonBasis]:
-        """The cohomology pass through degree d, for 0 <= d <= dim."""
-        X, degrees = self.complex, self._degrees
+        """The complex's cohomology pass through degree d, 0 <= d <= dim: per
+        degree, representatives of H^d, their transcript, the image of delta_d."""
+        X, degrees = self.complex, self.complex._cohomology
         while len(degrees) <= d:
             k = len(degrees)
             n_k = X.n_simplices(k)
@@ -196,9 +196,5 @@ class HomologySummary:
 
 
 def mod2_homology(complex: SimplicialComplex) -> HomologySummary:
-    """Summary for a complex, cached on the complex itself."""
-    summary = complex._extra.get("homology")
-    if summary is None:
-        summary = HomologySummary(complex)
-        complex._extra["homology"] = summary
-    return summary
+    """A summary over the complex's cohomology pass; it stores nothing."""
+    return HomologySummary(complex)

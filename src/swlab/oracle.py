@@ -10,11 +10,11 @@ vertices in increasing id, the complex's own numbering; a product under
 any other vertex order is the product on the complex relabeled by that
 order's ranks.  Which face of an m-simplex sits at given vertex positions
 depends only on the complex, m and the positions, not on the cochains, so
-`VertexOrder.faces` builds each such face-index table once and keeps it.
-It finds faces by index, never by vertex tuple: the facets without the
-vertex at position r are column r of the complex's facet table, and
-leaving out more vertices reads the facets' table through that column.  A
-product is then a few `gf2.gather`s, each one C-level pass that moves bit
+each such face-index table is the complex's own, built once by
+`SimplicialComplex.face_table` and shared by every product and by the
+pipeline's counts.  A `VertexOrder` is only the products' handle on the
+complex; each product checks that it names the complex once.  A product is
+then a few `gf2.gather`s, each one C-level pass that moves bit
 table[idx] of a cochain to bit idx: `cup_i` XORs, over its cut terms, the
 AND of alpha gathered on the even faces and beta gathered on the odd ones
 (`cup` is cup_0), and `cap` gathers alpha on the front faces and scatters
@@ -29,7 +29,6 @@ which side of `pairing` they sit on.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -45,61 +44,29 @@ from .simplicial import Chain, SimplicialComplex
 
 
 class VertexOrder:
-    """The face-index tables of the products on one complex.
+    """The products' handle on the vertex order of one complex.
 
     The products split each simplex into front and back faces by its
     vertices in increasing id.  That numeric order is the only one: on a
     derived complex the ids decrease with the dimension of the underlying
     barycenter, which is the order the subdivision construction wants, and
-    any other order is a relabeling of the complex.  `faces` builds each
-    table once from the complex's own facet tables and keeps it, so every
-    product on the complex reuses it; `numeric` hands every caller the
-    same instance.
+    any other order is a relabeling of the complex.  The face-index tables
+    are the complex's own (`SimplicialComplex.face_table`).
     """
 
-    __slots__ = ("complex", "_faces")
+    __slots__ = ("complex",)
 
     def __init__(self, complex: SimplicialComplex):
         self.complex = complex
-        self._faces: dict[tuple[int, tuple[int, ...]], Sequence[int]] = {}
 
     @classmethod
     def numeric(cls, complex: SimplicialComplex) -> VertexOrder:
-        """The complex's one order, so that every caller shares its tables."""
-        order = complex._extra.get("numeric_order")
-        if order is None:
-            order = complex._extra["numeric_order"] = cls(complex)
-        return order
-
-    def faces(self, X: SimplicialComplex, m: int,
-              positions: tuple[int, ...]) -> Sequence[int]:
-        """For each m-simplex of X in skeleton order, the index of its face
-        spanned by the vertices at `positions` of its sorted vertex tuple;
-        built on first use and cached.
-
-        All positions give the simplices themselves.  Otherwise the first
-        position r left out names a facet, which keeps the order of the
-        other vertices: with r the only one left out the table is column r
-        of `X.facet_table(m)` itself, and else the facets' table at the
-        positions above r shifted down, read through that column."""
-        if self.complex is not X:
-            raise DimensionMismatch("order lives on a different complex")
-        table = self._faces.get((m, positions))
-        if table is None:
-            if len(positions) == m + 1:
-                table = range(X.n_simplices(m))
-            else:
-                r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
-                table = X.facet_table(m)[r]
-                if len(positions) < m:
-                    sub = self.faces(X, m - 1, tuple(p - (p > r) for p in positions))
-                    table = list(map(sub.__getitem__, table))
-            self._faces[m, positions] = table
-        return table
+        """The complex's one order: increasing vertex id."""
+        return cls(complex)
 
 
-def _check_cochain(X: SimplicialComplex, cochain: Chain, name: str):
-    if cochain.complex is not X:
+def _check_complex(X: SimplicialComplex, item, name: str):
+    if item.complex is not X:
         raise DimensionMismatch(f"{name} lives on a different complex")
 
 
@@ -113,15 +80,16 @@ def cap(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
         c: Chain) -> Chain:
     """Cap product of a p-cochain with a d-chain: evaluate on the front
     p-face, emit the back (d-p)-face, sum mod 2."""
-    _check_cochain(X, alpha, "alpha")
-    _check_cochain(X, c, "chain")
+    _check_complex(X, order, "order")
+    _check_complex(X, alpha, "alpha")
+    _check_complex(X, c, "chain")
     p, d = alpha.dimension, c.dimension
     if p < 0:
         raise IndexOutOfRange(f"cannot cap with a cochain of degree {p}")
     if p > d:
         raise DegreeOverflow(f"cannot cap a {p}-cochain with a {d}-chain")
-    front = order.faces(X, d, tuple(range(p + 1)))
-    back = order.faces(X, d, tuple(range(p, d + 1)))
+    front = X.face_table(d, tuple(range(p + 1)))
+    back = X.face_table(d, tuple(range(p, d + 1)))
     hit = gather(alpha.bits, front, X.n_simplices(p)) & c.bits
     return Chain(X, d - p, scatter(compress(back, to_flags(hit, len(back))),
                                    X.n_simplices(d - p)))
@@ -139,8 +107,9 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
     Terms whose interval unions have the wrong cardinality drop out (this
     depends only on p, q, i), so cup_0 is the front/back-face cup product.
     """
-    _check_cochain(X, alpha, "alpha")
-    _check_cochain(X, beta, "beta")
+    _check_complex(X, order, "order")
+    _check_complex(X, alpha, "alpha")
+    _check_complex(X, beta, "beta")
     p, q = alpha.dimension, beta.dimension
     if i < 0 or i > min(p, q):
         raise IndexOutOfRange(f"cup-{i} undefined for degrees ({p}, {q})")
@@ -155,15 +124,15 @@ def cup_i(X: SimplicialComplex, order: VertexOrder, alpha: Chain,
         evens = tuple(k for part in parts[0::2] for k in part)
         odds = tuple(k for part in parts[1::2] for k in part)
         if len(evens) == p + 1 and len(odds) == q + 1:
-            bits ^= (gather(a, order.faces(X, m, evens), na)
-                     & gather(b, order.faces(X, m, odds), nb))
+            bits ^= (gather(a, X.face_table(m, evens), na)
+                     & gather(b, X.face_table(m, odds), nb))
     return Chain(X, m, bits)
 
 
 def steenrod_sq(X: SimplicialComplex, order: VertexOrder, k: int,
                 alpha: Chain) -> Chain:
     """Sq^k on a p-cocycle, realized as alpha cup_{p-k} alpha."""
-    _check_cochain(X, alpha, "alpha")
+    _check_complex(X, alpha, "alpha")
     if k < 0:
         raise IndexOutOfRange(f"Sq^{k} undefined")
     mod2_homology(X).check_cocycle(alpha)
@@ -204,7 +173,7 @@ class CohomologyClass:
 
 def class_of(X: SimplicialComplex, cochain: Chain) -> CohomologyClass:
     """Wrap a cocycle with its coordinates in the chosen cohomology basis."""
-    _check_cochain(X, cochain, "cochain")
+    _check_complex(X, cochain, "cochain")
     coords = mod2_homology(X).cohomology_coordinates(cochain)
     return CohomologyClass(X, cochain.dimension, cochain, coords)
 

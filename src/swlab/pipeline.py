@@ -17,9 +17,10 @@ the full report attached.  Each class is read as its pairings with the
 cohomology basis of K (`homology_coordinates`): no boundary is reduced.
 
 K' is never built: both facts the report needs about ht are local counts
-on K, in the line of Halperin and Toledo ("Stiefel-Whitney homology
-classes", Ann. of Math. 1972) and Goldstein and Turner ("A formula for
-Stiefel-Whitney homology classes", Proc. AMS 1976).
+on K, read from its face tables (`SimplicialComplex.face_table`), in the
+line of Halperin and Toledo ("Stiefel-Whitney homology classes", Ann. of
+Math. 1972) and Goldstein and Turner ("A formula for Stiefel-Whitney
+homology classes", Proc. AMS 1976).
 
 - Cycle: a (d-1)-simplex of K' is a flag s_0 > ... > s_{d-1} of simplices
   of K, and its d-cofaces insert one more member.  Between two neighbours
@@ -137,19 +138,18 @@ def all_ones_chains(K: SimplicialComplex) -> list[tuple[bool, bool, Chain]]:
     the all-ones d-chain of K' is, and the image of the latter under the
     last-vertex map, all counted on K by the rules of the module docstring.
     Each count of m-cofaces on the d-simplices, and each image, is one
-    `gf2.scatter` over face-index tables of K's numeric order, which the
-    Wu oracle reads too."""
+    `gf2.scatter` over K's face-index tables (`face_table`), which the Wu
+    oracle's products read too."""
     n = K.dim
-    order = VertexOrder.numeric(K)
 
     def scattered(d, tables):
         return scatter(chain.from_iterable(tables), K.n_simplices(d))
 
     # cofaces[d][m - d - 1]: each d-simplex counts once per m-coface
-    cofaces = [[scattered(d, (order.faces(K, m, p) for p in combinations(range(m + 1), d + 1)))
+    cofaces = [[scattered(d, (K.face_table(m, p) for p in combinations(range(m + 1), d + 1)))
                 for m in range(d + 1, n + 1)] for d in range(n + 1)]
     # and each sigma once for every admissible rho inside it
-    images = [scattered(d, (order.faces(K, m, p) for m in range(d, n + 1)
+    images = [scattered(d, (K.face_table(m, p) for m in range(d, n + 1)
                             for p in _gap_patterns(m + 1) if len(p) == d + 1))
               for d in range(n + 1)]
     highest_odd = max((d for d, counts in enumerate(cofaces) if reduce(xor, counts, 0)),

@@ -9,19 +9,22 @@ Complexes are immutable after construction.  Every complex is built by one
 closure, ``SimplicialComplex.from_canonical_facets``, which walks from the
 top dimension down, as the Simplex Tree is built (Boissonnat & Maria,
 Algorithmica 2014), and emits the skeletons, their indexes, the facet
-tables and the facets together; coboundary matrices and the pseudomanifold
-diagnostic are computed once on request and cached.  The facet tables are
-the one incidence record, stored as deletion columns: entry j of column k
-of ``facet_table(d)`` is the index in ``skeleton(d-1)`` of the facet of
-d-simplex j without vertex k.  Every other incidence query reads them by
-index, as Ripser does (Bauer, J. Appl. Comput. Topol. 2021): the
-coboundary columns, the references' boundary matrices, the pseudomanifold
-check, chain boundaries and the Wu oracle's face tables.
+tables and the facets together; coboundary matrices, face tables and the
+pseudomanifold diagnostic are computed once on request and cached, and the
+complex keeps its cohomology pass, which ``homology`` fills.  No cache
+refers back to the complex, so reference counting frees it whole.  The
+facet tables are the one incidence record, stored as deletion columns:
+entry j of column k of ``facet_table(d)`` is the index in ``skeleton(d-1)``
+of the facet of d-simplex j without vertex k.  Every other incidence query
+reads them by index, as Ripser does (Bauer, J. Appl. Comput. Topol. 2021):
+the coboundary columns, the references' boundary matrices, the
+pseudomanifold check, chain boundaries and ``face_table``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, groupby
 from operator import itemgetter
@@ -30,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     DimensionOutOfRange,
     EmptyInput,
+    InputTooLarge,
     MalformedFacet,
     NotPseudomanifold,
     SimplexNotInComplex,
@@ -46,6 +50,14 @@ __all__ = [
 ]
 
 Simplex = tuple[int, ...]
+
+# The most vertex entries, faces times vertices per face, that the closure
+# may make on one level; a level above it is refused before it is made.
+# Level d makes (d+1)*n_d faces of d vertices each.  RP6, the largest
+# input planned, has f = (1093, 36876, 297864, 974400, 1518720, 1128960,
+# 322560); its largest level, d = 5, makes 6 * 1128960 faces of 5
+# vertices, 33868800 entries, so the budget leaves it 1.98x headroom.
+CLOSURE_BUDGET = 2 ** 26
 
 
 def canonical_simplex(vertices) -> Simplex:
@@ -93,8 +105,9 @@ class SimplicialComplex:
         "_facets",
         "_facet_tables",
         "_coboundary",
+        "_face_tables",
+        "_cohomology",
         "_pm_report",
-        "_extra",
     )
 
     def __init__(self, skeletons: tuple[tuple[Simplex, ...], ...],
@@ -107,8 +120,9 @@ class SimplicialComplex:
         self._facet_tables = facet_tables
         self._facets = facets
         self._coboundary: dict[int, BitMatrix] = {}
+        self._face_tables: dict[tuple[int, tuple[int, ...]], Sequence[int]] = {}
+        self._cohomology: list = []  # the cohomology pass, filled by homology
         self._pm_report: PseudomanifoldReport | None = None
-        self._extra: dict = {}  # scratch cache for sibling modules
 
     # ---------------------------------------------------------------- build
 
@@ -143,6 +157,10 @@ class SimplicialComplex:
         skeletons, indexes, tables, maximal = [sk], [dict(zip(sk, count()))], [], [sk]
         for d in range(top - 1, 0, -1):  # sk is skeleton(d)
             n = len(sk)
+            if (d + 1) * n * d > CLOSURE_BUDGET:
+                raise InputTooLarge(
+                    f"closing the facets would make {(d + 1) * n} faces of {d} vertices, "
+                    f"{(d + 1) * n * d} vertex entries over the budget of {CLOSURE_BUDGET}")
             # the deletion columns, last first: the last one is sorted, so the
             # sort below starts from one long run.  itemgetter of one
             # position gives a bare vertex; zip makes it a 1-tuple
@@ -242,6 +260,28 @@ class SimplicialComplex:
         if not 1 <= d <= self.dim:
             raise DimensionOutOfRange(f"facet table dimension {d} outside 1..{self.dim}")
         return self._facet_tables[d - 1]
+
+    def face_table(self, m: int, positions: tuple[int, ...]) -> Sequence[int]:
+        """For each m-simplex in skeleton order, the index of its face
+        spanned by the vertices at `positions` of its sorted vertex tuple;
+        built on first use and cached.  All positions give the simplices
+        themselves.  Otherwise the first position r left out names a facet,
+        which keeps the order of the other vertices: with r the only one
+        left out the table is column r of facet_table(m) itself, and else
+        the facets' table at the positions above r shifted down, read
+        through that column."""
+        table = self._face_tables.get((m, positions))
+        if table is None:
+            if len(positions) == m + 1:
+                table = range(self.n_simplices(m))
+            else:
+                r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
+                table = self.facet_table(m)[r]
+                if len(positions) < m:
+                    sub = self.face_table(m - 1, tuple(p - (p > r) for p in positions))
+                    table = list(map(sub.__getitem__, table))
+            self._face_tables[m, positions] = table
+        return table
 
     def coboundary_matrix(self, d: int) -> BitMatrix:
         """Mod-2 coboundary, built once from facet_table(d+1): rows =

@@ -438,6 +438,13 @@ def test_cli_oracle_conflict_keeps_partial_report(tmp_path, monkeypatch,
     assert payload["error"] == {"type": "OracleConflict",
                                 "message": "w2 disagrees"}
     assert payload["partial"] == json.loads(json.dumps(report.as_dict()))
+    # an unwritable OUT loses no failure: the conflict keeps exit 1 and
+    # its message, after a line naming the path that was not written
+    missing = tmp_path / "missing" / "out.json"
+    assert cli.main(["classes", "--corpus", "s2", "--report", str(missing)]) == 1
+    assert capsys.readouterr().err == (f"report {missing} not written: No such file or directory\n"
+                                       "verification failed: w2 disagrees\n")
+    assert not missing.parent.exists()
 
 
 def test_cli_corpus_list(capsys):
@@ -555,6 +562,24 @@ def test_cli_grid_over_the_rk4_budget(capsys):
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert "exceed the budget" in lines[0], lines
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_closure_over_its_budget(tmp_path, capsys):
+    # one 40-vertex facet closes to 2^40 - 1 simplices: the closure makes
+    # the levels of 1 to 36 dimensions below it and refuses the next, whose
+    # 3290040 faces of 35 vertices exceed CLOSURE_BUDGET, before making it
+    # (a traced peak of 55 MiB, the 91390 faces of 36 vertices)
+    path = tmp_path / "simplex40.txt"
+    path.write_text(" ".join(map(str, range(40))) + "\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["classes", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "over the budget of 67108864" in lines[0], lines
+        assert tracemalloc.get_traced_memory()[1] < 96 * 2 ** 20
     finally:
         tracemalloc.stop()
 

@@ -41,9 +41,27 @@ def test_euler_characteristic_equals_betti_alternation(entries):
         assert H.betti_vector == entry.betti
 
 
-def test_summary_is_cached_per_complex():
+def test_summary_is_cached_per_complex(monkeypatch):
+    """The cohomology pass runs once per complex: two summaries of X share
+    the complex's one per-degree list, and a second betti_vector reduces
+    no coboundary."""
     X = build_complex(S2_FACETS)
-    assert mod2_homology(X) is mod2_homology(X)
+    first, second = mod2_homology(X), mod2_homology(X)
+    assert first.betti_vector == (1, 0, 1)
+    degrees = list(X._cohomology)
+    reduced = []
+    tagged_reduction = BitMatrix.tagged_reduction
+
+    def recording(self, *args):
+        reduced.append(self)
+        return tagged_reduction(self, *args)
+
+    monkeypatch.setattr(BitMatrix, "tagged_reduction", recording)
+    assert second.betti_vector == (1, 0, 1)
+    assert not reduced
+    assert len(degrees) == len(X._cohomology) == 3
+    assert all(a is b for a, b in zip(X._cohomology, degrees))
+    assert all(first.cohomology_basis(d) is second.cohomology_basis(d) for d in range(3))
 
 
 def test_cycle_checks_and_messages():

@@ -29,7 +29,7 @@ from swlab.oracle import (
     wu_classes,
 )
 from swlab import simplicial
-from swlab.simplicial import Chain, build_complex
+from swlab.simplicial import Chain, SimplicialComplex, build_complex
 from swlab.pipeline import all_ones_chains
 from swlab.subdivision import barycentric_subdivide
 
@@ -337,21 +337,19 @@ def test_face_tables_match_the_sorted_tuple_lookup(face_complex):
     rng = random.Random(28)
     for ranks in (numeric_ranks(X), shuffled_ranks(rng, X), shuffled_ranks(rng, X)):
         Y, index, inverse = relabeled_by(X, ranks)
-        order = VertexOrder.numeric(Y)
         for m in range(X.dim + 1):
             for k in range(1, m + 2):
                 for positions in combinations(range(m + 1), k):
-                    table = order.faces(Y, m, positions)
+                    table = Y.face_table(m, positions)
                     assert [inverse[k - 1][table[j]] for j in index[m]] \
                         == ref_faces(X, ranks, m, positions), (m, positions)
 
 
 def test_facet_table_columns_are_the_numeric_facet_tables(face_complex):
     """Column k of facet_table(d) is each d-simplex's facet without vertex
-    k, and the numeric order's table of the facets without position r is
+    k, and the complex's face table of the facets without position r is
     column r itself, not a copy."""
     X = face_complex
-    order = VertexOrder.numeric(X)
     for m in range(1, X.dim + 1):
         table = X.facet_table(m)
         assert len(table) == m + 1
@@ -359,26 +357,26 @@ def test_facet_table_columns_are_the_numeric_facet_tables(face_complex):
             assert list(column) == [X.index(s[:k] + s[k + 1:]) for s in X.skeleton(m)]
         for r in range(m + 1):
             positions = tuple(p for p in range(m + 1) if p != r)
-            assert order.faces(X, m, positions) is table[r]
+            assert X.face_table(m, positions) is table[r]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_face_tables_are_built_once_per_order(entries, monkeypatch, name):
     """Across all_ones_chains, wu_classes and the degree caps, each
-    (m, positions) table is built once, the numeric order is one per
-    complex, and a table that leaves out one position is that column of
-    the facet table itself, not a copy."""
+    (m, positions) table of the complex is built once, and a table that
+    leaves out one position is that column of the facet table itself, not
+    a copy."""
     X = entries[name].complex()
     order = VertexOrder.numeric(X)
     built = []
-    faces = VertexOrder.faces
+    face_table = SimplicialComplex.face_table
 
-    def recording(self, Y, m, positions):
-        if (m, positions) not in self._faces:
+    def recording(self, m, positions):
+        if (m, positions) not in self._face_tables:
             built.append((self, (m, positions)))
-        return faces(self, Y, m, positions)
+        return face_table(self, m, positions)
 
-    monkeypatch.setattr(VertexOrder, "faces", recording)
+    monkeypatch.setattr(SimplicialComplex, "face_table", recording)
 
     def products():
         all_ones_chains(X)
@@ -388,17 +386,16 @@ def test_face_tables_are_built_once_per_order(entries, monkeypatch, name):
             cap(X, order, cls.cocycle, gamma)
 
     products()
-    keys = [key for o, key in built if o is order]
-    assert keys and len(keys) == len(set(keys)) == len(built) == len(order._faces)
-    for (m, positions), table in order._faces.items():
+    keys = [key for Y, key in built if Y is X]
+    assert keys and len(keys) == len(set(keys)) == len(built) == len(X._face_tables)
+    for (m, positions), table in X._face_tables.items():
         if len(positions) == m:
             r = next(r for r, p in enumerate(positions + (m + 1,)) if r != p)
             assert table is X.facet_table(m)[r]
-    cached = dict(order._faces)
+    cached = dict(X._face_tables)
     products()
     assert len(built) == len(cached)
-    assert all(order._faces[key] is table for key, table in cached.items())
-    assert VertexOrder.numeric(X) is order
+    assert all(X._face_tables[key] is table for key, table in cached.items())
 
 
 def test_cap_rejects_a_negative_degree(entry_complex):

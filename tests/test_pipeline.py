@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -484,6 +485,34 @@ def test_compute_report_stays_on_the_base(monkeypatch):
     assert tuple(row.class_nonzero for row in report.rows) == entry.sw_pattern
     assert report.all_matched and report.pairing_ok
     assert seen and all(complex is X for complex in seen)
+
+
+@pytest.mark.parametrize("name", (*CORPUS_NAMES, "sd(klein)"))
+def test_a_report_leaves_no_cyclic_garbage(name):
+    """With the collector disabled, a report on a fresh complex and then
+    `del K`: a full collection finds no SimplicialComplex, so reference
+    counting alone frees the complex with its tables and its cohomology
+    pass.  The collector's state is restored afterwards."""
+    if name == "sd(klein)":
+        K = barycentric_subdivide(corpus("klein").complex()).derived
+    else:
+        K = corpus(name).complex()
+    enabled, debug, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        compute_report(K)
+        del K
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage[saved:]
+                  if isinstance(o, SimplicialComplex)]
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[saved:]
+        if enabled:
+            gc.enable()
+    assert leaked == []
 
 
 def product(X, Y):
