@@ -77,8 +77,7 @@ def tolerance(raw: str) -> float:
 
 def _json_dump(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _report_payload(source: str, sha: str, report) -> dict:

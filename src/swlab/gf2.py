@@ -29,7 +29,9 @@ basis is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import reduce
+from itertools import compress
+from operator import itemgetter, xor
 
 from .errors import DimensionMismatch
 
@@ -149,7 +151,7 @@ class BitMatrix:
             raise ValueError("negative matrix shape")
         if columns is None:
             columns = [0] * cols
-        elif len(columns) != cols or any(c < 0 or c >> rows for c in columns):
+        elif len(columns) != cols or columns and (min(columns) < 0 or max(columns) >> rows):
             raise DimensionMismatch(f"columns do not fit a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
@@ -208,15 +210,11 @@ class BitMatrix:
         return BitMatrix(self.cols, self.rows, rows)
 
     def matvec(self, x: int) -> int:
-        """Matrix-vector product over GF(2); x is a length-cols bit int."""
+        """Matrix-vector product over GF(2); x is a length-cols bit int.
+
+        One C-level pass: the XOR of the columns that x's digits pick."""
         _check_vector(x, self.cols)
-        acc = 0
-        # chains are often dense (all-ones), where scanning x's digits
-        # beats peeling its set bits one by one
-        for c, bit in zip(self.columns, reversed(f"{x:b}")):
-            if bit == "1":
-                acc ^= c
-        return acc
+        return reduce(xor, compress(self.columns, to_flags(x, self.cols)), 0)
 
     def matmul(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:

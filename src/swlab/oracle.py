@@ -136,10 +136,16 @@ def steenrod_sq(X: SimplicialComplex, order: VertexOrder, k: int,
     if k < 0:
         raise IndexOutOfRange(f"Sq^{k} undefined")
     mod2_homology(X).check_cocycle(alpha)
+    return _square(X, order, k, alpha)
+
+
+def _square(X: SimplicialComplex, order: VertexOrder, k: int,
+            alpha: Chain) -> Chain:
+    """Sq^k of a cocycle already checked: a zero cochain, and any square
+    whose target cochain group is zero (above the degree, or above the
+    complex dimension), is zero with no product."""
     p = alpha.dimension
-    if k > p or p + k > X.dim:
-        # above the degree (or above the complex dimension) the target
-        # cochain group is zero
+    if alpha.is_zero() or k > p or p + k > X.dim:
         return Chain.zero(X, p + k)
     return cup_i(X, order, alpha, alpha, p - k)
 
@@ -236,11 +242,12 @@ def wu_classes(X: SimplicialComplex) -> WuData:
             if (coords >> jcol) & 1:
                 rep = rep ^ y
         v.append(class_of(X, rep))
+    # class_of has checked each v_j by delta; none is checked again per square
     w: list[CohomologyClass] = []
     for i in range(n + 1):
         rep = Chain.zero(X, i)
         for j in range(i + 1):
-            rep = rep ^ steenrod_sq(X, order, i - j, v[j].cocycle)
+            rep = rep ^ _square(X, order, i - j, v[j].cocycle)
         w.append(class_of(X, rep))
     return WuData(X, tuple(v), tuple(w))
 

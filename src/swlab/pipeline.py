@@ -45,7 +45,7 @@ lies in exactly two facets.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, combinations
 from operator import xor
@@ -74,7 +74,13 @@ class DegreeRow:
     matches_oracle: bool | None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "degree": self.degree,
+            "all_ones_is_cocycle": self.all_ones_is_cocycle,
+            "ht_chain_is_cycle": self.ht_chain_is_cycle,
+            "class_nonzero": self.class_nonzero,
+            "matches_oracle": self.matches_oracle,
+        }
 
 
 @dataclass(frozen=True)

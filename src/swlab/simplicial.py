@@ -52,12 +52,33 @@ __all__ = [
 Simplex = tuple[int, ...]
 
 # The most vertex entries, faces times vertices per face, that the closure
-# may make on one level; a level above it is refused before it is made.
+# may make on one level; a level above it is refused before it is made,
+# and a largest facet whose own faces put a level above it before any is.
 # Level d makes (d+1)*n_d faces of d vertices each.  RP6, the largest
 # input planned, has f = (1093, 36876, 297864, 974400, 1518720, 1128960,
 # 322560); its largest level, d = 5, makes 6 * 1128960 faces of 5
 # vertices, 33868800 entries, so the budget leaves it 1.98x headroom.
 CLOSURE_BUDGET = 2 ** 26
+
+
+def _check_largest_facet(size: int) -> None:
+    """Refuse, before any level is made, a facet of `size` vertices whose
+    own faces would put some level of the closure over CLOSURE_BUDGET.
+
+    The facet puts C(size, d+1) simplices in skeleton(d), so level d makes
+    at least (d+1)*C(size, d+1) faces of d vertices.  The levels are walked
+    from the top, C(size, d+1) updated in place, and the walk stops at the
+    first one over the budget, so a huge facet costs no more than a small
+    one."""
+    simplices = 1  # C(size, d+1)
+    for d in range(size - 1, 0, -1):
+        faces = (d + 1) * simplices
+        if faces * d > CLOSURE_BUDGET:
+            raise InputTooLarge(
+                f"closing a facet of {size} vertices would make at least {faces} faces "
+                f"of {d} vertices, {faces * d} vertex entries over the budget of "
+                f"{CLOSURE_BUDGET}")
+        simplices = simplices * (d + 1) // (size - d)
 
 
 def canonical_simplex(vertices) -> Simplex:
@@ -149,10 +170,14 @@ class SimplicialComplex:
         entry is looked up by hash once, as it is made: it is numbered by
         the position where its face first occurs, and the table reads
         that number through the sort's ranking."""
-        listed = {size: set(group) for size, group in groupby(sorted(facets, key=len), len)}
+        # dict.fromkeys drops repeats but keeps the input order, so the
+        # sorts below start from the runs of an already sorted list
+        listed = {size: dict.fromkeys(group)
+                  for size, group in groupby(sorted(facets, key=len), len)}
         if not listed:
             return cls((), (), (), ())
         top = max(listed)
+        _check_largest_facet(top)
         sk = tuple(sorted(listed.pop(top)))
         skeletons, indexes, tables, maximal = [sk], [dict(zip(sk, count()))], [], [sk]
         for d in range(top - 1, 0, -1):  # sk is skeleton(d)
@@ -171,7 +196,7 @@ class SimplicialComplex:
             index: dict[Simplex, int] = {}
             ids = list(map(index.setdefault, faces, count()))
             first_at = list(index.values())
-            lone = listed.pop(d, set()).difference(index)
+            lone = [s for s in listed.pop(d, ()) if s not in index]
             sk = tuple(sorted(chain(index, lone)))
             index.update(zip(sk, count()))  # now the index of skeleton(d-1)
             rank = dict(zip(first_at, index.values()))
@@ -290,9 +315,10 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"coboundary dimension {d} outside 0..{self.dim}")
         if d not in self._coboundary:
             columns = [0] * len(self._skeletons[d])
+            row_bits = [1 << j for j in range(self.n_simplices(d + 1))]
             for deletion in self.facet_table(d + 1) if d < self.dim else ():
-                for j, i in enumerate(deletion):
-                    columns[i] |= 1 << j
+                for i, bit in zip(deletion, row_bits):
+                    columns[i] |= bit
             self._coboundary[d] = BitMatrix(self.n_simplices(d + 1), len(columns), columns)
         return self._coboundary[d]
 

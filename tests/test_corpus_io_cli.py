@@ -566,22 +566,35 @@ def test_cli_grid_over_the_rk4_budget(capsys):
         tracemalloc.stop()
 
 
-def test_cli_closure_over_its_budget(tmp_path, capsys):
-    # one 40-vertex facet closes to 2^40 - 1 simplices: the closure makes
-    # the levels of 1 to 36 dimensions below it and refuses the next, whose
-    # 3290040 faces of 35 vertices exceed CLOSURE_BUDGET, before making it
-    # (a traced peak of 55 MiB, the 91390 faces of 36 vertices)
-    path = tmp_path / "simplex40.txt"
-    path.write_text(" ".join(map(str, range(40))) + "\n")
+def _refused_facet(tmp_path, capsys, size: int) -> str:
+    """The one stderr line of `swlab classes` on one facet of `size`
+    vertices, checked to exit 2 at a traced peak under 4 MiB."""
+    path = tmp_path / f"simplex{size}.txt"
+    path.write_text(" ".join(map(str, range(size))) + "\n")
     tracemalloc.start()
     try:
         assert cli.main(["classes", str(path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert "over the budget of 67108864" in lines[0], lines
-        assert tracemalloc.get_traced_memory()[1] < 96 * 2 ** 20
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2 ** 20
     finally:
         tracemalloc.stop()
+    return lines[0]
+
+
+def test_cli_closure_over_its_budget(tmp_path, capsys):
+    # one 40-vertex facet closes to 2^40 - 1 simplices; its own faces put
+    # level 35, 3290040 faces of 35 vertices, over CLOSURE_BUDGET, so the
+    # closure refuses it before it makes any level
+    assert "3290040 faces of 35 vertices" in _refused_facet(tmp_path, capsys, 40)
+
+
+def test_cli_refuses_a_large_facet_before_any_level(tmp_path, capsys):
+    # one 26-vertex facet: level 19 would make 4604600 faces of 19 vertices,
+    # 87487400 entries; the levels above it, up to 27.6 M entries, fit the
+    # budget but are not made either (a traced peak of 0.2 MiB)
+    assert "4604600 faces of 19 vertices" in _refused_facet(tmp_path, capsys, 26)
 
 
 def test_cli_bad_grid(capsys):

@@ -212,6 +212,32 @@ def test_matvec_rejects_long_vectors():
     a.transpose().matvec((1 << 5) - 1)
 
 
+def _matvec_by_digits(a, x):
+    """The XOR of the columns at x's set bits, one binary digit at a time."""
+    acc = 0
+    for c, bit in zip(a.columns, reversed(f"{x:b}")):
+        if bit == "1":
+            acc ^= c
+    return acc
+
+
+def test_matvec_matches_the_digit_scan():
+    rng = random.Random(31)
+    for rows in (0, 1, 7, 64, 65, 200):
+        for cols in (0, 1, 2, 63, 64, 130):
+            a = BitMatrix(rows, cols, [rng.getrandbits(rows) for _ in range(cols)])
+            for x in (0, (1 << cols) - 1, rng.getrandbits(cols), 1 << cols >> 1):
+                assert a.matvec(x) == _matvec_by_digits(a, x), (rows, cols, x)
+
+
+def test_columns_must_fit_the_shape():
+    assert BitMatrix(0, 0, []).columns == []
+    assert BitMatrix(3, 2, [0, 7]).columns == [0, 7]
+    for columns in ([0, 8], [-1, 0], [0]):
+        with pytest.raises(DimensionMismatch):
+            BitMatrix(3, 2, columns)
+
+
 def test_row_space_membership():
     rng = np.random.default_rng(9)
     a = random_matrix(rng, 12, 18)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import relabeled
-from swlab.corpus import CORPUS_NAMES
+from swlab.corpus import CORPUS_NAMES, _rpn_facets, corpus
 from swlab.errors import (
     DegreeOverflow,
     DimensionMismatch,
@@ -28,9 +28,9 @@ from swlab.oracle import (
     steenrod_sq,
     wu_classes,
 )
-from swlab import simplicial
+from swlab import oracle, pipeline, simplicial
 from swlab.simplicial import Chain, SimplicialComplex, build_complex
-from swlab.pipeline import all_ones_chains
+from swlab.pipeline import all_ones_chains, compute_report
 from swlab.subdivision import barycentric_subdivide
 
 TRIALS = 100
@@ -436,6 +436,29 @@ def test_wu_and_cap_make_no_simplex_lookup(entry_complex, monkeypatch):
     for cls in wu.w:
         cap(X, order, cls.cocycle, gamma)
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: corpus("rp3").complex(), id="rp3"),
+    pytest.param(lambda: build_complex(_rpn_facets(4)), id="rp4", marks=pytest.mark.slow),
+])
+def test_wu_classes_check_each_wu_class_once(make, monkeypatch):
+    """In a report, wu_classes applies delta to each Wu class once, in
+    class_of, and not again for each of its squares; and it multiplies no
+    zero cochain, so a zero v_j costs no product at all."""
+    X = make()
+    checked, multiplied, wu = [], [], []
+    coboundary, product, solve = Chain.coboundary, oracle.cup_i, pipeline.wu_classes
+    monkeypatch.setattr(Chain, "coboundary", lambda c: checked.append(c) or coboundary(c))
+    monkeypatch.setattr(oracle, "cup_i", lambda *args: multiplied.append(args[2:4])
+                        or product(*args))
+    monkeypatch.setattr(pipeline, "wu_classes", lambda K: wu.append(solve(K)) or wu[-1])
+    assert compute_report(X).all_matched
+    (data,) = wu
+    assert any(v.is_zero() for v in data.v) and any(not v.is_zero() for v in data.v)
+    for v in data.v:
+        assert sum(c is v.cocycle for c in checked) == 1, v.degree
+    assert multiplied and all(a.bits and b.bits for a, b in multiplied)
 
 
 def test_cup_i_coboundary_identity(entry_complex):
